@@ -12,23 +12,26 @@
 //! count, the repo's established determinism invariant.
 //!
 //! The five paper passes ship as ready-made folds: [`AtiFold`],
-//! [`PeakFold`], [`BreakdownFold`], [`GanttFold`], [`OutlierFold`]. The
-//! per-pass entry points in [`crate::ati_from_store`] & co. are thin
-//! wrappers over single-fold pipelines.
+//! [`PeakFold`], [`BreakdownFold`], [`GanttFold`], [`OutlierFold`].
+//!
+//! [`FusedPipeline::run`] takes any [`ChunkSource`] (a `.ptrc` reader, or
+//! the serving tier's chunk cache) through the store's one [`scan`].
+//! [`FusedPipeline::run_trace`] stays a separate entry for in-memory
+//! traces: it folds the events where they lie instead of copying them
+//! into column batches first.
 
 use crate::ati::{AtiDataset, AtiRecord};
 use crate::breakdown::BreakdownRow;
 use crate::gantt::GanttRect;
 use crate::outlier::{sift, OutlierCriteria, OutlierReport};
 use pinpoint_store::{
-    ChunkMeta, ColumnBatch, Predicate, ReadPolicy, StoreError, StoreReader, DEFAULT_CHUNK_EVENTS,
+    scan, ChunkSource, ColumnBatch, Predicate, QueryStats, StoreError, DEFAULT_CHUNK_EVENTS,
 };
 use pinpoint_trace::{BlockId, Category, EventKind, MemEvent, MemoryKind, PeakUsage, Trace};
 use std::any::Any;
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::io::{self, Read, Seek};
 use std::marker::PhantomData;
 
 /// One analysis pass expressed as a chunk-parallel fold.
@@ -166,7 +169,8 @@ impl<O> fmt::Debug for FoldHandle<O> {
 }
 
 /// Scan accounting for one fused run — how much pruning and decoding the
-/// union predicate bought, and (under [`ReadPolicy::Salvage`]) exactly
+/// union predicate bought, and (under
+/// [`ReadPolicy::Salvage`](pinpoint_store::ReadPolicy::Salvage)) exactly
 /// what corruption cost.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FusedStats {
@@ -185,12 +189,28 @@ pub struct FusedStats {
     /// Events scanned across all decoded chunks.
     pub events_scanned: u64,
     /// Chunks read but dropped as corrupt (always 0 under
-    /// [`ReadPolicy::Strict`] — a corrupt chunk is an error there).
+    /// [`ReadPolicy::Strict`](pinpoint_store::ReadPolicy::Strict) — a
+    /// corrupt chunk is an error there).
     pub chunks_skipped: usize,
     /// Events lost with the dropped chunks, per the index counts.
     pub events_lost: u64,
     /// Detail of the first corruption encountered, in chunk order.
     pub first_error: Option<String>,
+}
+
+impl FusedStats {
+    fn from_scan(scan: QueryStats, events_scanned: u64) -> Self {
+        FusedStats {
+            chunks_total: scan.chunks_total,
+            chunks_decoded: scan.chunks_decoded,
+            chunks_pruned: scan.chunks_pruned,
+            chunks_pruned_by_label: scan.chunks_pruned_by_label,
+            events_scanned,
+            chunks_skipped: scan.chunks_skipped,
+            events_lost: scan.events_lost,
+            first_error: scan.first_error,
+        }
+    }
 }
 
 /// Results of a fused run: one output slot per registered fold, plus
@@ -249,8 +269,6 @@ impl FusedOutputs {
 #[derive(Default)]
 pub struct FusedPipeline {
     folds: Vec<Box<dyn DynFold>>,
-    read_policy: Option<ReadPolicy>,
-    cancel: pinpoint_store::CancelToken,
 }
 
 impl fmt::Debug for FusedPipeline {
@@ -288,25 +306,6 @@ impl FusedPipeline {
         self.folds.is_empty()
     }
 
-    /// Overrides the read policy for [`run_store`](Self::run_store); by
-    /// default the pipeline inherits the reader's own policy. Under
-    /// [`ReadPolicy::Salvage`], corrupt chunks are dropped with exact
-    /// accounting in [`FusedStats`] instead of failing the run.
-    pub fn set_read_policy(&mut self, policy: ReadPolicy) {
-        self.read_policy = Some(policy);
-    }
-
-    /// Installs a cooperative [`CancelToken`](pinpoint_store::CancelToken)
-    /// polled at per-chunk merge boundaries by
-    /// [`run_store`](Self::run_store) and [`run_chunks`](Self::run_chunks)
-    /// (callers scanning through a reader get wave-granular checkpoints
-    /// too via [`StoreReader::set_cancel`]). Once it fires, the run stops
-    /// mid-store and returns [`StoreError::Cancelled`] — under either
-    /// read policy, because an abandoned request is not a damaged store.
-    pub fn set_cancel(&mut self, token: pinpoint_store::CancelToken) {
-        self.cancel = token;
-    }
-
     /// The union of every registered fold's predicate — the coarsest
     /// filter that is still sound for all of them, used for chunk-index
     /// pruning. Returns the match-everything predicate when the pipeline
@@ -319,172 +318,62 @@ impl FusedPipeline {
             .unwrap_or_else(Predicate::any)
     }
 
-    /// Runs every registered fold over a `.ptrc` store in **one pass**:
-    /// chunks not matching the union predicate are pruned via the footer
-    /// index, each surviving chunk is verified (CRC on v2 stores) and
-    /// decoded exactly once, and per-chunk partial states merge in chunk
-    /// order — bit-identical results at any `threads` count.
+    /// Runs every registered fold over a chunk source in **one pass**:
+    /// chunks not matching the union predicate are pruned via the index,
+    /// each surviving chunk is fetched (read, CRC-checked and decoded, or
+    /// taken from a cache) exactly once, and per-chunk partial states
+    /// merge in chunk order — bit-identical results at any `threads`
+    /// count, whatever mix of cache hits serves the batches.
     ///
-    /// The effective read policy is the pipeline override
-    /// ([`set_read_policy`](Self::set_read_policy)) or, absent one, the
-    /// reader's own. Under [`ReadPolicy::Salvage`], corrupt chunks are
-    /// dropped with exact accounting (`chunks_skipped`, `events_lost`,
-    /// `first_error`) instead of failing the run; the fold results are
-    /// then bit-identical — at any thread count — to a run over a store
-    /// containing only the surviving chunks.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors always; corruption errors under [`ReadPolicy::Strict`].
-    pub fn run_store<R: Read + Seek>(
-        &self,
-        reader: &mut StoreReader<R>,
-        threads: usize,
-    ) -> io::Result<FusedOutputs> {
-        let _run_span = pinpoint_obs::tracer().span_with("engine.run", self.folds.len() as u64);
-        let policy = self.read_policy.unwrap_or_else(|| reader.policy());
-        let chunks_total = reader.num_chunks();
-        let mut stats = FusedStats {
-            chunks_total,
-            ..FusedStats::default()
-        };
-        let mut candidates: Vec<usize> = Vec::new();
-        if !self.folds.is_empty() {
-            let _prune_span = pinpoint_obs::tracer().span("engine.prune");
-            let union = self.union_predicate();
-            for (i, m) in reader.footer().chunks.iter().enumerate() {
-                if union.matches_chunk(m) {
-                    candidates.push(i);
-                } else if union.pruned_by_label(m) {
-                    stats.chunks_pruned_by_label += 1;
-                }
-            }
-        }
-        stats.chunks_pruned = chunks_total - candidates.len();
-        let preds: Vec<Predicate> = self.folds.iter().map(|f| f.predicate_dyn()).collect();
-        let folds = &self.folds;
-        let mut merged: Option<Vec<DynAcc>> = None;
-        // scan_chunks runs verify+decode+batch-fold on worker threads
-        // against pooled scratch buffers, then hands results back in
-        // chunk order: the per-chunk verdicts (and thus the salvage
-        // accounting) fold deterministically whatever the thread count,
-        // and the steady-state scan allocates nothing per chunk
-        reader
-            .scan_chunks(
-                &candidates,
-                threads,
-                |_, _, batch| (fold_chunk_batch(folds, &preds, batch), batch.len() as u64),
-                |i, meta, res| match res {
-                    _ if self.cancel.is_cancelled() => Err(StoreError::Cancelled),
-                    Ok((accs, n)) => {
-                        stats.chunks_decoded += 1;
-                        stats.events_scanned += n;
-                        let _merge_span =
-                            pinpoint_obs::tracer().span_with("engine.merge", i as u64);
-                        merged = merge_accs(folds, merged.take(), accs);
-                        Ok(())
-                    }
-                    Err(e) if policy == ReadPolicy::Salvage && e.is_corruption() => {
-                        stats.chunks_skipped += 1;
-                        stats.events_lost += meta.count;
-                        if stats.first_error.is_none() {
-                            stats.first_error = Some(e.to_string());
-                        }
-                        Ok(())
-                    }
-                    Err(e) => Err(e),
-                },
-            )
-            .map_err(io::Error::from)?;
-        Ok(self.finalize(merged, stats))
-    }
-
-    /// Runs every registered fold over an externally supplied chunk set —
-    /// the cache-backed twin of [`run_store`](Self::run_store), built for
-    /// consumers (the `pinpoint-serve` daemon) that hold decoded
-    /// [`ColumnBatch`]es in a shared cache instead of re-reading the file.
-    ///
-    /// `index` is the store's chunk index (file order); candidates are
-    /// pruned with the union predicate exactly like `run_store`, and each
-    /// surviving chunk is requested once from `fetch` — typically a cache
-    /// lookup that decodes on miss — on a worker thread. Per-chunk partial
-    /// states merge in chunk order, so results (including the salvage
-    /// accounting under [`ReadPolicy::Salvage`], where a `fetch` that
-    /// returns a corruption error becomes a skipped chunk) are
-    /// bit-identical to `run_store` over the same store at any `threads`
-    /// count, whatever mix of cache hits and misses serves the batches.
+    /// Under the source's
+    /// [`ReadPolicy::Salvage`](pinpoint_store::ReadPolicy::Salvage),
+    /// corrupt chunks are dropped with exact accounting (`chunks_skipped`,
+    /// `events_lost`, `first_error`) instead of failing the run; the fold
+    /// results are then bit-identical — at any thread count — to a run
+    /// over a store containing only the surviving chunks.
     ///
     /// # Errors
     ///
-    /// I/O errors from `fetch` always; corruption errors under
-    /// [`ReadPolicy::Strict`].
-    pub fn run_chunks<F>(
+    /// I/O errors and [`StoreError::Cancelled`] always; corruption errors
+    /// under [`ReadPolicy::Strict`](pinpoint_store::ReadPolicy::Strict).
+    pub fn run<S: ChunkSource + ?Sized>(
         &self,
-        index: &[ChunkMeta],
+        source: &S,
         threads: usize,
-        policy: ReadPolicy,
-        fetch: F,
-    ) -> Result<FusedOutputs, StoreError>
-    where
-        F: Fn(usize, &ChunkMeta) -> Result<std::sync::Arc<ColumnBatch>, StoreError> + Sync,
-    {
+    ) -> Result<FusedOutputs, StoreError> {
         let _run_span = pinpoint_obs::tracer().span_with("engine.run", self.folds.len() as u64);
-        let chunks_total = index.len();
-        let mut stats = FusedStats {
-            chunks_total,
-            ..FusedStats::default()
-        };
-        let mut candidates: Vec<usize> = Vec::new();
-        if !self.folds.is_empty() {
-            let _prune_span = pinpoint_obs::tracer().span("engine.prune");
-            let union = self.union_predicate();
-            for (i, m) in index.iter().enumerate() {
-                if union.matches_chunk(m) {
-                    candidates.push(i);
-                } else if union.pruned_by_label(m) {
-                    stats.chunks_pruned_by_label += 1;
-                }
-            }
-        }
-        stats.chunks_pruned = chunks_total - candidates.len();
         let preds: Vec<Predicate> = self.folds.iter().map(|f| f.predicate_dyn()).collect();
         let folds = &self.folds;
-        let mapped = pinpoint_parallel::map_ordered(candidates, threads, |i| {
-            let _chunk_span = pinpoint_obs::tracer().span_with("engine.chunk", i as u64);
-            let batch = {
-                let _fetch_span = pinpoint_obs::tracer().span_with("engine.fetch", i as u64);
-                fetch(i, &index[i])
-            };
-            let res =
-                batch.map(|batch| (fold_chunk_batch(folds, &preds, &batch), batch.len() as u64));
-            (i, res)
-        });
         let mut merged: Option<Vec<DynAcc>> = None;
-        for (i, res) in mapped {
-            self.cancel.check()?;
-            match res {
-                Ok((accs, n)) => {
-                    stats.chunks_decoded += 1;
-                    stats.events_scanned += n;
-                    let _merge_span = pinpoint_obs::tracer().span_with("engine.merge", i as u64);
-                    merged = merge_accs(folds, merged.take(), accs);
-                }
-                Err(e) if policy == ReadPolicy::Salvage && e.is_corruption() => {
-                    stats.chunks_skipped += 1;
-                    stats.events_lost += index[i].count;
-                    if stats.first_error.is_none() {
-                        stats.first_error = Some(e.to_string());
-                    }
-                }
-                Err(e) => return Err(e),
+        let mut events_scanned = 0u64;
+        // an empty pipeline feeds no fold, so its empty kind mask prunes
+        // every chunk instead of decoding them all for nothing
+        let pred = if folds.is_empty() {
+            Predicate {
+                kind_mask: Some(0),
+                ..Predicate::any()
             }
-        }
-        Ok(self.finalize(merged, stats))
+        } else {
+            self.union_predicate()
+        };
+        let stats = scan(
+            source,
+            &pred,
+            "engine.prune",
+            threads,
+            |_, batch| (fold_chunk_batch(folds, &preds, batch), batch.len() as u64),
+            |i, (accs, n)| {
+                events_scanned += n;
+                let _merge_span = pinpoint_obs::tracer().span_with("engine.merge", i as u64);
+                merged = merge_accs(folds, merged.take(), accs);
+            },
+        )?;
+        Ok(self.finalize(merged, FusedStats::from_scan(stats, events_scanned)))
     }
 
     /// Runs every registered fold over an in-memory trace in one pass,
     /// splitting the event list into fixed-size chunks for the same
-    /// parallel map + in-order merge as [`run_store`](Self::run_store)
+    /// parallel map + in-order merge as [`run`](Self::run)
     /// (fixed boundaries, so results are thread-count invariant). No
     /// chunk pruning happens here — there is no index — but per-fold
     /// event predicates still apply.
@@ -597,7 +486,7 @@ fn merge_accs(
 // ---------------------------------------------------------------------------
 
 /// Per-block state the ATI fold keeps — O(1) per live block, not every
-/// access (this is what bounds `ati_from_store` memory).
+/// access (this is what bounds the fold's memory on a store scan).
 #[derive(Debug, Clone, Copy)]
 struct AtiBlockState {
     /// Size/kind fallback from the block's first event of any kind
@@ -1051,6 +940,7 @@ impl EventFold for OutlierFold {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pinpoint_store::{Batch, ReadPolicy};
     use pinpoint_trace::Trace;
 
     fn mixed_trace() -> Trace {
@@ -1126,44 +1016,96 @@ mod tests {
         }
     }
 
+    /// A chunk source that serves real decoded chunks except chunk
+    /// `broken`, which fails with `error`.
+    struct FailingSource {
+        chunks: Vec<pinpoint_store::ChunkMeta>,
+        batches: Vec<std::sync::Arc<ColumnBatch>>,
+        policy: ReadPolicy,
+        broken: usize,
+        cancel: bool,
+    }
+
+    impl ChunkSource for FailingSource {
+        fn chunks(&self) -> &[pinpoint_store::ChunkMeta] {
+            &self.chunks
+        }
+        fn policy(&self) -> ReadPolicy {
+            self.policy
+        }
+        fn fetch<'s>(
+            &self,
+            i: usize,
+            _: &'s mut pinpoint_store::DecodeScratch,
+        ) -> Result<Batch<'s>, StoreError> {
+            if i != self.broken {
+                Ok(Batch::Shared(std::sync::Arc::clone(&self.batches[i])))
+            } else if self.cancel {
+                Err(StoreError::Cancelled)
+            } else {
+                Err(StoreError::Corrupt(format!("chunk {i} rotted")))
+            }
+        }
+    }
+
     #[test]
-    fn a_fired_cancel_token_aborts_fused_runs_under_any_policy() {
+    fn salvage_skips_a_failed_chunk_but_never_a_cancelled_one() {
         let t = mixed_trace();
         let mut bytes = Vec::new();
         pinpoint_store::write_store_chunked(&t, &mut bytes, 16).unwrap();
-        let mut reader = StoreReader::new(std::io::Cursor::new(bytes.clone())).unwrap();
-        let shared = pinpoint_store::SharedStoreReader::from_bytes(bytes).unwrap();
+        let reader = pinpoint_store::StoreReader::from_bytes(bytes).unwrap();
+        let chunks = reader.footer().chunks.clone();
+        let batches: Vec<_> = (0..chunks.len())
+            .map(|i| std::sync::Arc::new(reader.decode_chunk(i).unwrap()))
+            .collect();
+        let broken = 2;
+        let lost = chunks[broken].count;
+        let mut survivors = Trace::new();
+        for (i, b) in batches.iter().enumerate() {
+            if i != broken {
+                (0..b.len()).for_each(|k| survivors.push(b.event(k)));
+            }
+        }
         let mut pipe = FusedPipeline::new();
         let peak = pipe.register(PeakFold);
-        pipe.set_read_policy(ReadPolicy::Salvage);
-        pipe.set_cancel(pinpoint_store::CancelToken::new(|| true));
-        let err = pipe.run_store(&mut reader, 1).unwrap_err();
-        assert!(err.to_string().contains("cancelled"), "{err}");
-        let index = shared.footer().chunks.clone();
-        let err = pipe
-            .run_chunks(&index, 1, ReadPolicy::Salvage, |i, _| {
-                shared.decode_chunk(i).map(std::sync::Arc::new)
-            })
-            .unwrap_err();
-        assert!(matches!(err, StoreError::Cancelled), "{err}");
+        let ati = pipe.register(AtiFold);
 
-        // a fetch that observes its own deadline propagates Cancelled
-        // even under Salvage — the serve daemon's checkpoint path
-        pipe.set_cancel(pinpoint_store::CancelToken::never());
-        let err = pipe
-            .run_chunks(&index, 1, ReadPolicy::Salvage, |_, _| {
-                Err(StoreError::Cancelled)
-            })
-            .unwrap_err();
-        assert!(matches!(err, StoreError::Cancelled), "{err}");
-
-        // disarmed, the same pipeline answers fully again
-        let mut out = pipe
-            .run_chunks(&index, 1, ReadPolicy::Salvage, |i, _| {
-                shared.decode_chunk(i).map(std::sync::Arc::new)
-            })
-            .unwrap();
-        assert_eq!(out.take(peak), t.peak_live_bytes());
+        for threads in [1, 4] {
+            for policy in [ReadPolicy::Strict, ReadPolicy::Salvage] {
+                for cancel in [false, true] {
+                    let source = FailingSource {
+                        chunks: chunks.clone(),
+                        batches: batches.clone(),
+                        policy,
+                        broken,
+                        cancel,
+                    };
+                    let case = format!("threads={threads} {policy:?} cancel={cancel}");
+                    let q = pinpoint_store::query(&source, &Predicate::any(), threads);
+                    let run = pipe.run(&source, threads);
+                    if policy == ReadPolicy::Strict || cancel {
+                        let want = if cancel { "cancelled" } else { "rotted" };
+                        for err in [q.unwrap_err(), run.unwrap_err()] {
+                            assert!(err.to_string().contains(want), "{case}: {err}");
+                        }
+                        continue;
+                    }
+                    let (q, mut out) = (q.unwrap(), run.unwrap());
+                    let first_error = Some(format!("corrupt store: chunk {broken} rotted"));
+                    assert_eq!(q.events, survivors.events(), "{case}");
+                    assert_eq!(q.stats.chunks_skipped, 1, "{case}");
+                    assert_eq!(q.stats.events_lost, lost, "{case}");
+                    assert_eq!(q.stats.first_error, first_error, "{case}");
+                    let stats = out.stats().clone();
+                    assert_eq!(stats.chunks_skipped, 1, "{case}");
+                    assert_eq!(stats.events_lost, lost, "{case}");
+                    assert_eq!(stats.first_error, first_error, "{case}");
+                    assert_eq!(stats.chunks_decoded, chunks.len() - 1, "{case}");
+                    assert_eq!(out.take(peak), survivors.peak_live_bytes(), "{case}");
+                    assert_eq!(out.take(ati), AtiDataset::from_trace(&survivors), "{case}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -1184,6 +1126,15 @@ mod tests {
         let pipe = FusedPipeline::new();
         let out = pipe.run_trace(&Trace::new(), 4);
         assert_eq!(out.stats().chunks_total, 0);
+
+        // over a store, an empty pipeline prunes every chunk
+        let mut bytes = Vec::new();
+        pinpoint_store::write_store_chunked(&mixed_trace(), &mut bytes, 16).unwrap();
+        let reader = pinpoint_store::StoreReader::from_bytes(bytes).unwrap();
+        let out = pipe.run(&reader, 4).unwrap();
+        assert!(out.stats().chunks_total > 1);
+        assert_eq!(out.stats().chunks_pruned, out.stats().chunks_total);
+        assert_eq!(reader.chunks_decoded(), 0);
 
         let mut pipe = FusedPipeline::new();
         let peak = pipe.register(PeakFold);

@@ -21,16 +21,18 @@
 //! * [`check_contention`] / [`thin_to_feasible`] — shared-PCIe-link
 //!   scheduling of a swap plan (Equation 1 is per-gap; the link is not).
 //!
-//! Every pass above works on an in-memory [`Trace`](pinpoint_trace::Trace);
-//! the [`ati_from_store`] / [`breakdown_from_store`] / [`gantt_from_store`]
-//! / [`outliers_from_store`] twins run the same passes straight off an
-//! on-disk `.ptrc` store, one chunk at a time, with bit-identical results.
-//! Under the hood both directions go through the [`FusedPipeline`] engine,
-//! which runs *any* set of passes (expressed as [`EventFold`]s) over a
-//! single decode of the trace, pruning chunks with the union of the
-//! passes' predicates and merging per-chunk partial states
-//! deterministically — register several folds to pay for one scan total
-//! instead of one scan per pass.
+//! Every pass above works on an in-memory [`Trace`](pinpoint_trace::Trace).
+//! The ATI, peak, breakdown, Gantt and outlier passes are also
+//! [`EventFold`]s ([`AtiFold`], [`PeakFold`], [`BreakdownFold`],
+//! [`GanttFold`], [`OutlierFold`]) for the [`FusedPipeline`] engine, which
+//! runs *any* set of folds over a single decode of the trace, pruning
+//! chunks with the union of the folds' predicates and merging per-chunk
+//! partial states deterministically. [`FusedPipeline::run`] reads an
+//! on-disk `.ptrc` store (or any other
+//! [`ChunkSource`](pinpoint_store::ChunkSource)) one chunk at a time, and
+//! [`FusedPipeline::run_trace`] folds an in-memory trace; both give
+//! results bit-identical to the passes above. Register several folds to
+//! pay for one scan total instead of one scan per pass.
 //!
 //! # Examples
 //!
@@ -64,7 +66,6 @@ mod op_stats;
 mod outlier;
 mod planner;
 mod report;
-mod store;
 mod svg;
 mod swap;
 
@@ -86,10 +87,8 @@ pub use op_stats::{op_stats, OpMemoryStats};
 pub use outlier::{sift, OutlierCriteria, OutlierReport};
 pub use planner::{apply, plan, SwapDecision, SwapPlan};
 pub use report::{
-    query_json, query_json_into, report_json, report_json_into, RenderScratch, TraceReport,
-};
-pub use store::{
-    ati_from_store, breakdown_from_store, gantt_from_store, outliers_from_store, peak_from_store,
+    query_json, query_json_into, report_json, report_json_into, RenderScratch, ReportFolds,
+    TraceReport,
 };
 pub use svg::{gantt_svg, SvgConfig};
 pub use swap::{assess, SwapFeasibilityReport, SwapVerdict};

@@ -14,16 +14,15 @@
 use crate::ati::AtiDataset;
 use crate::breakdown::BreakdownRow;
 use crate::engine::{
-    AtiFold, BreakdownFold, FoldHandle, FusedPipeline, FusedStats, GanttFold, OutlierFold, PeakFold,
+    AtiFold, BreakdownFold, FoldHandle, FusedOutputs, FusedPipeline, FusedStats, GanttFold,
+    OutlierFold, PeakFold,
 };
 use crate::gantt::GanttRect;
 use crate::outlier::{OutlierCriteria, OutlierReport};
-use pinpoint_store::{ChunkMeta, ColumnBatch, QueryResult, ReadPolicy, StoreError, StoreReader};
+use pinpoint_store::{ChunkSource, QueryResult, StoreError};
 use pinpoint_trace::export::{kind_name, mem_kind_name, write_event_json};
 use pinpoint_trace::{json, PeakUsage, Trace};
 use std::fmt::Write as _;
-use std::io::{self, Read, Seek};
-use std::sync::Arc;
 
 /// Every analysis pass of the paper — ATI, peak, breakdown, Gantt,
 /// outliers — computed over **one** decode of the trace by the fused
@@ -44,105 +43,78 @@ pub struct TraceReport {
     pub stats: FusedStats,
 }
 
-/// Builds the five-fold pipeline shared by every `TraceReport` entry
-/// point. Handles come back in registration order.
-#[allow(clippy::type_complexity)]
-fn report_pipeline(
-    criteria: OutlierCriteria,
-) -> (
-    FusedPipeline,
-    (
-        FoldHandle<AtiDataset>,
-        FoldHandle<PeakUsage>,
-        FoldHandle<BreakdownRow>,
-        FoldHandle<Vec<GanttRect>>,
-        FoldHandle<OutlierReport>,
-    ),
-) {
-    let mut pipe = FusedPipeline::new();
-    let ati = pipe.register(AtiFold);
-    let peak = pipe.register(PeakFold);
-    let breakdown = pipe.register(BreakdownFold {
-        label: "trace".to_string(),
-    });
-    let gantt = pipe.register(GanttFold {
-        t_start: 0,
-        t_end: u64::MAX,
-    });
-    let outliers = pipe.register(OutlierFold { criteria });
-    (pipe, (ati, peak, breakdown, gantt, outliers))
+/// The five [`TraceReport`] folds as registered on a pipeline;
+/// [`ReportFolds::take`] assembles the report from the run's outputs.
+#[derive(Debug, Clone, Copy)]
+pub struct ReportFolds {
+    ati: FoldHandle<AtiDataset>,
+    peak: FoldHandle<PeakUsage>,
+    breakdown: FoldHandle<BreakdownRow>,
+    gantt: FoldHandle<Vec<GanttRect>>,
+    outliers: FoldHandle<OutlierReport>,
+}
+
+impl ReportFolds {
+    /// Registers the five folds on `pipe`.
+    pub fn register(pipe: &mut FusedPipeline, criteria: OutlierCriteria) -> Self {
+        ReportFolds {
+            ati: pipe.register(AtiFold),
+            peak: pipe.register(PeakFold),
+            breakdown: pipe.register(BreakdownFold {
+                label: "trace".to_string(),
+            }),
+            gantt: pipe.register(GanttFold {
+                t_start: 0,
+                t_end: u64::MAX,
+            }),
+            outliers: pipe.register(OutlierFold { criteria }),
+        }
+    }
+
+    /// Takes the five outputs of a run of the pipeline they were
+    /// registered on.
+    ///
+    /// # Panics
+    ///
+    /// As [`FusedOutputs::take`].
+    pub fn take(self, out: &mut FusedOutputs) -> TraceReport {
+        TraceReport {
+            ati: out.take(self.ati),
+            peak: out.take(self.peak),
+            breakdown: out.take(self.breakdown),
+            gantt: out.take(self.gantt),
+            outliers: out.take(self.outliers),
+            stats: out.stats().clone(),
+        }
+    }
 }
 
 impl TraceReport {
-    /// Runs all five passes over a `.ptrc` store in one fused scan: each
+    /// Runs all five passes over a chunk source in one fused scan: each
     /// chunk is decoded exactly once, however many passes consume it.
+    /// The source is a `.ptrc` reader, or the daemon's chunk cache, which
+    /// gives the same report at any `threads` count whatever mix of
+    /// cache hits serves the chunks.
     ///
     /// # Errors
     ///
-    /// I/O or corruption errors from the store.
-    pub fn from_store<R: Read + Seek>(
-        reader: &mut StoreReader<R>,
+    /// As [`FusedPipeline::run`].
+    pub fn from_store<S: ChunkSource + ?Sized>(
+        source: &S,
         criteria: OutlierCriteria,
         threads: usize,
-    ) -> io::Result<Self> {
-        let (pipe, (ati, peak, breakdown, gantt, outliers)) = report_pipeline(criteria);
-        let mut out = pipe.run_store(reader, threads)?;
-        Ok(TraceReport {
-            ati: out.take(ati),
-            peak: out.take(peak),
-            breakdown: out.take(breakdown),
-            gantt: out.take(gantt),
-            outliers: out.take(outliers),
-            stats: out.stats().clone(),
-        })
+    ) -> Result<Self, StoreError> {
+        let mut pipe = FusedPipeline::new();
+        let folds = ReportFolds::register(&mut pipe, criteria);
+        Ok(folds.take(&mut pipe.run(source, threads)?))
     }
 
     /// Runs all five passes over an in-memory trace in one fused scan —
     /// bit-identical to [`TraceReport::from_store`] on the same trace.
     pub fn from_trace(trace: &Trace, criteria: OutlierCriteria, threads: usize) -> Self {
-        let (pipe, (ati, peak, breakdown, gantt, outliers)) = report_pipeline(criteria);
-        let mut out = pipe.run_trace(trace, threads);
-        TraceReport {
-            ati: out.take(ati),
-            peak: out.take(peak),
-            breakdown: out.take(breakdown),
-            gantt: out.take(gantt),
-            outliers: out.take(outliers),
-            stats: out.stats().clone(),
-        }
-    }
-
-    /// Runs all five passes over an externally supplied chunk set via
-    /// [`FusedPipeline::run_chunks`] — the serve-daemon path, where
-    /// `fetch` is a chunk-cache lookup that decodes on miss.
-    /// Bit-identical to [`TraceReport::from_store`] on the same store at
-    /// any `threads` count, whatever mix of cache hits serves the
-    /// batches.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors from `fetch` always; corruption errors under
-    /// [`ReadPolicy::Strict`].
-    pub fn from_chunks<F>(
-        index: &[ChunkMeta],
-        criteria: OutlierCriteria,
-        threads: usize,
-        policy: ReadPolicy,
-        fetch: F,
-    ) -> Result<Self, StoreError>
-    where
-        F: Fn(usize, &ChunkMeta) -> Result<Arc<ColumnBatch>, StoreError> + Sync,
-    {
-        let (pipe, (ati, peak, breakdown, gantt, outliers)) = report_pipeline(criteria);
-        let mut out = pipe.run_chunks(index, threads, policy, fetch)?;
-        Ok(TraceReport {
-            ati: out.take(ati),
-            peak: out.take(peak),
-            breakdown: out.take(breakdown),
-            gantt: out.take(gantt),
-            outliers: out.take(outliers),
-            stats: out.stats().clone(),
-        })
+        let mut pipe = FusedPipeline::new();
+        let folds = ReportFolds::register(&mut pipe, criteria);
+        folds.take(&mut pipe.run_trace(trace, threads))
     }
 }
 
@@ -351,7 +323,7 @@ pub fn query_json_into(q: &QueryResult, limit: usize, s: &mut String) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pinpoint_store::{write_store_chunked, Predicate};
+    use pinpoint_store::{write_store_chunked, Predicate, StoreReader};
     use pinpoint_trace::{BlockId, EventKind, MemoryKind};
 
     fn sample_trace() -> Trace {
@@ -399,29 +371,6 @@ mod tests {
     }
 
     #[test]
-    fn from_chunks_is_bit_identical_to_from_store() {
-        let t = sample_trace();
-        let mut bytes = Vec::new();
-        write_store_chunked(&t, &mut bytes, 16).unwrap();
-        let mut r = StoreReader::new(std::io::Cursor::new(bytes.clone())).unwrap();
-        let want = TraceReport::from_store(&mut r, criteria(), 1).unwrap();
-        let shared = pinpoint_store::SharedStoreReader::from_bytes(bytes).unwrap();
-        let index = shared.footer().chunks.clone();
-        for threads in [1, 4] {
-            let got = TraceReport::from_chunks(
-                &index,
-                criteria(),
-                threads,
-                ReadPolicy::Strict,
-                |i, _| shared.decode_chunk(i).map(Arc::new),
-            )
-            .unwrap();
-            assert_eq!(report_json(&got, 30), report_json(&want, 30), "t={threads}");
-            assert_eq!(got.stats, want.stats, "t={threads}");
-        }
-    }
-
-    #[test]
     fn report_json_is_deterministic_and_truncates_gantt() {
         let t = sample_trace();
         let d = TraceReport::from_trace(&t, criteria(), 1);
@@ -439,7 +388,7 @@ mod tests {
         let d = TraceReport::from_trace(&t, criteria(), 1);
         let mut bytes = Vec::new();
         write_store_chunked(&t, &mut bytes, 16).unwrap();
-        let mut r = StoreReader::new(std::io::Cursor::new(bytes)).unwrap();
+        let r = StoreReader::from_bytes(bytes).unwrap();
         let q = r.query(&Predicate::any(), 1).unwrap();
         let mut scratch = RenderScratch::new();
         assert_eq!(scratch.report(&d, 5), report_json(&d, 5));
@@ -459,7 +408,7 @@ mod tests {
         let t = sample_trace();
         let mut bytes = Vec::new();
         write_store_chunked(&t, &mut bytes, 16).unwrap();
-        let mut r = StoreReader::new(std::io::Cursor::new(bytes)).unwrap();
+        let r = StoreReader::from_bytes(bytes).unwrap();
         let q = r
             .query(&Predicate::any().with_kind(EventKind::Free), 1)
             .unwrap();

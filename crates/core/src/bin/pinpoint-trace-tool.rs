@@ -44,9 +44,9 @@
 //! Gantt, outliers) fused over a single scan of the trace — each chunk of
 //! a `.ptrc` store is decoded exactly once, however many passes consume
 //! it. The single-pass subcommands (`ati`, `outliers`, `breakdown`,
-//! `gantt`) also run straight off a store through the same engine, never
-//! materializing the full trace, and print byte-identical output to the
-//! JSON path.
+//! `gantt`) run the same folds through the same engine: straight off a
+//! store, never materializing the full trace, or over a JSON trace in
+//! memory, printing byte-identical output either way.
 //!
 //! `--threads N` (or `PINPOINT_THREADS`) sets the worker-thread count for
 //! parallel work (`compare` loads and validates both traces concurrently;
@@ -74,17 +74,17 @@
 //! `mlp_case_study` example writes a CSV twin next to it).
 
 use pinpoint_analysis::{
-    ati_from_store, breakdown_from_store, detect, diff_traces, gantt_from_store, gantt_rects,
-    op_stats, outliers_from_store, plan, query_json, report_json, sift, violin_sorted, AtiDataset,
-    BreakdownRow, GanttRect, OutlierCriteria, OutlierReport,
+    detect, diff_traces, op_stats, plan, query_json, report_json, violin_sorted, AtiDataset,
+    AtiFold, BreakdownFold, BreakdownRow, FusedOutputs, FusedPipeline, GanttFold, GanttRect,
+    OutlierCriteria, OutlierFold, OutlierReport, ReportFolds,
 };
-use pinpoint_core::report::{human_bytes, human_time, render_trace_report, TraceReport};
+use pinpoint_core::report::{human_bytes, human_time, render_trace_report};
 use pinpoint_device::TransferModel;
 use pinpoint_store::{Predicate, ReadPolicy, StoreReader, StoreWriter};
 use pinpoint_trace::export::read_json;
 use pinpoint_trace::{Category, EventKind, Trace, TraceSink};
 use std::fs::File;
-use std::io::Read;
+use std::io::{ErrorKind, Read};
 use std::process::ExitCode;
 
 fn flag_value(args: &[String], name: &str) -> Option<f64> {
@@ -157,13 +157,14 @@ fn obs_finish(flags: &ObsFlags) -> Result<(), String> {
     Ok(())
 }
 
-/// Whether the file starts with the `.ptrc` magic bytes.
+/// Whether the file starts with the `.ptrc` magic bytes. A file too
+/// short to hold them is not a store.
 fn is_store(path: &str) -> Result<bool, String> {
     let mut f = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
     let mut magic = [0u8; 4];
-    match f.read(&mut magic) {
-        Ok(4) => Ok(&magic == pinpoint_store::MAGIC),
-        Ok(_) => Ok(false),
+    match f.read_exact(&mut magic) {
+        Ok(()) => Ok(&magic == pinpoint_store::MAGIC),
+        Err(e) if e.kind() == ErrorKind::UnexpectedEof => Ok(false),
         Err(e) => Err(format!("cannot read {path}: {e}")),
     }
 }
@@ -171,7 +172,7 @@ fn is_store(path: &str) -> Result<bool, String> {
 fn load(path: &str) -> Result<Trace, String> {
     let trace = if is_store(path)? {
         StoreReader::open(path)
-            .and_then(|mut r| r.read_trace())
+            .and_then(|r| r.read_trace())
             .map_err(|e| format!("cannot read store {path}: {e}"))?
     } else {
         let f = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
@@ -222,9 +223,6 @@ fn outlier_flags(args: &[String]) -> (f64, f64, OutlierCriteria) {
     };
     (min_ati_ms, min_size_mb, criteria)
 }
-
-// Shared between the JSON path (in-memory trace) and the store-direct
-// fused path, so the two print byte-identical output.
 
 fn print_ati(atis: &AtiDataset) {
     if atis.is_empty() {
@@ -302,54 +300,66 @@ fn print_gantt(rects: &[GanttRect], max: usize) {
     }
 }
 
-/// Runs an analysis subcommand straight off a `.ptrc` store through the
-/// fused engine — one decode per surviving chunk, no full-trace
-/// materialization, byte-identical output to the JSON path.
-fn cmd_store_analysis(cmd: &str, path: &str, args: &[String]) -> Result<(), String> {
+/// Prints one analysis subcommand's result from a run's outputs.
+type Printer = Box<dyn FnOnce(&mut FusedOutputs)>;
+
+/// The analysis subcommands that run as folds. Each registers its folds
+/// on one pipeline, which runs straight off a `.ptrc` store (one decode
+/// per surviving chunk, no materialized trace) or over a JSON trace in
+/// memory; the same outputs print the same bytes either way.
+fn cmd_analysis(cmd: &str, path: &str, args: &[String]) -> Result<(), String> {
     let obs = obs_flags(args);
-    let mut reader = open_store(path)?;
-    let fail = |e: std::io::Error| format!("cannot analyze store {path}: {e}");
-    match cmd {
-        "ati" => print_ati(&ati_from_store(&mut reader).map_err(fail)?),
-        "breakdown" => print_breakdown(&breakdown_from_store(path, &mut reader).map_err(fail)?),
+    let max = flag_value(args, "--max").unwrap_or(30.0) as usize;
+    let (min_ati_ms, min_size_mb, criteria) = outlier_flags(args);
+    let mut pipe = FusedPipeline::new();
+    let print: Printer = match cmd {
+        "ati" => {
+            let h = pipe.register(AtiFold);
+            Box::new(move |out| print_ati(&out.take(h)))
+        }
+        "breakdown" => {
+            let h = pipe.register(BreakdownFold { label: path.into() });
+            Box::new(move |out| print_breakdown(&out.take(h)))
+        }
         "gantt" => {
-            let max = flag_value(args, "--max").unwrap_or(30.0) as usize;
-            print_gantt(
-                &gantt_from_store(&mut reader, 0, u64::MAX).map_err(fail)?,
-                max,
-            );
+            let h = pipe.register(GanttFold {
+                t_start: 0,
+                t_end: u64::MAX,
+            });
+            Box::new(move |out| print_gantt(&out.take(h), max))
         }
         "outliers" => {
-            let (min_ati_ms, min_size_mb, criteria) = outlier_flags(args);
-            print_outliers(
-                &outliers_from_store(&mut reader, criteria).map_err(fail)?,
-                min_ati_ms,
-                min_size_mb,
-            );
+            let h = pipe.register(OutlierFold { criteria });
+            Box::new(move |out| print_outliers(&out.take(h), min_ati_ms, min_size_mb))
         }
         "report" => {
-            let (_, _, criteria) = outlier_flags(args);
-            let max = flag_value(args, "--max").unwrap_or(30.0) as usize;
-            let d = TraceReport::from_store(
-                &mut reader,
-                criteria,
-                pinpoint_core::parallel::configured_threads(),
-            )
-            .map_err(fail)?;
-            if args.iter().any(|a| a == "--json") {
-                println!("{}", report_json(&d, max));
-            } else {
-                print!("{}", render_trace_report(&d, max));
-            }
+            let folds = ReportFolds::register(&mut pipe, criteria);
+            let json = args.iter().any(|a| a == "--json");
+            Box::new(move |out| {
+                let d = folds.take(out);
+                if json {
+                    println!("{}", report_json(&d, max));
+                } else {
+                    print!("{}", render_trace_report(&d, max));
+                }
+            })
         }
-        other => return Err(format!("`{other}` has no store-direct path")),
-    }
+        other => return Err(format!("`{other}` is not a fold analysis")),
+    };
+    let threads = pinpoint_core::parallel::configured_threads();
+    let mut out = if is_store(path)? {
+        pipe.run(&open_store(path)?, threads)
+            .map_err(|e| format!("cannot analyze store {path}: {e}"))?
+    } else {
+        pipe.run_trace(&load(path)?, threads)
+    };
+    print(&mut out);
     obs_finish(&obs)
 }
 
 fn cmd_convert(input: &str, output: &str) -> Result<(), String> {
     if is_store(input)? {
-        let mut reader = open_store(input)?;
+        let reader = open_store(input)?;
         if output.ends_with(".ptrc") {
             // store -> store: format upgrade (e.g. a v1/v2 file rewritten
             // as v3 with adaptive column encodings and fine zone maps)
@@ -402,7 +412,7 @@ fn cmd_scrub(input: &str, output: &str) -> Result<(), String> {
     if !is_store(input)? {
         return Err(format!("{input} is not a .ptrc store"));
     }
-    let mut reader = StoreReader::open_with_policy(input, ReadPolicy::Salvage)
+    let reader = StoreReader::open_with_policy(input, ReadPolicy::Salvage)
         .map_err(|e| format!("cannot open store {input}: {e}"))?;
     if let Some(s) = reader.salvage_summary() {
         println!(
@@ -442,7 +452,7 @@ fn cmd_scrub(input: &str, output: &str) -> Result<(), String> {
 /// `info --verify`: full-store integrity check, `Err` (nonzero exit) on
 /// any damage so scripts can gate on it.
 fn verify_store(path: &str) -> Result<(), String> {
-    let mut reader = StoreReader::open_with_policy(path, ReadPolicy::Salvage)
+    let reader = StoreReader::open_with_policy(path, ReadPolicy::Salvage)
         .map_err(|e| format!("cannot open store {path}: {e}"))?;
     let rescued = reader.salvage_summary().map(|s| s.reason.clone());
     let faults = reader
@@ -478,7 +488,7 @@ fn cmd_info(path: &str, verify: bool) -> Result<(), String> {
     if verify {
         return verify_store(path);
     }
-    let mut reader = open_store(path)?;
+    let reader = open_store(path)?;
     let footer = reader.footer().clone();
     let file_len = reader.file_len();
     let data_bytes: u64 = footer.chunks.iter().map(|c| c.byte_len).sum();
@@ -518,7 +528,7 @@ fn cmd_info(path: &str, verify: bool) -> Result<(), String> {
 
 fn cmd_query(path: &str, args: &[String]) -> Result<(), String> {
     let obs = obs_flags(args);
-    let mut reader = open_store(path)?;
+    let reader = open_store(path)?;
     let mut pred = Predicate::any();
     let t0 = flag_value(args, "--t0-us");
     let t1 = flag_value(args, "--t1-us");
@@ -649,6 +659,18 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// A subcommand's outcome as the process exit: errors print as one
+/// `error:` line on stderr.
+fn exit_code(result: Result<(), String>) -> ExitCode {
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     if let Some(i) = args.iter().position(|a| a == "--threads") {
@@ -664,89 +686,33 @@ fn main() -> ExitCode {
         args.drain(i..=i + 1);
     }
     if args.first().map(String::as_str) == Some("serve") {
-        return match cmd_serve(&args[1..]) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        };
+        return exit_code(cmd_serve(&args[1..]));
     }
     let (Some(cmd), Some(path)) = (args.first(), args.get(1)) else {
         eprintln!("usage: pinpoint-trace-tool <summary|report|ati|outliers|breakdown|gantt|ops|plan|compare|convert|info|scrub|query|serve> <trace.{{json|ptrc}}> [out|trace_b] [flags]");
         return ExitCode::FAILURE;
     };
     // store-centric subcommands have their own argument shapes and never
-    // materialize a full in-memory trace up front
+    // materialize a full in-memory trace up front; the fold analyses run
+    // over either format through one pipeline
     match cmd.as_str() {
-        "convert" => {
+        "convert" | "scrub" => {
             let Some(out) = args.get(2) else {
-                eprintln!("convert needs an input and an output path");
+                eprintln!("{cmd} needs an input and an output path");
                 return ExitCode::FAILURE;
             };
-            return match cmd_convert(path, out) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            };
+            return exit_code(if cmd == "convert" {
+                cmd_convert(path, out)
+            } else {
+                cmd_scrub(path, out)
+            });
         }
-        "scrub" => {
-            let Some(out) = args.get(2) else {
-                eprintln!("scrub needs an input and an output path");
-                return ExitCode::FAILURE;
-            };
-            return match cmd_scrub(path, out) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            };
-        }
-        "info" => {
-            return match cmd_info(path, args.iter().any(|a| a == "--verify")) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            };
-        }
-        "query" => {
-            return match cmd_query(path, &args) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            };
+        "info" => return exit_code(cmd_info(path, args.iter().any(|a| a == "--verify"))),
+        "query" => return exit_code(cmd_query(path, &args)),
+        "ati" | "outliers" | "breakdown" | "gantt" | "report" => {
+            return exit_code(cmd_analysis(cmd, path, &args))
         }
         _ => {}
-    }
-    // analysis subcommands with a fused-engine twin run straight off a
-    // `.ptrc` store — one decode per chunk, no materialized trace
-    if matches!(
-        cmd.as_str(),
-        "ati" | "outliers" | "breakdown" | "gantt" | "report"
-    ) {
-        match is_store(path) {
-            Ok(true) => {
-                return match cmd_store_analysis(cmd, path, &args) {
-                    Ok(()) => ExitCode::SUCCESS,
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        ExitCode::FAILURE
-                    }
-                };
-            }
-            Ok(false) => {}
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
     }
     // `compare` needs two traces; load them on the fan-out so both files
     // parse and validate concurrently
@@ -789,39 +755,6 @@ fn main() -> ExitCode {
                 iter.iterations,
                 human_time(iter.mean_period_ns as u64)
             );
-        }
-        "ati" => print_ati(&AtiDataset::from_trace(&trace)),
-        "outliers" => {
-            let (min_ati_ms, min_size_mb, criteria) = outlier_flags(&args);
-            print_outliers(
-                &sift(&AtiDataset::from_trace(&trace), criteria),
-                min_ati_ms,
-                min_size_mb,
-            );
-        }
-        "breakdown" => print_breakdown(&BreakdownRow::from_trace(path.clone(), &trace)),
-        "gantt" => {
-            let max = flag_value(&args, "--max").unwrap_or(30.0) as usize;
-            print_gantt(&gantt_rects(&trace, 0, trace.end_time_ns()), max);
-        }
-        "report" => {
-            let (_, _, criteria) = outlier_flags(&args);
-            let max = flag_value(&args, "--max").unwrap_or(30.0) as usize;
-            let obs = obs_flags(&args);
-            let d = TraceReport::from_trace(
-                &trace,
-                criteria,
-                pinpoint_core::parallel::configured_threads(),
-            );
-            if args.iter().any(|a| a == "--json") {
-                println!("{}", report_json(&d, max));
-            } else {
-                print!("{}", render_trace_report(&d, max));
-            }
-            if let Err(e) = obs_finish(&obs) {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
         }
         "ops" => {
             let top = flag_value(&args, "--top").unwrap_or(15.0) as usize;

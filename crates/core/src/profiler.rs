@@ -514,7 +514,7 @@ mod tests {
         assert_eq!(report.events_recorded, in_mem.trace.len() as u64);
         assert_eq!(report.duration_ns, in_mem.duration_ns);
         assert_eq!(report.iterations, in_mem.iterations);
-        let mut reader = pinpoint_store::StoreReader::open(&path).unwrap();
+        let reader = pinpoint_store::StoreReader::open(&path).unwrap();
         let trace = reader.read_trace().unwrap();
         std::fs::remove_file(&path).ok();
         assert_eq!(trace, in_mem.trace, "spilled trace == in-memory trace");

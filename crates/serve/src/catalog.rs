@@ -24,7 +24,7 @@
 //! separators, no leading dot — a request can never escape the catalog
 //! root.
 
-use pinpoint_store::{ReadPolicy, SharedStoreReader, StoreError};
+use pinpoint_store::{ReadPolicy, StoreError, StoreReader};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -40,8 +40,8 @@ pub struct StoreEntry {
     /// Generation fingerprint (file length + mtime) of the bytes behind
     /// [`StoreEntry::reader`]; the result-cache validity token.
     pub generation: u64,
-    /// The shared reader, open under [`ReadPolicy::Salvage`].
-    pub reader: SharedStoreReader,
+    /// The reader, open under [`ReadPolicy::Salvage`].
+    pub reader: StoreReader,
 }
 
 /// A successful catalog lookup.
@@ -190,7 +190,7 @@ impl Catalog {
         let mut generation = generation;
         let mut reader = None;
         for _ in 0..3 {
-            let r = match SharedStoreReader::open_with_policy(&path, ReadPolicy::Salvage) {
+            let r = match StoreReader::open_with_policy(&path, ReadPolicy::Salvage) {
                 Ok(r) => r,
                 Err(StoreError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
                     return Err(CatalogError::NotFound {

@@ -223,7 +223,7 @@ mod tests {
         assert_eq!(status, 200);
         assert!(head.contains("X-Pinpoint-Chunks-Skipped: 0"), "{head}");
         assert!(head.contains("ETag: \"g"), "{head}");
-        let mut reader = pinpoint_store::StoreReader::open(dir.join("mlp.ptrc")).unwrap();
+        let reader = pinpoint_store::StoreReader::open(dir.join("mlp.ptrc")).unwrap();
         let pred = pinpoint_store::Predicate::any().with_kind(pinpoint_trace::EventKind::Free);
         let want = pinpoint_analysis::query_json(&reader.query(&pred, 1).unwrap(), 5);
         assert_eq!(body, want);
@@ -237,7 +237,7 @@ mod tests {
         assert_eq!(cold, warm);
         let want = pinpoint_analysis::report_json(
             &pinpoint_analysis::TraceReport::from_store(
-                &mut reader,
+                &reader,
                 pinpoint_analysis::OutlierCriteria {
                     min_ati_ns: (800.0f64 * 1e6) as u64,
                     min_size_bytes: (600.0f64 * 1e6) as usize,

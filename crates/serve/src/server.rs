@@ -62,7 +62,9 @@ use crate::metrics::{Endpoint, Metrics};
 use crate::result_cache::{etag, if_none_match, CachedResult, ResultCache};
 use pinpoint_analysis::{OutlierCriteria, RenderScratch, TraceReport};
 use pinpoint_obs::{tracer, SpanGuard, NO_ARG};
-use pinpoint_store::{CancelToken, Predicate, QueryResult, ReadPolicy, StoreError};
+use pinpoint_store::{
+    Batch, CancelToken, ChunkMeta, ChunkSource, DecodeScratch, Predicate, ReadPolicy, StoreError,
+};
 use pinpoint_trace::json::{self, Json};
 use pinpoint_trace::{Category, EventKind};
 use std::collections::VecDeque;
@@ -995,53 +997,34 @@ fn predicate_from_body(body: Option<&Json>, entry: &StoreEntry) -> Result<Predic
     Ok(pred)
 }
 
-/// Runs a predicate query through the chunk cache, folding per-chunk
-/// verdicts in file order — byte-identical to `StoreReader::query` on the
-/// same bytes, whatever mix of cache hits serves the chunks. The cancel
-/// token is polled before each chunk's decode; a fired token surfaces
-/// as [`StoreError::Cancelled`] (which salvage never swallows).
-fn cached_query(
-    shared: &Shared,
-    entry: &StoreEntry,
-    pred: &Predicate,
-    cancel: &CancelToken,
-) -> Result<QueryResult, StoreError> {
-    let (candidates, mut stats) = entry.reader.prune(pred);
-    let pred = *pred;
-    let mapped = pinpoint_parallel::map_ordered(candidates, shared.config.request_threads, |i| {
-        if cancel.is_cancelled() {
-            return (i, Err(StoreError::Cancelled));
-        }
-        let _chunk_span = tracer().span_with("serve.chunk", i as u64);
-        let res = shared
-            .cache
-            .get_or_decode(entry.id, i, || entry.reader.decode_chunk(i))
-            .map(|batch| {
-                (0..batch.len())
-                    .map(|k| batch.event(k))
-                    .filter(|e| pred.matches_event(e))
-                    .collect::<Vec<_>>()
-            });
-        (i, res)
-    });
-    let mut events = Vec::new();
-    for (i, res) in mapped {
-        match res {
-            Ok(matched) => {
-                stats.chunks_decoded += 1;
-                events.extend(matched);
-            }
-            Err(e) if e.is_corruption() => {
-                stats.chunks_skipped += 1;
-                stats.events_lost += entry.reader.footer().chunks[i].count;
-                if stats.first_error.is_none() {
-                    stats.first_error = Some(e.to_string());
-                }
-            }
-            Err(e) => return Err(e),
-        }
+/// A store as one request sees it: chunks come from the shared chunk
+/// cache (decoded on a miss), and the request's deadline token is polled
+/// before each one. A fired token surfaces as [`StoreError::Cancelled`],
+/// which salvage never swallows. Scans over it fold in file order, so
+/// answers are byte-identical to the offline reader's whatever mix of
+/// cache hits serves the chunks.
+struct CachedSource<'a> {
+    entry: &'a StoreEntry,
+    cache: &'a ChunkCache,
+    cancel: CancelToken,
+}
+
+impl ChunkSource for CachedSource<'_> {
+    fn chunks(&self) -> &[ChunkMeta] {
+        &self.entry.reader.footer().chunks
     }
-    Ok(QueryResult { events, stats })
+
+    fn policy(&self) -> ReadPolicy {
+        self.entry.reader.policy()
+    }
+
+    fn fetch<'s>(&self, i: usize, _: &'s mut DecodeScratch) -> Result<Batch<'s>, StoreError> {
+        self.cancel.check()?;
+        let reader = &self.entry.reader;
+        self.cache
+            .get_or_decode(self.entry.id, i, || reader.decode_chunk(i))
+            .map(Batch::Shared)
+    }
 }
 
 /// Builds the 200 response for a cached (or just-rendered) result:
@@ -1156,8 +1139,12 @@ fn handle_query(
     if deadline.exceeded() {
         return deadline_response(shared, deadline);
     }
-    let cancel = deadline.cancel_token();
-    match cached_query(shared, entry, &pred, &cancel) {
+    let source = CachedSource {
+        entry,
+        cache: &shared.cache,
+        cancel: deadline.cancel_token(),
+    };
+    match pinpoint_store::query(&source, &pred, shared.config.request_threads) {
         Ok(q) => {
             timer.stage("serve.fold");
             let result = CachedResult {
@@ -1229,20 +1216,12 @@ fn handle_report(
     if deadline.exceeded() {
         return deadline_response(shared, deadline);
     }
-    let cancel = deadline.cancel_token();
-    let report = TraceReport::from_chunks(
-        &entry.reader.footer().chunks,
-        criteria,
-        shared.config.request_threads,
-        ReadPolicy::Salvage,
-        |i, _| {
-            cancel.check()?;
-            shared
-                .cache
-                .get_or_decode(entry.id, i, || entry.reader.decode_chunk(i))
-        },
-    );
-    match report {
+    let source = CachedSource {
+        entry,
+        cache: &shared.cache,
+        cancel: deadline.cancel_token(),
+    };
+    match TraceReport::from_store(&source, criteria, shared.config.request_threads) {
         Ok(d) => {
             timer.stage("serve.fold");
             let result = CachedResult {

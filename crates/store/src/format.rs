@@ -350,42 +350,6 @@ pub(crate) fn decode_chunk_prefix(
     Ok((batch.to_events(), consumed))
 }
 
-/// Decodes a chunk payload and cross-checks it against its index entry:
-/// CRC-32 first (when `verify_crc` — i.e. on v2+ stores), then the
-/// decoded event count. `chunk` is the ordinal used in error detail.
-///
-/// # Errors
-///
-/// [`StoreError::ChecksumMismatch`] / [`StoreError::CountMismatch`] on
-/// index disagreement, or any [`decode_chunk`] error.
-pub fn decode_chunk_verified(
-    bytes: &[u8],
-    meta: &ChunkMeta,
-    chunk: usize,
-    verify_crc: bool,
-    version: u8,
-) -> Result<Vec<MemEvent>, StoreError> {
-    if verify_crc {
-        let got = crc32(bytes);
-        if got != meta.crc32 {
-            return Err(StoreError::ChecksumMismatch {
-                chunk,
-                expected: meta.crc32,
-                got,
-            });
-        }
-    }
-    let events = decode_chunk(bytes, version)?;
-    if events.len() as u64 != meta.count {
-        return Err(StoreError::CountMismatch {
-            chunk,
-            indexed: meta.count,
-            decoded: events.len() as u64,
-        });
-    }
-    Ok(events)
-}
-
 /// Everything the footer holds.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Footer {
@@ -620,10 +584,6 @@ mod tests {
         assert_eq!(meta.max_offset, 8192);
         assert_eq!(meta.label_bits, (1 << 3) | 1);
         assert_eq!(decode_chunk(&bytes, VERSION_V2).unwrap(), evs);
-        assert_eq!(
-            decode_chunk_verified(&bytes, &meta, 0, true, VERSION_V2).unwrap(),
-            evs
-        );
     }
 
     #[test]
@@ -646,35 +606,6 @@ mod tests {
         let (evs, consumed) = decode_chunk_prefix(&bytes, VERSION_V2).unwrap();
         assert_eq!(evs, events());
         assert_eq!(consumed, payload_len);
-    }
-
-    #[test]
-    fn verified_decode_catches_a_flipped_bit() {
-        let (mut bytes, meta) = encode_chunk(&events());
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x10;
-        match decode_chunk_verified(&bytes, &meta, 5, true, VERSION_V2) {
-            Err(StoreError::ChecksumMismatch { chunk: 5, .. }) => {}
-            other => panic!("expected checksum mismatch, got {other:?}"),
-        }
-        // without CRC verification the same flip is either a decode error
-        // or silently different data — but never a panic
-        let _ = decode_chunk_verified(&bytes, &meta, 5, false, VERSION_V2);
-    }
-
-    #[test]
-    fn verified_decode_catches_count_disagreement() {
-        let (bytes, mut meta) = encode_chunk(&events());
-        meta.count += 1;
-        meta.crc32 = crc32(&bytes); // keep CRC valid so count check is reached
-        match decode_chunk_verified(&bytes, &meta, 2, true, VERSION_V2) {
-            Err(StoreError::CountMismatch {
-                chunk: 2,
-                indexed: 4,
-                decoded: 3,
-            }) => {}
-            other => panic!("expected count mismatch, got {other:?}"),
-        }
     }
 
     #[test]

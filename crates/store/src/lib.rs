@@ -18,10 +18,13 @@
 //!   disk chunk-by-chunk during a run instead of accumulating an in-memory
 //!   [`pinpoint_trace::Trace`].
 //! - **Streaming reads** — [`StoreReader`] loads only the footer up
-//!   front; [`StoreReader::for_each_event`] decodes one chunk at a time,
-//!   and [`StoreReader::query`] prunes chunks with a [`Predicate`] before
-//!   fanning surviving chunks out over `pinpoint-parallel` workers
-//!   (bit-identical output at every thread count).
+//!   front and reads chunks positionally through `&self`, so one open
+//!   store serves concurrent callers. It is a [`ChunkSource`], and
+//!   [`scan`] is the one loop over any source: it prunes chunks with a
+//!   [`Predicate`], fans the survivors out over `pinpoint-parallel`
+//!   workers, and folds their results in chunk order (bit-identical
+//!   output at every thread count). [`StoreReader::query`] and the fused
+//!   analysis engine both run on it.
 //! - **Batch conversion** — [`write_store`] / [`StoreReader::read_trace`]
 //!   bridge to and from the in-memory `Trace` for the existing JSON
 //!   tooling and analyses.
@@ -53,7 +56,6 @@
 //! ```
 //! use pinpoint_store::{write_store, Predicate, StoreReader};
 //! use pinpoint_trace::{BlockId, EventKind, MemoryKind, Trace};
-//! use std::io::Cursor;
 //!
 //! let mut trace = Trace::new();
 //! trace.record(10, EventKind::Malloc, BlockId(1), 4096, 0, MemoryKind::Weight, None);
@@ -62,7 +64,7 @@
 //! let mut bytes = Vec::new();
 //! write_store(&trace, &mut bytes).unwrap();
 //!
-//! let mut reader = StoreReader::new(Cursor::new(bytes)).unwrap();
+//! let reader = StoreReader::from_bytes(bytes).unwrap();
 //! let q = reader.query(&Predicate::any().with_kind(EventKind::Read), 1).unwrap();
 //! assert_eq!(q.events.len(), 1);
 //! assert_eq!(reader.read_trace().unwrap(), trace);
@@ -78,7 +80,7 @@ pub mod error;
 pub mod fault;
 pub mod format;
 pub mod reader;
-pub mod shared;
+pub mod source;
 mod varint;
 pub mod writer;
 
@@ -93,7 +95,7 @@ pub use reader::{
     ChunkFault, Predicate, QueryResult, QueryStats, ReadPolicy, SalvageSummary, ScrubStats,
     StoreReader,
 };
-pub use shared::SharedStoreReader;
+pub use source::{query, scan, Batch, ChunkSource};
 pub use writer::{
     write_store, write_store_chunked, write_store_chunked_v1, write_store_chunked_v2,
     write_store_file, RetryPolicy, StoreWriter,

@@ -32,15 +32,17 @@ use crate::columns::{ColumnBatch, DecodeScratch};
 use crate::crc32::crc32;
 use crate::error::StoreError;
 use crate::format::{
-    category_bit, decode_chunk_prefix, decode_chunk_verified, decode_footer, kind_bit,
-    meta_from_events, trailer_len, ChunkMeta, Footer, CHUNK_HEADER_LEN, CHUNK_MAGIC, HEADER_LEN,
-    MAGIC, VERSION, VERSION_V1,
+    category_bit, decode_chunk_prefix, decode_footer, kind_bit, meta_from_events, trailer_len,
+    ChunkMeta, Footer, CHUNK_HEADER_LEN, CHUNK_MAGIC, HEADER_LEN, MAGIC, VERSION, VERSION_V1,
 };
+use crate::source::{query, scan, Batch, ChunkSource};
 use crate::writer::StoreWriter;
 use pinpoint_trace::{Category, EventKind, MemEvent, Trace, TraceSink};
 use std::fs::File;
-use std::io::{BufReader, Read, Seek, SeekFrom, Write};
+use std::io::{self, Write};
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// An event filter with chunk-level pushdown.
 ///
@@ -381,25 +383,90 @@ pub struct ScrubStats {
     pub first_error: Option<String>,
 }
 
-/// A `.ptrc` reader over any seekable byte source.
+/// Where a reader's bytes live. Reads are positional and go through
+/// `&self`, so there is no shared cursor and one reader can serve any
+/// number of threads at once.
 #[derive(Debug)]
-pub struct StoreReader<R: Read + Seek = BufReader<File>> {
-    src: R,
+enum Source {
+    /// An open file, read with `pread` on unix.
+    #[cfg(unix)]
+    File(File),
+    /// Seek-and-read under a lock where positional reads are unavailable.
+    #[cfg(not(unix))]
+    File(std::sync::Mutex<File>),
+    /// An in-memory store image.
+    Bytes(Vec<u8>),
+}
+
+impl Source {
+    /// Fills `buf` from byte `offset`.
+    fn read_exact_at(&self, buf: &mut [u8], offset: u64) -> io::Result<()> {
+        match self {
+            #[cfg(unix)]
+            Source::File(f) => {
+                use std::os::unix::fs::FileExt;
+                f.read_exact_at(buf, offset)
+            }
+            #[cfg(not(unix))]
+            Source::File(f) => {
+                use std::io::{Read, Seek, SeekFrom};
+                let mut f = f.lock().unwrap_or_else(PoisonError::into_inner);
+                f.seek(SeekFrom::Start(offset))
+                    .and_then(|_| f.read_exact(buf))
+            }
+            Source::Bytes(data) => {
+                let src = usize::try_from(offset)
+                    .ok()
+                    .and_then(|start| data.get(start..)?.get(..buf.len()));
+                match src {
+                    Some(src) => {
+                        buf.copy_from_slice(src);
+                        Ok(())
+                    }
+                    None => Err(io::ErrorKind::UnexpectedEof.into()),
+                }
+            }
+        }
+    }
+
+    /// Reads part of the store's framing while opening it. The one rule
+    /// for these reads: bytes that run out make a truncated `what`, and
+    /// any other failure is an I/O error.
+    fn read_framing(
+        &self,
+        buf: &mut [u8],
+        offset: u64,
+        what: &'static str,
+    ) -> Result<(), StoreError> {
+        self.read_exact_at(buf, offset).map_err(|e| match e.kind() {
+            io::ErrorKind::UnexpectedEof => StoreError::Truncated(what),
+            _ => StoreError::Io(e),
+        })
+    }
+}
+
+/// A `.ptrc` reader over a file or an in-memory store image.
+///
+/// The header and footer are validated once at open; after that every
+/// method takes `&self` and the reader is `Sync`, so one open store
+/// (wrapped in an `Arc` where it must outlive a scope) serves concurrent
+/// queries and fused scans. It is a [`ChunkSource`], so the fused
+/// analysis engine runs over it directly.
+#[derive(Debug)]
+pub struct StoreReader {
+    src: Source,
     file_len: u64,
     version: u8,
     policy: ReadPolicy,
     footer: Footer,
-    chunks_decoded: u64,
     salvage: Option<SalvageSummary>,
-    /// Reusable decode buffers, recycled across scans so steady-state
-    /// queries allocate nothing per chunk (see [`DecodeScratch`]).
-    scratch_pool: Vec<DecodeScratch>,
-    /// Cooperative cancellation, polled per scan wave (see
-    /// [`StoreReader::set_cancel`]).
-    cancel: crate::cancel::CancelToken,
+    chunks_decoded: AtomicU64,
+    /// Decode buffers lent to each scan and returned at the same slots,
+    /// so steady-state scans allocate nothing per chunk.
+    scratch_pool: Mutex<Vec<DecodeScratch>>,
 }
 
-impl StoreReader<BufReader<File>> {
+impl StoreReader {
     /// Opens a `.ptrc` file under [`ReadPolicy::Strict`].
     ///
     /// # Errors
@@ -407,41 +474,38 @@ impl StoreReader<BufReader<File>> {
     /// I/O errors, or a typed [`StoreError`] if the file is not a valid
     /// store.
     pub fn open(path: impl AsRef<Path>) -> Result<Self, StoreError> {
-        Self::new(BufReader::new(File::open(path).map_err(StoreError::Io)?))
+        Self::open_with_policy(path, ReadPolicy::Strict)
     }
 
     /// Opens a `.ptrc` file under the given policy.
     ///
     /// # Errors
     ///
-    /// As [`StoreReader::new_with_policy`].
+    /// As [`StoreReader::from_bytes_with_policy`].
     pub fn open_with_policy(
         path: impl AsRef<Path>,
         policy: ReadPolicy,
     ) -> Result<Self, StoreError> {
-        Self::new_with_policy(
-            BufReader::new(File::open(path).map_err(StoreError::Io)?),
-            policy,
-        )
+        let file = File::open(path).map_err(StoreError::Io)?;
+        let file_len = file.metadata().map_err(StoreError::Io)?.len();
+        #[cfg(not(unix))]
+        let file = std::sync::Mutex::new(file);
+        Self::with_source(Source::File(file), file_len, policy)
     }
-}
 
-impl<R: Read + Seek> StoreReader<R> {
-    /// Wraps a seekable source under [`ReadPolicy::Strict`], validating
-    /// the header and loading the footer index.
+    /// Wraps an in-memory store image under [`ReadPolicy::Strict`].
     ///
     /// # Errors
     ///
-    /// I/O errors, or a typed [`StoreError`] if the stream is not a valid
-    /// store.
-    pub fn new(src: R) -> Result<Self, StoreError> {
-        Self::new_with_policy(src, ReadPolicy::Strict)
+    /// As [`StoreReader::open`].
+    pub fn from_bytes(bytes: Vec<u8>) -> Result<Self, StoreError> {
+        Self::from_bytes_with_policy(bytes, ReadPolicy::Strict)
     }
 
-    /// Wraps a seekable source under the given policy.
+    /// Wraps an in-memory store image under the given policy.
     ///
     /// Under [`ReadPolicy::Salvage`], a damaged footer/trailer does not
-    /// fail the open: the file is rescanned and the index rebuilt from
+    /// fail the open: the bytes are rescanned and the index rebuilt from
     /// surviving chunks ([`StoreReader::salvage_summary`] reports what was
     /// recovered). The header (magic + version) must still be intact —
     /// without it there is no way to know how to interpret the bytes.
@@ -450,11 +514,14 @@ impl<R: Read + Seek> StoreReader<R> {
     ///
     /// I/O errors; a typed [`StoreError`] on corruption (under `Strict`)
     /// or on a damaged header (under either policy).
-    pub fn new_with_policy(mut src: R, policy: ReadPolicy) -> Result<Self, StoreError> {
+    pub fn from_bytes_with_policy(bytes: Vec<u8>, policy: ReadPolicy) -> Result<Self, StoreError> {
+        let file_len = bytes.len() as u64;
+        Self::with_source(Source::Bytes(bytes), file_len, policy)
+    }
+
+    fn with_source(src: Source, file_len: u64, policy: ReadPolicy) -> Result<Self, StoreError> {
         let mut head = [0u8; HEADER_LEN];
-        src.seek(SeekFrom::Start(0)).map_err(StoreError::Io)?;
-        src.read_exact(&mut head)
-            .map_err(|_| StoreError::Truncated(".ptrc header"))?;
+        src.read_framing(&mut head, 0, ".ptrc header")?;
         if &head[..4] != MAGIC {
             return Err(StoreError::BadMagic);
         }
@@ -462,48 +529,34 @@ impl<R: Read + Seek> StoreReader<R> {
         if !(VERSION_V1..=VERSION).contains(&version) {
             return Err(StoreError::UnsupportedVersion(version));
         }
-        let file_len = src.seek(SeekFrom::End(0)).map_err(StoreError::Io)?;
-        match Self::load_footer_strict(&mut src, version, file_len) {
-            Ok(footer) => Ok(StoreReader {
-                src,
-                file_len,
-                version,
-                policy,
-                footer,
-                chunks_decoded: 0,
-                salvage: None,
-                scratch_pool: Vec::new(),
-                cancel: crate::cancel::CancelToken::never(),
-            }),
+        let (footer, salvage) = match Self::load_footer_strict(&src, version, file_len) {
+            Ok(footer) => (footer, None),
             Err(e) if policy == ReadPolicy::Salvage && e.is_corruption() => {
-                let (footer, summary) = Self::rescan(&mut src, version, e.to_string())?;
-                Ok(StoreReader {
-                    src,
-                    file_len,
-                    version,
-                    policy,
-                    footer,
-                    chunks_decoded: 0,
-                    salvage: Some(summary),
-                    scratch_pool: Vec::new(),
-                    cancel: crate::cancel::CancelToken::never(),
-                })
+                let (footer, summary) = Self::rescan(&src, version, file_len, e.to_string())?;
+                (footer, Some(summary))
             }
-            Err(e) => Err(e),
-        }
+            Err(e) => return Err(e),
+        };
+        Ok(StoreReader {
+            src,
+            file_len,
+            version,
+            policy,
+            footer,
+            salvage,
+            chunks_decoded: AtomicU64::new(0),
+            scratch_pool: Mutex::new(Vec::new()),
+        })
     }
 
     /// Reads and fully validates the trailer, footer, and chunk index.
-    fn load_footer_strict(src: &mut R, version: u8, file_len: u64) -> Result<Footer, StoreError> {
+    fn load_footer_strict(src: &Source, version: u8, file_len: u64) -> Result<Footer, StoreError> {
         let tlen = trailer_len(version);
         if file_len < (HEADER_LEN + tlen) as u64 {
             return Err(StoreError::Truncated(".ptrc trailer"));
         }
         let mut trailer = vec![0u8; tlen];
-        src.seek(SeekFrom::Start(file_len - tlen as u64))
-            .map_err(StoreError::Io)?;
-        src.read_exact(&mut trailer)
-            .map_err(|_| StoreError::Truncated(".ptrc trailer"))?;
+        src.read_framing(&mut trailer, file_len - tlen as u64, ".ptrc trailer")?;
         if &trailer[tlen - 4..] != MAGIC {
             return Err(StoreError::Truncated("store (bad trailer magic)"));
         }
@@ -513,10 +566,7 @@ impl<R: Read + Seek> StoreReader<R> {
             return Err(StoreError::Corrupt("footer offset out of range".into()));
         }
         let mut footer_bytes = vec![0u8; (footer_end - footer_start) as usize];
-        src.seek(SeekFrom::Start(footer_start))
-            .map_err(StoreError::Io)?;
-        src.read_exact(&mut footer_bytes)
-            .map_err(|_| StoreError::Truncated("footer"))?;
+        src.read_framing(&mut footer_bytes, footer_start, "footer")?;
         if version >= 2 {
             let expected = u32::from_le_bytes(trailer[8..12].try_into().expect("4 bytes"));
             let got = crc32(&footer_bytes);
@@ -559,13 +609,13 @@ impl<R: Read + Seek> StoreReader<R> {
     /// pass. v1: walk payloads from the front, keeping the longest cleanly
     /// decoding prefix (v1 has no per-chunk framing to resynchronize on).
     fn rescan(
-        src: &mut R,
+        src: &Source,
         version: u8,
+        file_len: u64,
         reason: String,
     ) -> Result<(Footer, SalvageSummary), StoreError> {
-        let mut data = Vec::new();
-        src.seek(SeekFrom::Start(0)).map_err(StoreError::Io)?;
-        src.read_to_end(&mut data).map_err(StoreError::Io)?;
+        let mut data = vec![0u8; file_len as usize];
+        src.read_framing(&mut data, 0, "store")?;
 
         let mut chunks = Vec::new();
         let mut total_events = 0u64;
@@ -648,28 +698,9 @@ impl<R: Read + Seek> StoreReader<R> {
         Ok((footer, summary))
     }
 
-    /// The active read policy.
+    /// The read policy, fixed at open.
     pub fn policy(&self) -> ReadPolicy {
         self.policy
-    }
-
-    /// Switches the read policy for subsequent operations. (Switching to
-    /// `Salvage` after a strict open does not retroactively rescan a bad
-    /// footer — reopen with [`StoreReader::new_with_policy`] for that.)
-    pub fn set_policy(&mut self, policy: ReadPolicy) {
-        self.policy = policy;
-    }
-
-    /// Installs a cooperative [`CancelToken`](crate::CancelToken) polled
-    /// at wave boundaries by [`StoreReader::scan_chunks`] (and everything
-    /// built on it: [`StoreReader::query`],
-    /// [`StoreReader::for_each_event`], the fused engine). Once the token
-    /// fires, the scan stops decoding mid-store and returns
-    /// [`StoreError::Cancelled`] — under any read policy, because an
-    /// abandoned request is not a damaged store. The reader stays fully
-    /// reusable afterwards.
-    pub fn set_cancel(&mut self, token: crate::cancel::CancelToken) {
-        self.cancel = token;
     }
 
     /// The store's format version byte.
@@ -702,9 +733,10 @@ impl<R: Read + Seek> StoreReader<R> {
         self.footer.total_events
     }
 
-    /// Cumulative count of chunks this reader has fetched for decode.
+    /// Cumulative count of chunks this reader has fetched for decode,
+    /// across all threads.
     pub fn chunks_decoded(&self) -> u64 {
-        self.chunks_decoded
+        self.chunks_decoded.load(Ordering::Relaxed)
     }
 
     /// Cumulative count of buffer growths across this reader's decode
@@ -712,206 +744,47 @@ impl<R: Read + Seek> StoreReader<R> {
     /// scan leaves this unchanged — the zero-allocations-per-chunk
     /// property the acceptance tests assert.
     pub fn decode_reallocs(&self) -> u64 {
-        self.scratch_pool.iter().map(|s| s.realloc_count()).sum()
+        self.pool().iter().map(DecodeScratch::realloc_count).sum()
     }
 
-    /// Whether per-chunk CRCs exist to verify (v2+ stores).
-    fn verify_crc(&self) -> bool {
-        self.version >= 2
+    fn pool(&self) -> MutexGuard<'_, Vec<DecodeScratch>> {
+        // the pool only ever holds reusable buffers, valid in any state
+        self.scratch_pool
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Reads chunk `i`'s payload into the scratch's raw buffer (no
-    /// allocation once the buffer has grown to the largest chunk).
-    fn read_chunk_into(&mut self, i: usize, scratch: &mut DecodeScratch) -> Result<(), StoreError> {
-        let meta = self
-            .footer
+    fn meta(&self, i: usize) -> Result<ChunkMeta, StoreError> {
+        self.footer
             .chunks
             .get(i)
             .copied()
             .ok_or(StoreError::ChunkOutOfRange {
                 chunk: i,
                 chunks: self.footer.chunks.len(),
-            })?;
-        // byte_len was bounds-checked against the file at open, so this
-        // buffer is capped by the file size
-        let buf = scratch.raw_for(meta.byte_len as usize);
-        self.src
-            .seek(SeekFrom::Start(meta.offset))
-            .map_err(StoreError::Io)?;
-        self.src.read_exact(buf).map_err(StoreError::Io)?;
-        Ok(())
+            })
     }
 
-    /// The zero-alloc scan driver every bulk consumer sits on: fetches
-    /// `candidates` in waves (sequential I/O into pooled [`DecodeScratch`]
-    /// buffers), decodes and maps them on `threads` worker threads, and
-    /// folds the results **in candidate order** — so output is
-    /// bit-identical at every thread count.
-    ///
-    /// The pool assigns each wave position the same scratch slot on every
-    /// scan (not last-in-first-out), so a repeated scan hands every chunk
-    /// a buffer that already fit it last time: after one warm-up pass an
-    /// identical scan allocates nothing per chunk
-    /// ([`StoreReader::decode_reallocs`]).
-    ///
-    /// `map` runs on worker threads against the borrowed [`ColumnBatch`]
-    /// and must be pure; `fold` runs on the calling thread and sees each
-    /// chunk's map result — or its decode error, which it can swallow
-    /// (salvage) or propagate.
-    ///
-    /// Every fetched candidate counts toward
-    /// [`StoreReader::chunks_decoded`].
+    /// Reads, verifies (CRC on v2+, event count against the index), and
+    /// decodes chunk `i` into `scratch`, whatever the policy.
+    fn load<'s>(&self, i: usize, scratch: &'s mut DecodeScratch) -> Result<Batch<'s>, StoreError> {
+        self.read(i, scratch)?;
+        self.fetch(i, scratch)
+    }
+
+    /// Reads, verifies, and decodes chunk `i` into an owned
+    /// [`ColumnBatch`] — for callers, such as a cache, whose decoded
+    /// columns outlive any scratch. Strict about this chunk whatever the
+    /// policy; counts toward [`StoreReader::chunks_decoded`].
     ///
     /// # Errors
     ///
-    /// I/O errors, [`StoreError::ChunkOutOfRange`], or whatever `fold`
-    /// propagates.
-    pub fn scan_chunks<T, M, F>(
-        &mut self,
-        candidates: &[usize],
-        threads: usize,
-        map: M,
-        mut fold: F,
-    ) -> Result<(), StoreError>
-    where
-        T: Send,
-        M: Fn(usize, &ChunkMeta, &ColumnBatch) -> T + Sync,
-        F: FnMut(usize, &ChunkMeta, Result<T, StoreError>) -> Result<(), StoreError>,
-    {
-        let version = self.version;
-        let verify = self.verify_crc();
-        let wave = threads.max(1) * 4;
-        let _scan_span = pinpoint_obs::tracer().span_with("store.scan", candidates.len() as u64);
-        for window in candidates.chunks(wave.max(1)) {
-            // cooperative checkpoint: a fired token abandons the scan at
-            // the next wave boundary instead of decoding the rest of the
-            // store for an answer nobody will read
-            self.cancel.check()?;
-            if self.scratch_pool.len() < window.len() {
-                self.scratch_pool
-                    .resize_with(window.len(), DecodeScratch::default);
-            }
-            let mut items = Vec::with_capacity(window.len());
-            for (slot, &i) in window.iter().enumerate() {
-                let _read_span = pinpoint_obs::tracer().span_with("store.read", i as u64);
-                let mut scratch = std::mem::take(&mut self.scratch_pool[slot]);
-                let read = self.read_chunk_into(i, &mut scratch);
-                let meta = self.footer.chunks[i];
-                items.push((slot, i, meta, scratch, read));
-            }
-            self.chunks_decoded += window.len() as u64;
-            let mapped = pinpoint_parallel::map_ordered(
-                items,
-                threads,
-                |(slot, i, meta, mut scratch, read)| {
-                    let chunk_span = pinpoint_obs::tracer().span_with("store.chunk", i as u64);
-                    let res = read
-                        .and_then(|()| scratch.decode_verified(&meta, i, version, verify))
-                        .map(|()| {
-                            let _fold_span =
-                                pinpoint_obs::tracer().span_with("store.fold", i as u64);
-                            map(i, &meta, scratch.batch())
-                        });
-                    drop(chunk_span);
-                    (slot, i, meta, res, scratch)
-                },
-            );
-            for (slot, i, meta, res, scratch) in mapped {
-                self.scratch_pool[slot] = scratch;
-                match res {
-                    // an I/O failure aborts regardless of what fold would
-                    // tolerate: salvage forgives bad bytes, not bad disks
-                    Err(e) if !e.is_corruption() => return Err(e),
-                    res => fold(i, &meta, res)?,
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn read_chunk_bytes(&mut self, i: usize) -> Result<Vec<u8>, StoreError> {
-        let meta = self
-            .footer
-            .chunks
-            .get(i)
-            .copied()
-            .ok_or(StoreError::ChunkOutOfRange {
-                chunk: i,
-                chunks: self.footer.chunks.len(),
-            })?;
-        // byte_len was bounds-checked against the file at open, so this
-        // allocation is capped by the file size
-        let mut bytes = vec![0u8; meta.byte_len as usize];
-        self.src
-            .seek(SeekFrom::Start(meta.offset))
-            .map_err(StoreError::Io)?;
-        self.src.read_exact(&mut bytes).map_err(StoreError::Io)?;
-        Ok(bytes)
-    }
-
-    /// Reads the raw encoded payloads of a batch of chunks, in the given
-    /// order, with one sequential I/O pass — the batch-decode entry point
-    /// for the fused analysis engine, which verifies and decodes the
-    /// returned buffers on its own worker threads via
-    /// [`crate::format::decode_chunk_verified`].
-    ///
-    /// Every returned chunk counts toward [`StoreReader::chunks_decoded`]:
-    /// callers of this API hand each buffer to the decoder exactly once,
-    /// so fetched and decoded are the same tally.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors, or [`StoreError::ChunkOutOfRange`].
-    pub fn read_chunk_batch(&mut self, indices: &[usize]) -> Result<Vec<Vec<u8>>, StoreError> {
-        let mut raw = Vec::with_capacity(indices.len());
-        for &i in indices {
-            raw.push(self.read_chunk_bytes(i)?);
-        }
-        self.chunks_decoded += indices.len() as u64;
-        Ok(raw)
-    }
-
-    /// Reads, verifies (CRC on v2), and decodes chunk `i`.
-    ///
-    /// Always strict about *this* chunk — policy-aware iteration (skip and
-    /// account) lives in [`StoreReader::query`],
-    /// [`StoreReader::for_each_event`], and the fused engine.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors, or a typed [`StoreError`] on corruption (checksum,
-    /// malformed payload, or an event count that disagrees with the
-    /// index).
-    pub fn decode_chunk_events(&mut self, i: usize) -> Result<Vec<MemEvent>, StoreError> {
-        let bytes = self.read_chunk_bytes(i)?;
-        let meta = self.footer.chunks[i];
-        let events = decode_chunk_verified(&bytes, &meta, i, self.verify_crc(), self.version)?;
-        self.chunks_decoded += 1;
-        Ok(events)
-    }
-
-    /// Streams every event, in trace order, through `f` — one chunk
-    /// resident at a time, never the full trace. Under
-    /// [`ReadPolicy::Salvage`], corrupt chunks are silently skipped (use
-    /// [`StoreReader::query`] or [`StoreReader::scrub_into`] when the loss
-    /// accounting matters).
-    ///
-    /// # Errors
-    ///
-    /// I/O errors; corruption errors under [`ReadPolicy::Strict`].
-    pub fn for_each_event(&mut self, mut f: impl FnMut(MemEvent)) -> Result<(), StoreError> {
-        for i in 0..self.num_chunks() {
-            match self.decode_chunk_events(i) {
-                Ok(events) => {
-                    for e in events {
-                        f(e);
-                    }
-                }
-                Err(e) if self.policy == ReadPolicy::Salvage && e.is_corruption() => {}
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(())
+    /// I/O errors, [`StoreError::ChunkOutOfRange`], or a typed corruption
+    /// error.
+    pub fn decode_chunk(&self, i: usize) -> Result<ColumnBatch, StoreError> {
+        let mut scratch = DecodeScratch::new();
+        self.load(i, &mut scratch)?;
+        Ok(scratch.into_batch())
     }
 
     /// Runs a filtered query: prunes chunks via the footer index, decodes
@@ -919,60 +792,13 @@ impl<R: Read + Seek> StoreReader<R> {
     /// `threads > 1`), and filters events. Output order — and every byte
     /// of it — is identical at every thread count; under
     /// [`ReadPolicy::Salvage`] that includes the loss accounting, because
-    /// per-chunk verdicts are folded in file order.
+    /// per-chunk verdicts are folded in file order. See [`query`].
     ///
     /// # Errors
     ///
     /// I/O errors; corruption errors under [`ReadPolicy::Strict`].
-    pub fn query(&mut self, pred: &Predicate, threads: usize) -> Result<QueryResult, StoreError> {
-        let _query_span = pinpoint_obs::tracer().span("store.query");
-        let mut candidates = Vec::new();
-        let mut stats = QueryStats {
-            chunks_total: self.num_chunks(),
-            ..QueryStats::default()
-        };
-        {
-            let _prune_span = pinpoint_obs::tracer().span("store.prune");
-            for (i, meta) in self.footer.chunks.iter().enumerate() {
-                if pred.matches_chunk(meta) {
-                    candidates.push(i);
-                } else if pred.pruned_by_label(meta) {
-                    stats.chunks_pruned_by_label += 1;
-                }
-            }
-        }
-        stats.chunks_pruned = self.num_chunks() - candidates.len();
-        let pred = *pred;
-        let salvage = self.policy == ReadPolicy::Salvage;
-        let mut events = Vec::new();
-        self.scan_chunks(
-            &candidates,
-            threads,
-            |_, _, batch| {
-                (0..batch.len())
-                    .map(|k| batch.event(k))
-                    .filter(|e| pred.matches_event(e))
-                    .collect::<Vec<_>>()
-            },
-            |_, meta, res| {
-                match res {
-                    Ok(matched) => {
-                        stats.chunks_decoded += 1;
-                        events.extend(matched);
-                    }
-                    Err(e) if salvage && e.is_corruption() => {
-                        stats.chunks_skipped += 1;
-                        stats.events_lost += meta.count;
-                        if stats.first_error.is_none() {
-                            stats.first_error = Some(e.to_string());
-                        }
-                    }
-                    Err(e) => return Err(e),
-                }
-                Ok(())
-            },
-        )?;
-        Ok(QueryResult { events, stats })
+    pub fn query(&self, pred: &Predicate, threads: usize) -> Result<QueryResult, StoreError> {
+        query(self, pred, threads)
     }
 
     /// Verifies every chunk (CRC on v2, full decode on both versions)
@@ -982,10 +808,11 @@ impl<R: Read + Seek> StoreReader<R> {
     /// # Errors
     ///
     /// I/O errors only — corruption is the *result*, not a failure.
-    pub fn verify_chunks(&mut self) -> Result<Vec<ChunkFault>, StoreError> {
+    pub fn verify_chunks(&self) -> Result<Vec<ChunkFault>, StoreError> {
+        let mut scratch = DecodeScratch::new();
         let mut faults = Vec::new();
         for i in 0..self.num_chunks() {
-            match self.decode_chunk_events(i) {
+            match self.load(i, &mut scratch) {
                 Ok(_) => {}
                 Err(e) if e.is_corruption() => faults.push(ChunkFault {
                     chunk: i,
@@ -1007,26 +834,23 @@ impl<R: Read + Seek> StoreReader<R> {
     /// # Errors
     ///
     /// I/O errors from either side.
-    pub fn scrub_into<W: Write>(
-        &mut self,
-        out: &mut StoreWriter<W>,
-    ) -> Result<ScrubStats, StoreError> {
-        for l in &self.footer.labels.clone() {
+    pub fn scrub_into<W: Write>(&self, out: &mut StoreWriter<W>) -> Result<ScrubStats, StoreError> {
+        for l in &self.footer.labels {
             out.intern_label(l);
         }
-        let markers = self.footer.markers.clone();
+        let markers = &self.footer.markers;
         let mut stats = ScrubStats {
             chunks_total: self.num_chunks(),
             ..ScrubStats::default()
         };
+        let mut scratch = DecodeScratch::new();
         let mut next_marker = 0usize;
         let mut orig_index = 0u64; // position in the original event stream
-        for i in 0..self.num_chunks() {
-            let count = self.footer.chunks[i].count;
-            match self.decode_chunk_events(i) {
-                Ok(events) => {
+        for (i, meta) in self.footer.chunks.iter().enumerate() {
+            match self.load(i, &mut scratch) {
+                Ok(batch) => {
                     stats.chunks_kept += 1;
-                    for e in events {
+                    for k in 0..batch.len() {
                         while next_marker < markers.len()
                             && (markers[next_marker].event_index as u64) <= orig_index
                         {
@@ -1034,21 +858,19 @@ impl<R: Read + Seek> StoreReader<R> {
                             out.record_marker(m.time_ns, &m.label);
                             next_marker += 1;
                         }
-                        out.record_event(e);
+                        out.record_event(batch.event(k));
                         orig_index += 1;
                         stats.events_kept += 1;
                     }
                 }
                 Err(e) if e.is_corruption() => {
                     stats.chunks_skipped += 1;
-                    stats.events_lost += count;
-                    if stats.first_error.is_none() {
-                        stats.first_error = Some(e.to_string());
-                    }
+                    stats.events_lost += meta.count;
+                    stats.first_error.get_or_insert_with(|| e.to_string());
                     // markers inside this range are emitted by the next
                     // kept chunk's loop (or the final flush) at the
                     // boundary position — exactly the remap we want
-                    orig_index += count;
+                    orig_index += meta.count;
                 }
                 Err(e) => return Err(e),
             }
@@ -1069,17 +891,23 @@ impl<R: Read + Seek> StoreReader<R> {
     /// # Errors
     ///
     /// I/O errors; corruption errors under [`ReadPolicy::Strict`].
-    pub fn read_trace(&mut self) -> Result<Trace, StoreError> {
+    pub fn read_trace(&self) -> Result<Trace, StoreError> {
         let mut trace = Trace::new();
         for l in &self.footer.labels {
             trace.intern_label(l);
         }
-        let markers = self.footer.markers.clone();
-        let salvage = self.policy == ReadPolicy::Salvage;
-        self.for_each_event(|e| trace.push(e))?;
-        for mut m in markers {
+        scan(
+            self,
+            &Predicate::any(),
+            "store.prune",
+            1,
+            |_, batch| batch.to_events(),
+            |_, events| events.into_iter().for_each(|e| trace.push(e)),
+        )?;
+        for m in &self.footer.markers {
+            let mut m = m.clone();
             if m.event_index > trace.len() {
-                if !salvage {
+                if self.policy == ReadPolicy::Strict {
                     return Err(StoreError::Corrupt(format!(
                         "marker `{}` points past the event stream",
                         m.label
@@ -1091,31 +919,49 @@ impl<R: Read + Seek> StoreReader<R> {
         }
         Ok(trace)
     }
-
-    /// Dismantles the reader into its byte source and validated metadata —
-    /// the handoff into [`crate::SharedStoreReader`], which rebuilds the
-    /// same state around a positional (seek-free) source.
-    pub(crate) fn into_parts(self) -> (R, ReaderParts) {
-        (
-            self.src,
-            ReaderParts {
-                file_len: self.file_len,
-                version: self.version,
-                policy: self.policy,
-                footer: self.footer,
-                salvage: self.salvage,
-            },
-        )
-    }
 }
 
-/// The validated open-time state of a [`StoreReader`], minus its source.
-pub(crate) struct ReaderParts {
-    pub(crate) file_len: u64,
-    pub(crate) version: u8,
-    pub(crate) policy: ReadPolicy,
-    pub(crate) footer: Footer,
-    pub(crate) salvage: Option<SalvageSummary>,
+impl ChunkSource for StoreReader {
+    fn chunks(&self) -> &[ChunkMeta] {
+        &self.footer.chunks
+    }
+
+    fn policy(&self) -> ReadPolicy {
+        self.policy
+    }
+
+    fn read(&self, i: usize, scratch: &mut DecodeScratch) -> Result<(), StoreError> {
+        let meta = self.meta(i)?;
+        let _read_span = pinpoint_obs::tracer().span_with("store.read", i as u64);
+        self.chunks_decoded.fetch_add(1, Ordering::Relaxed);
+        // byte_len was bounds-checked against the file at open, so the
+        // buffer is capped by the file size, and bytes that run out now
+        // mean the file shrank under the reader: an I/O failure, which
+        // salvage does not skip
+        let buf = scratch.raw_for(meta.byte_len as usize);
+        self.src
+            .read_exact_at(buf, meta.offset)
+            .map_err(StoreError::Io)
+    }
+
+    /// Decodes what [`read`](ChunkSource::read) staged in `scratch`.
+    fn fetch<'s>(&self, i: usize, scratch: &'s mut DecodeScratch) -> Result<Batch<'s>, StoreError> {
+        let meta = self.meta(i)?;
+        scratch.decode_verified(&meta, i, self.version, self.version >= 2)?;
+        Ok(Batch::Scratch(scratch.batch()))
+    }
+
+    fn lend_scratch(&self) -> Vec<DecodeScratch> {
+        std::mem::take(&mut *self.pool())
+    }
+
+    fn restore_scratch(&self, pool: Vec<DecodeScratch>) {
+        // concurrent scans each borrow a pool; the largest one is kept
+        let mut kept = self.pool();
+        if kept.len() < pool.len() {
+            *kept = pool;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1123,7 +969,6 @@ mod tests {
     use super::*;
     use crate::writer::{write_store_chunked, write_store_chunked_v1, StoreWriter};
     use pinpoint_trace::{BlockId, EventKind, MemoryKind, TraceSink};
-    use std::io::Cursor;
 
     fn sample_trace() -> Trace {
         let mut t = Trace::new();
@@ -1164,7 +1009,7 @@ mod tests {
     fn round_trips_trace_exactly() {
         let t = sample_trace();
         let bytes = store_bytes(&t, 16);
-        let mut r = StoreReader::new(Cursor::new(bytes)).unwrap();
+        let r = StoreReader::from_bytes(bytes).unwrap();
         assert_eq!(r.version(), VERSION);
         assert_eq!(r.total_events(), t.len() as u64);
         let back = r.read_trace().unwrap();
@@ -1174,49 +1019,11 @@ mod tests {
     }
 
     #[test]
-    fn a_fired_cancel_token_aborts_a_scan_and_leaves_the_reader_usable() {
-        use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-        use std::sync::Arc;
-        let t = sample_trace();
-        let bytes = store_bytes(&t, 16);
-        let mut r = StoreReader::new(Cursor::new(bytes)).unwrap();
-        let full = r.query(&Predicate::any(), 1).unwrap().events.len();
-
-        // fire after the first wave: the scan must stop mid-store
-        let polls = Arc::new(AtomicU64::new(0));
-        let token = {
-            let polls = Arc::clone(&polls);
-            crate::cancel::CancelToken::new(move || polls.fetch_add(1, Ordering::Relaxed) >= 1)
-        };
-        r.set_cancel(token);
-        let err = r.query(&Predicate::any(), 1).unwrap_err();
-        assert!(matches!(err, StoreError::Cancelled), "{err}");
-        // salvage mode must also abort, not skip-and-account
-        r.set_policy(ReadPolicy::Salvage);
-        let err = r.query(&Predicate::any(), 1).unwrap_err();
-        assert!(matches!(err, StoreError::Cancelled), "{err}");
-
-        // disarm: the reader answers fully again, bit-identically
-        r.set_cancel(crate::cancel::CancelToken::never());
-        r.set_policy(ReadPolicy::Strict);
-        assert_eq!(r.query(&Predicate::any(), 1).unwrap().events.len(), full);
-
-        // an armed-but-quiet token costs nothing and cancels nothing
-        let flag = Arc::new(AtomicBool::new(false));
-        let quiet = {
-            let flag = Arc::clone(&flag);
-            crate::cancel::CancelToken::new(move || flag.load(Ordering::Relaxed))
-        };
-        r.set_cancel(quiet);
-        assert_eq!(r.query(&Predicate::any(), 1).unwrap().events.len(), full);
-    }
-
-    #[test]
     fn v1_stores_still_read_exactly() {
         let t = sample_trace();
         let mut bytes = Vec::new();
         write_store_chunked_v1(&t, &mut bytes, 16).unwrap();
-        let mut r = StoreReader::new(Cursor::new(bytes)).unwrap();
+        let r = StoreReader::from_bytes(bytes).unwrap();
         assert_eq!(r.version(), VERSION_V1);
         assert_eq!(r.read_trace().unwrap(), t);
     }
@@ -1225,7 +1032,7 @@ mod tests {
     fn time_range_query_prunes_chunks() {
         let t = sample_trace(); // 200 events, times 0..=995
         let bytes = store_bytes(&t, 16);
-        let mut r = StoreReader::new(Cursor::new(bytes)).unwrap();
+        let r = StoreReader::from_bytes(bytes).unwrap();
         let pred = Predicate::any().with_time_range(0, 50);
         let q = r.query(&pred, 1).unwrap();
         assert!(q.stats.chunks_total > 4);
@@ -1257,8 +1064,8 @@ mod tests {
                 .with_category(Category::Intermediates),
         ];
         for pred in preds {
-            let mut r1 = StoreReader::new(Cursor::new(bytes.clone())).unwrap();
-            let mut rn = StoreReader::new(Cursor::new(bytes.clone())).unwrap();
+            let r1 = StoreReader::from_bytes(bytes.clone()).unwrap();
+            let rn = StoreReader::from_bytes(bytes.clone()).unwrap();
             let a = r1.query(&pred, 1).unwrap();
             let b = rn.query(&pred, 8).unwrap();
             assert_eq!(a, b, "{pred:?}");
@@ -1299,7 +1106,7 @@ mod tests {
             );
         }
         let bytes = store_bytes(&t, 8);
-        let mut r = StoreReader::new(Cursor::new(bytes)).unwrap();
+        let r = StoreReader::from_bytes(bytes).unwrap();
         let q = r
             .query(&Predicate::any().with_kind(EventKind::Read), 1)
             .unwrap();
@@ -1338,31 +1145,12 @@ mod tests {
         // the hull matches every chunk either operand matches
         let t = sample_trace();
         let bytes = store_bytes(&t, 8);
-        let r = StoreReader::new(Cursor::new(bytes)).unwrap();
+        let r = StoreReader::from_bytes(bytes).unwrap();
         for meta in &r.footer().chunks {
             if a.matches_chunk(meta) || b.matches_chunk(meta) {
                 assert!(u.matches_chunk(meta), "{meta:?}");
             }
         }
-    }
-
-    #[test]
-    fn chunk_batch_read_matches_per_chunk_decode_and_counts() {
-        let t = sample_trace();
-        let bytes = store_bytes(&t, 16);
-        let mut r = StoreReader::new(Cursor::new(bytes.clone())).unwrap();
-        let picks = [0usize, 3, 1];
-        let raw = r.read_chunk_batch(&picks).unwrap();
-        assert_eq!(r.chunks_decoded(), picks.len() as u64);
-        let mut r2 = StoreReader::new(Cursor::new(bytes)).unwrap();
-        for (bytes, &i) in raw.iter().zip(&picks) {
-            assert_eq!(
-                crate::format::decode_chunk(bytes, VERSION).unwrap(),
-                r2.decode_chunk_events(i).unwrap(),
-                "chunk {i}"
-            );
-        }
-        assert!(r.read_chunk_batch(&[usize::MAX]).is_err());
     }
 
     #[test]
@@ -1373,22 +1161,22 @@ mod tests {
         let mut b = bytes.clone();
         b[0] = b'X';
         assert!(matches!(
-            StoreReader::new(Cursor::new(b)),
+            StoreReader::from_bytes(b),
             Err(StoreError::BadMagic)
         ));
         // bad version
         let mut b = bytes.clone();
         b[4] = 99;
         assert!(matches!(
-            StoreReader::new(Cursor::new(b)),
+            StoreReader::from_bytes(b),
             Err(StoreError::UnsupportedVersion(99))
         ));
         // truncated trailer
         let b = bytes[..bytes.len() - 3].to_vec();
-        assert!(StoreReader::new(Cursor::new(b)).is_err());
+        assert!(StoreReader::from_bytes(b).is_err());
         // not a store at all
         assert!(matches!(
-            StoreReader::new(Cursor::new(b"{\"events\":[]}".to_vec())),
+            StoreReader::from_bytes(b"{\"events\":[]}".to_vec()),
             Err(StoreError::BadMagic)
         ));
     }
@@ -1397,12 +1185,12 @@ mod tests {
     fn flipped_chunk_byte_is_a_checksum_error_in_strict() {
         let t = sample_trace();
         let bytes = store_bytes(&t, 16);
-        let r = StoreReader::new(Cursor::new(bytes.clone())).unwrap();
+        let r = StoreReader::from_bytes(bytes.clone()).unwrap();
         let meta = r.footer().chunks[2];
         let mut b = bytes;
         b[meta.offset as usize + 3] ^= 0x40;
-        let mut r = StoreReader::new(Cursor::new(b)).unwrap();
-        match r.decode_chunk_events(2) {
+        let r = StoreReader::from_bytes(b).unwrap();
+        match r.decode_chunk(2) {
             Err(StoreError::ChecksumMismatch { chunk: 2, .. }) => {}
             other => panic!("expected checksum mismatch, got {other:?}"),
         }
@@ -1412,13 +1200,13 @@ mod tests {
     fn salvage_query_skips_corrupt_chunks_with_exact_accounting() {
         let t = sample_trace();
         let bytes = store_bytes(&t, 16);
-        let pristine = StoreReader::new(Cursor::new(bytes.clone())).unwrap();
+        let pristine = StoreReader::from_bytes(bytes.clone()).unwrap();
         let broken = 3usize;
         let meta = pristine.footer().chunks[broken];
         let mut b = bytes;
         b[meta.offset as usize] ^= 0xFF;
 
-        let mut r = StoreReader::new_with_policy(Cursor::new(b), ReadPolicy::Salvage).unwrap();
+        let r = StoreReader::from_bytes_with_policy(b.clone(), ReadPolicy::Salvage).unwrap();
         assert!(r.salvage_summary().is_none(), "footer is fine");
         let q = r.query(&Predicate::any(), 1).unwrap();
         assert_eq!(q.stats.chunks_skipped, 1);
@@ -1435,13 +1223,114 @@ mod tests {
         // bit-identical accounting at several threads
         let q4 = r.query(&Predicate::any(), 4).unwrap();
         assert_eq!(q, q4);
+        // strict sees the same bytes as an error instead
+        let strict = StoreReader::from_bytes(b).unwrap();
+        assert!(strict.query(&Predicate::any(), 4).is_err());
+    }
+
+    #[test]
+    fn eight_concurrent_queries_on_one_reader_are_bit_identical() {
+        let t = sample_trace();
+        let r = StoreReader::from_bytes(store_bytes(&t, 16)).unwrap();
+        let pred = Predicate::any()
+            .with_kind(EventKind::Write)
+            .with_time_range(0, 700);
+        let want = r.query(&pred, 1).unwrap();
+        assert!(!want.events.is_empty());
+        let results: Vec<QueryResult> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..8)
+                .map(|k| {
+                    let r = &r;
+                    s.spawn(move || r.query(&pred, 1 + k % 3).unwrap())
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for got in results {
+            assert_eq!(got, want, "concurrent query diverged");
+        }
+    }
+
+    #[test]
+    fn owned_decode_matches_the_event_stream_and_counts() {
+        let t = sample_trace();
+        let r = StoreReader::from_bytes(store_bytes(&t, 16)).unwrap();
+        let mut all = Vec::new();
+        for i in 0..r.num_chunks() {
+            let batch = r.decode_chunk(i).unwrap();
+            assert!(batch.heap_bytes() > 0);
+            all.extend(batch.to_events());
+        }
+        assert_eq!(all, t.events());
+        assert_eq!(r.chunks_decoded(), r.num_chunks() as u64);
+        assert!(matches!(
+            r.decode_chunk(usize::MAX),
+            Err(StoreError::ChunkOutOfRange { .. })
+        ));
+    }
+
+    #[test]
+    fn opening_a_directory_is_an_io_error_under_either_policy() {
+        let dir = std::env::temp_dir();
+        for policy in [ReadPolicy::Strict, ReadPolicy::Salvage] {
+            match StoreReader::open_with_policy(&dir, policy) {
+                Err(StoreError::Io(_)) => {}
+                other => panic!("{policy:?}: expected an I/O error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_store_file_that_shrinks_under_the_reader_is_an_io_error_under_either_policy() {
+        // the index was checked against the file at open, so a chunk cut
+        // short later means the file changed, not that a chunk is damaged:
+        // salvage must abort rather than skip it
+        let t = sample_trace();
+        let bytes = store_bytes(&t, 16);
+        let path = std::env::temp_dir().join(format!(
+            "pinpoint_reader_shrink_{}.ptrc",
+            std::process::id()
+        ));
+        for policy in [ReadPolicy::Strict, ReadPolicy::Salvage] {
+            std::fs::write(&path, &bytes).unwrap();
+            let r = StoreReader::open_with_policy(&path, policy).unwrap();
+            let cut_chunk = &r.footer().chunks[r.num_chunks() / 2];
+            let (cut_t0, cut_len) = (
+                cut_chunk.min_time_ns,
+                cut_chunk.offset + cut_chunk.byte_len / 2,
+            );
+            std::fs::OpenOptions::new()
+                .write(true)
+                .open(&path)
+                .unwrap()
+                .set_len(cut_len)
+                .unwrap();
+            for threads in [1, 4] {
+                match r.query(&Predicate::any(), threads) {
+                    Err(StoreError::Io(e)) => {
+                        assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof, "{policy:?}");
+                    }
+                    other => panic!(
+                        "{policy:?}, {threads} threads: expected an I/O error, got {other:?}"
+                    ),
+                }
+                // the chunks wholly before the cut still read
+                let head = r
+                    .query(&Predicate::any().with_time_range(0, cut_t0 - 1), threads)
+                    .unwrap();
+                assert_eq!(head.stats.chunks_skipped, 0);
+                assert!(head.events.iter().all(|e| e.time_ns < cut_t0));
+                assert!(!head.events.is_empty());
+            }
+        }
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn salvage_rebuilds_index_from_chunks_when_footer_dies() {
         let t = sample_trace();
         let bytes = store_bytes(&t, 16);
-        let pristine = StoreReader::new(Cursor::new(bytes.clone())).unwrap();
+        let pristine = StoreReader::from_bytes(bytes.clone()).unwrap();
         let n_chunks = pristine.num_chunks();
         let footer_start = pristine
             .footer()
@@ -1452,8 +1341,8 @@ mod tests {
         // kill the whole footer + trailer
         let b = bytes[..footer_start].to_vec();
 
-        assert!(StoreReader::new(Cursor::new(b.clone())).is_err());
-        let mut r = StoreReader::new_with_policy(Cursor::new(b), ReadPolicy::Salvage).unwrap();
+        assert!(StoreReader::from_bytes(b.clone()).is_err());
+        let r = StoreReader::from_bytes_with_policy(b, ReadPolicy::Salvage).unwrap();
         let s = r.salvage_summary().unwrap().clone();
         assert_eq!(s.chunks_recovered, n_chunks);
         assert_eq!(s.events_recovered, t.len() as u64);
@@ -1469,12 +1358,12 @@ mod tests {
         let t = sample_trace();
         let mut bytes = Vec::new();
         write_store_chunked_v1(&t, &mut bytes, 16).unwrap();
-        let pristine = StoreReader::new(Cursor::new(bytes.clone())).unwrap();
+        let pristine = StoreReader::from_bytes(bytes.clone()).unwrap();
         let chunks = pristine.footer().chunks.clone();
         // cut mid-way through chunk 4
         let cut = (chunks[4].offset + chunks[4].byte_len / 2) as usize;
         let b = bytes[..cut].to_vec();
-        let mut r = StoreReader::new_with_policy(Cursor::new(b), ReadPolicy::Salvage).unwrap();
+        let r = StoreReader::from_bytes_with_policy(b, ReadPolicy::Salvage).unwrap();
         assert_eq!(r.salvage_summary().unwrap().chunks_recovered, 4);
         let back = r.read_trace().unwrap();
         assert_eq!(back.events(), &t.events()[..4 * 16]);
@@ -1484,13 +1373,13 @@ mod tests {
     fn scrub_drops_corrupt_chunks_and_remaps_markers() {
         let t = sample_trace();
         let bytes = store_bytes(&t, 16);
-        let pristine = StoreReader::new(Cursor::new(bytes.clone())).unwrap();
+        let pristine = StoreReader::from_bytes(bytes.clone()).unwrap();
         let broken = 1usize;
         let meta = pristine.footer().chunks[broken];
         let mut b = bytes;
         b[meta.offset as usize + 1] ^= 0x08;
 
-        let mut r = StoreReader::new_with_policy(Cursor::new(b), ReadPolicy::Salvage).unwrap();
+        let r = StoreReader::from_bytes_with_policy(b, ReadPolicy::Salvage).unwrap();
         let mut w = StoreWriter::with_chunk_events(Vec::new(), 16).unwrap();
         let stats = r.scrub_into(&mut w).unwrap();
         w.finish().unwrap();
@@ -1499,7 +1388,7 @@ mod tests {
         assert_eq!(stats.events_kept, t.len() as u64 - meta.count);
         assert_eq!(stats.events_lost, meta.count);
 
-        let mut back = StoreReader::new(Cursor::new(w.into_inner())).unwrap();
+        let back = StoreReader::from_bytes(w.into_inner()).unwrap();
         assert!(back.verify_chunks().unwrap().is_empty());
         let scrubbed = back.read_trace().unwrap();
         let expect: Vec<_> = t
@@ -1522,13 +1411,13 @@ mod tests {
     fn verify_chunks_pinpoints_damage() {
         let t = sample_trace();
         let bytes = store_bytes(&t, 16);
-        let pristine = StoreReader::new(Cursor::new(bytes.clone())).unwrap();
+        let pristine = StoreReader::from_bytes(bytes.clone()).unwrap();
         let metas = pristine.footer().chunks.clone();
         let mut b = bytes;
         for broken in [2usize, 5] {
             b[metas[broken].offset as usize + 2] ^= 0x01;
         }
-        let mut r = StoreReader::new(Cursor::new(b)).unwrap();
+        let r = StoreReader::from_bytes(b).unwrap();
         let faults = r.verify_chunks().unwrap();
         assert_eq!(
             faults.iter().map(|f| f.chunk).collect::<Vec<_>>(),

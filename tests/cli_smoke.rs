@@ -6,12 +6,20 @@ use pinpoint::core::{profile, ProfileConfig};
 use pinpoint::trace::export::{read_json, write_json};
 use std::fs::File;
 use std::process::Command;
+use std::sync::OnceLock;
 
+/// The profiled trace the tests read, written once per test process:
+/// tests run in parallel, and rewriting one shared file while another
+/// test reads it would race.
 fn trace_file() -> std::path::PathBuf {
-    let report = profile(&ProfileConfig::mlp_case_study(5)).unwrap();
-    let path = std::env::temp_dir().join("pinpoint_cli_smoke_trace.json");
-    write_json(&report.trace, File::create(&path).unwrap()).unwrap();
-    path
+    static PATH: OnceLock<std::path::PathBuf> = OnceLock::new();
+    PATH.get_or_init(|| {
+        let report = profile(&ProfileConfig::mlp_case_study(5)).unwrap();
+        let path = std::env::temp_dir().join("pinpoint_cli_smoke_trace.json");
+        write_json(&report.trace, File::create(&path).unwrap()).unwrap();
+        path
+    })
+    .clone()
 }
 
 fn bin(name: &str) -> std::path::PathBuf {
@@ -70,6 +78,31 @@ fn trace_tool_subcommands_run() {
         .output()
         .unwrap();
     assert!(!out.status.success());
+}
+
+/// A file too short to hold the `.ptrc` magic is not a store: it goes
+/// to the JSON parser and fails there with a one-line error.
+#[test]
+fn a_file_shorter_than_the_magic_fails_as_unparseable_json() {
+    let tool = bin("pinpoint-trace-tool");
+    if !tool.exists() {
+        eprintln!("skipping: {tool:?} not built (run with --workspace)");
+        return;
+    }
+    let path = std::env::temp_dir().join(format!(
+        "pinpoint_cli_three_bytes_{}.json",
+        std::process::id()
+    ));
+    std::fs::write(&path, b"PTR").unwrap();
+    for sub in ["summary", "report"] {
+        let out = Command::new(&tool).arg(sub).arg(&path).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{sub}: {out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        let want = format!("error: cannot parse {}: ", path.display());
+        assert!(err.starts_with(&want), "{sub}: {err}");
+        assert_eq!(err.trim().lines().count(), 1, "{sub}: {err}");
+    }
+    let _ = std::fs::remove_file(&path);
 }
 
 #[test]

@@ -68,8 +68,8 @@ fn resnet18_store(tag: &str) -> PathBuf {
 }
 
 fn run_report(path: &std::path::Path, threads: usize) -> TraceReport {
-    let mut r = StoreReader::open(path).unwrap();
-    TraceReport::from_store(&mut r, CRITERIA, threads).unwrap()
+    let r = StoreReader::open(path).unwrap();
+    TraceReport::from_store(&r, CRITERIA, threads).unwrap()
 }
 
 fn bin(name: &str) -> PathBuf {
@@ -147,10 +147,10 @@ fn disabled_tracer_adds_nothing_to_the_warm_scan_path() {
 
     // same reader, scanned twice: the second (warm) scan must neither
     // grow the decode scratch pool nor touch the tracer
-    let mut r = StoreReader::open(&store).unwrap();
-    let cold = TraceReport::from_store(&mut r, CRITERIA, 4).unwrap();
+    let r = StoreReader::open(&store).unwrap();
+    let cold = TraceReport::from_store(&r, CRITERIA, 4).unwrap();
     let warmed = r.decode_reallocs();
-    let warm = TraceReport::from_store(&mut r, CRITERIA, 4).unwrap();
+    let warm = TraceReport::from_store(&r, CRITERIA, 4).unwrap();
     assert_eq!(report_json(&cold, 30), report_json(&warm, 30));
     assert_eq!(
         r.decode_reallocs(),

@@ -19,7 +19,7 @@
 use pinpoint::analysis::query_json;
 use pinpoint::core::{profile, ProfileConfig};
 use pinpoint::serve::{start, ServeConfig};
-use pinpoint::store::{write_store_chunked, Predicate, ReadPolicy, SharedStoreReader, StoreReader};
+use pinpoint::store::{write_store_chunked, Predicate, ReadPolicy, StoreReader};
 use pinpoint::tensor::rng::Rng64;
 use pinpoint::trace::EventKind;
 use std::io::{Read, Write};
@@ -380,7 +380,7 @@ fn seeded_chaos_sweep_keeps_exact_books_across_worker_widths() {
             None => Predicate::any(),
         };
         let truth = |path: &PathBuf| {
-            let reader = SharedStoreReader::open_with_policy(path, ReadPolicy::Salvage).unwrap();
+            let reader = StoreReader::open_with_policy(path, ReadPolicy::Salvage).unwrap();
             query_json(&reader.query(&pred, 1).unwrap(), max)
         };
         Canned {
@@ -392,7 +392,7 @@ fn seeded_chaos_sweep_keeps_exact_books_across_worker_widths() {
     .collect();
     {
         // the corruption must actually bite, or `flaky` tests nothing
-        let reader = SharedStoreReader::open_with_policy(&flaky_path, ReadPolicy::Salvage).unwrap();
+        let reader = StoreReader::open_with_policy(&flaky_path, ReadPolicy::Salvage).unwrap();
         let stats = reader.query(&Predicate::any(), 1).unwrap().stats;
         assert!(stats.chunks_skipped >= 1 && stats.events_lost > 0);
     }

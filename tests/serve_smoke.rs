@@ -8,7 +8,7 @@
 
 use pinpoint::core::{profile, ProfileConfig};
 use pinpoint::serve::{start, ServeConfig};
-use pinpoint::store::{write_store_file, Predicate, ReadPolicy, SharedStoreReader, StoreReader};
+use pinpoint::store::{write_store_file, Predicate, ReadPolicy, StoreReader};
 use pinpoint::trace::EventKind;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -210,8 +210,8 @@ fn corrupt_store_answers_with_exact_loss_accounting() {
     bytes[chunk1_off as usize + 1] ^= 0x40;
     std::fs::write(&store, &bytes).unwrap();
 
-    // offline truth: the shared salvage reader's loss accounting
-    let reader = SharedStoreReader::open_with_policy(&store, ReadPolicy::Salvage).unwrap();
+    // offline truth: the salvage reader's loss accounting
+    let reader = StoreReader::open_with_policy(&store, ReadPolicy::Salvage).unwrap();
     let pred = Predicate::any().with_kind(EventKind::Malloc);
     let want = reader.query(&pred, 1).unwrap();
     assert!(want.stats.chunks_skipped >= 1, "corruption must be seen");
@@ -358,7 +358,7 @@ fn replaced_store_serves_fresh_bytes_and_invalidates_caches() {
     assert_ne!(old_body, new_body, "must not serve the stale store");
     assert_ne!(header(&old_head, "ETag"), header(&new_head, "ETag"));
     // fresh bytes match the offline reader on the new file
-    let reader = SharedStoreReader::open_with_policy(&path, ReadPolicy::Salvage).unwrap();
+    let reader = StoreReader::open_with_policy(&path, ReadPolicy::Salvage).unwrap();
     let want = reader
         .query(&Predicate::any().with_kind(EventKind::Malloc), 1)
         .unwrap();

@@ -62,10 +62,13 @@ fn fixture_store() -> &'static Vec<u8> {
 fn fixture_chunks() -> &'static (Vec<ChunkMeta>, Vec<Vec<MemEvent>>) {
     static CHUNKS: OnceLock<(Vec<ChunkMeta>, Vec<Vec<MemEvent>>)> = OnceLock::new();
     CHUNKS.get_or_init(|| {
-        let mut r = StoreReader::new(Cursor::new(fixture_store().clone())).unwrap();
+        let r = StoreReader::from_bytes(fixture_store().clone()).unwrap();
         let metas = r.footer().chunks.clone();
         let events = (0..metas.len())
-            .map(|i| r.decode_chunk_events(i).unwrap())
+            .map(|i| {
+                let b = r.decode_chunk(i).unwrap();
+                (0..b.len()).map(|k| b.event(k)).collect()
+            })
             .collect();
         (metas, events)
     })
@@ -104,12 +107,12 @@ fn truncation_at_every_chunk_boundary_salvages_the_contained_prefix() {
 
             // strict: typed error, never a panic (the footer is gone)
             assert!(
-                StoreReader::new(Cursor::new(maimed.clone())).is_err(),
+                StoreReader::from_bytes(maimed.clone()).is_err(),
                 "chunk {ci} cut {cut}: strict open of a truncated store must fail"
             );
 
             // salvage: exactly the fully-contained chunks survive
-            let mut r = StoreReader::new_with_policy(Cursor::new(maimed), ReadPolicy::Salvage)
+            let r = StoreReader::from_bytes_with_policy(maimed, ReadPolicy::Salvage)
                 .unwrap_or_else(|e| panic!("chunk {ci} cut {cut}: salvage open failed: {e}"));
             let s = r.salvage_summary().expect("footer was cut off").clone();
             let expect = surviving_events(|_, m| (m.offset + m.byte_len) as usize <= cut);
@@ -135,19 +138,18 @@ fn salvaged_analysis_is_bit_identical_to_the_surviving_chunk_store() {
     for ci in [1, metas.len() / 2, metas.len() - 2] {
         let cut = (metas[ci].offset + metas[ci].byte_len) as usize + 1;
         let maimed = bytes[..cut].to_vec();
-        let mut salvaged =
-            StoreReader::new_with_policy(Cursor::new(maimed), ReadPolicy::Salvage).unwrap();
+        let salvaged = StoreReader::from_bytes_with_policy(maimed, ReadPolicy::Salvage).unwrap();
 
         // rebuild a pristine store holding only the surviving chunks
         let mut rebuilt = StoreWriter::with_chunk_events(Vec::new(), CHUNK_EVENTS).unwrap();
         salvaged.scrub_into(&mut rebuilt).unwrap();
         rebuilt.finish().unwrap();
-        let mut clean = StoreReader::new(Cursor::new(rebuilt.into_inner())).unwrap();
+        let clean = StoreReader::from_bytes(rebuilt.into_inner()).unwrap();
 
         let criteria = OutlierCriteria::paper_fig4();
-        let base = TraceReport::from_store(&mut clean, criteria, 1).unwrap();
+        let base = TraceReport::from_store(&clean, criteria, 1).unwrap();
         for threads in [1, 4] {
-            let d = TraceReport::from_store(&mut salvaged, criteria, threads).unwrap();
+            let d = TraceReport::from_store(&salvaged, criteria, threads).unwrap();
             assert_eq!(d.ati, base.ati, "cut after chunk {ci}, threads {threads}");
             assert_eq!(d.peak, base.peak, "cut after chunk {ci}, threads {threads}");
             assert_eq!(
@@ -183,7 +185,7 @@ fn bit_flip_fuzz_salvages_exactly_the_intact_chunks() {
         // record header, which only the rescan path reads) — a clean,
         // exact read
         // (an `Err` here is typed by construction; no panic is the assertion)
-        if let Ok(mut r) = StoreReader::new(Cursor::new(maimed.clone())) {
+        if let Ok(r) = StoreReader::from_bytes(maimed.clone()) {
             if let Ok(q) = r.query(&Predicate::any(), 2) {
                 assert_eq!(
                     q.events,
@@ -205,7 +207,7 @@ fn bit_flip_fuzz_salvages_exactly_the_intact_chunks() {
         };
         let footer_hit = hit.iter().any(|&o| o >= footer_start);
 
-        let mut r = StoreReader::new_with_policy(Cursor::new(maimed), ReadPolicy::Salvage)
+        let r = StoreReader::from_bytes_with_policy(maimed, ReadPolicy::Salvage)
             .unwrap_or_else(|e| panic!("seed {seed}: salvage open failed: {e}"));
         if footer_hit {
             // footer/trailer damaged: the index is rebuilt by rescan, and
@@ -255,16 +257,16 @@ fn arbitrary_garbage_never_panics_the_reader() {
         let mut garbage: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
         for policy in [ReadPolicy::Strict, ReadPolicy::Salvage] {
             // pure noise
-            let _ = StoreReader::new_with_policy(Cursor::new(garbage.clone()), policy)
-                .map(|mut r| r.read_trace());
+            let _ = StoreReader::from_bytes_with_policy(garbage.clone(), policy)
+                .map(|r| r.read_trace());
             // noise wearing a valid header, to reach the deeper decoders
             // of every supported format version
             if garbage.len() >= HEADER_LEN {
                 garbage[..4].copy_from_slice(b"PTRC");
                 for version in [3, 2, 1] {
                     garbage[4] = version;
-                    let _ = StoreReader::new_with_policy(Cursor::new(garbage.clone()), policy)
-                        .map(|mut r| r.read_trace());
+                    let _ = StoreReader::from_bytes_with_policy(garbage.clone(), policy)
+                        .map(|r| r.read_trace());
                 }
             }
         }
@@ -278,13 +280,12 @@ fn v2_truncation_salvages_the_contained_prefix() {
     let t = resnet18_trace();
     let mut bytes = Vec::new();
     write_store_chunked_v2(t, &mut bytes, CHUNK_EVENTS).unwrap();
-    let pristine = StoreReader::new(Cursor::new(bytes.clone())).unwrap();
+    let pristine = StoreReader::from_bytes(bytes.clone()).unwrap();
     let metas = pristine.footer().chunks.clone();
     let ci = metas.len() / 2;
     let cut = (metas[ci].offset + metas[ci].byte_len) as usize + 1;
-    let mut r =
-        StoreReader::new_with_policy(Cursor::new(bytes[..cut].to_vec()), ReadPolicy::Salvage)
-            .unwrap();
+    let r =
+        StoreReader::from_bytes_with_policy(bytes[..cut].to_vec(), ReadPolicy::Salvage).unwrap();
     assert_eq!(r.salvage_summary().unwrap().chunks_recovered, ci + 1);
     let back = r.read_trace().unwrap();
     assert_eq!(
@@ -298,13 +299,12 @@ fn v1_truncation_salvages_the_cleanly_decoding_prefix() {
     let t = resnet18_trace();
     let mut bytes = Vec::new();
     write_store_chunked_v1(t, &mut bytes, CHUNK_EVENTS).unwrap();
-    let pristine = StoreReader::new(Cursor::new(bytes.clone())).unwrap();
+    let pristine = StoreReader::from_bytes(bytes.clone()).unwrap();
     let metas = pristine.footer().chunks.clone();
     let ci = metas.len() / 2;
     let cut = (metas[ci].offset + metas[ci].byte_len / 2) as usize;
-    let mut r =
-        StoreReader::new_with_policy(Cursor::new(bytes[..cut].to_vec()), ReadPolicy::Salvage)
-            .unwrap();
+    let r =
+        StoreReader::from_bytes_with_policy(bytes[..cut].to_vec(), ReadPolicy::Salvage).unwrap();
     assert_eq!(r.salvage_summary().unwrap().chunks_recovered, ci);
     let back = r.read_trace().unwrap();
     assert_eq!(back.events(), &t.events()[..ci * CHUNK_EVENTS]);
@@ -332,7 +332,7 @@ fn injected_transient_write_errors_are_absorbed_by_the_retry_policy() {
     }
     w.finish().unwrap();
     let bytes = w.into_inner().into_inner().into_inner();
-    let mut r = StoreReader::new(Cursor::new(bytes)).unwrap();
+    let r = StoreReader::from_bytes(bytes).unwrap();
     assert!(r.verify_chunks().unwrap().is_empty());
     assert_eq!(r.read_trace().unwrap().events(), t.events());
 }
@@ -375,7 +375,7 @@ fn failed_finish_leaves_no_destination_and_no_temp_litter() {
         dest.exists() && !tmp.exists(),
         "finish renames tmp onto dest"
     );
-    let mut r = StoreReader::open(&dest).unwrap();
+    let r = StoreReader::open(&dest).unwrap();
     assert_eq!(r.read_trace().unwrap().events(), t.events());
     let _ = std::fs::remove_file(&dest);
 }

@@ -24,7 +24,6 @@ use pinpoint::store::{
 };
 use pinpoint::tensor::rng::Rng64;
 use pinpoint::trace::{BlockId, EventKind, MemEvent, MemoryKind, Trace};
-use std::io::Cursor;
 
 const CHUNK_EVENTS: usize = 512;
 
@@ -94,6 +93,16 @@ fn store_bytes(t: &Trace, version: u8) -> Vec<u8> {
     bytes
 }
 
+/// Every chunk's raw payload, sliced from the store image at the byte
+/// ranges its footer index records.
+fn raw_payloads<'a>(bytes: &'a [u8], r: &StoreReader) -> Vec<&'a [u8]> {
+    r.footer()
+        .chunks
+        .iter()
+        .map(|c| &bytes[c.offset as usize..(c.offset + c.byte_len) as usize])
+        .collect()
+}
+
 #[test]
 fn every_format_reads_the_same_trace_and_answers_queries_identically() {
     for seed in 0..4u64 {
@@ -108,7 +117,7 @@ fn every_format_reads_the_same_trace_and_answers_queries_identically() {
 
         // full event stream: bit-identical across formats
         for (v, bytes) in [1, 2, 3].iter().zip(&stores) {
-            let mut r = StoreReader::new(Cursor::new(bytes.clone())).unwrap();
+            let r = StoreReader::from_bytes(bytes.clone()).unwrap();
             let back = r.read_trace().unwrap();
             assert_eq!(back.events(), t.events(), "seed {seed}: v{v} events");
             assert_eq!(back.labels(), t.labels(), "seed {seed}: v{v} labels");
@@ -137,7 +146,7 @@ fn every_format_reads_the_same_trace_and_answers_queries_identically() {
                 .collect();
             for (v, bytes) in [1, 2, 3].iter().zip(&stores) {
                 for threads in [1, 4] {
-                    let mut r = StoreReader::new(Cursor::new(bytes.clone())).unwrap();
+                    let r = StoreReader::from_bytes(bytes.clone()).unwrap();
                     let q = r.query(pred, threads).unwrap();
                     assert_eq!(
                         q.events, brute,
@@ -153,10 +162,9 @@ fn every_format_reads_the_same_trace_and_answers_queries_identically() {
 fn adaptive_encodings_round_trip_and_the_cost_rule_reacts_to_the_data() {
     let t = random_trace(1, 4 * CHUNK_EVENTS);
     let bytes = store_bytes(&t, 3);
-    let mut r = StoreReader::new(Cursor::new(bytes)).unwrap();
+    let r = StoreReader::from_bytes(bytes.clone()).unwrap();
     let n = r.num_chunks();
-    let all: Vec<usize> = (0..n).collect();
-    let payloads = r.read_chunk_batch(&all).unwrap();
+    let payloads = raw_payloads(&bytes, &r);
     let mut used = [false; 4];
     for (i, p) in payloads.iter().enumerate() {
         let tags =
@@ -195,9 +203,8 @@ fn crafted_columns_pick_the_expected_encodings() {
         );
     }
     let bytes = store_bytes(&t, 3);
-    let mut r = StoreReader::new(Cursor::new(bytes)).unwrap();
-    let payloads = r.read_chunk_batch(&[0]).unwrap();
-    let tags = chunk_encoding_tags(&payloads[0]).unwrap();
+    let r = StoreReader::from_bytes(bytes.clone()).unwrap();
+    let tags = chunk_encoding_tags(raw_payloads(&bytes, &r)[0]).unwrap();
     assert_eq!(tags[0], TAG_DOD, "time column: {tags:?}");
     assert_eq!(tags[3], TAG_RLE, "size column: {tags:?}");
 }
@@ -231,7 +238,7 @@ fn op_label_pushdown_prunes_chunks_only_v3_zone_maps_can() {
 
     let pred = Predicate::any().with_op_label(hot);
     for threads in [1, 4] {
-        let mut v3 = StoreReader::new(Cursor::new(store_bytes(&t, 3))).unwrap();
+        let v3 = StoreReader::from_bytes(store_bytes(&t, 3)).unwrap();
         let q3 = v3.query(&pred, threads).unwrap();
         assert_eq!(q3.events, brute, "threads {threads}");
         assert_eq!(q3.stats.chunks_decoded, 1, "threads {threads}");
@@ -240,7 +247,7 @@ fn op_label_pushdown_prunes_chunks_only_v3_zone_maps_can() {
             "threads {threads}: v3 label bitsets must prune the cold chunks"
         );
 
-        let mut v2 = StoreReader::new(Cursor::new(store_bytes(&t, 2))).unwrap();
+        let v2 = StoreReader::from_bytes(store_bytes(&t, 2)).unwrap();
         let q2 = v2.query(&pred, threads).unwrap();
         assert_eq!(q2.events, brute, "threads {threads}");
         assert_eq!(
@@ -253,7 +260,7 @@ fn op_label_pushdown_prunes_chunks_only_v3_zone_maps_can() {
 #[test]
 fn warm_scans_do_not_grow_the_scratch_pool() {
     let t = random_trace(7, 6 * CHUNK_EVENTS);
-    let mut r = StoreReader::new(Cursor::new(store_bytes(&t, 3))).unwrap();
+    let r = StoreReader::from_bytes(store_bytes(&t, 3)).unwrap();
     let pred = Predicate::any();
     for threads in [1, 4] {
         // cold pass: buffers grow to the largest chunk
