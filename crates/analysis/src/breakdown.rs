@@ -4,7 +4,7 @@
 //! input data, parameters, intermediate results — and tracks the occupancy
 //! timeline that peak comes from.
 
-use pinpoint_trace::{Category, EventKind, Trace};
+use pinpoint_trace::{Category, EventKind, PeakUsage, Trace};
 
 /// One row of a breakdown figure.
 #[derive(Debug, Clone, PartialEq)]
@@ -24,7 +24,11 @@ pub struct BreakdownRow {
 impl BreakdownRow {
     /// Computes the row for a trace.
     pub fn from_trace(label: impl Into<String>, trace: &Trace) -> Self {
-        let peak = trace.peak_live_bytes();
+        Self::from_peak(label, &trace.peak_live_bytes())
+    }
+
+    /// The row for an already-computed peak footprint.
+    pub(crate) fn from_peak(label: impl Into<String>, peak: &PeakUsage) -> Self {
         BreakdownRow {
             label: label.into(),
             peak_bytes: peak.peak_total_bytes,

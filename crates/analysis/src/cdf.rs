@@ -1,5 +1,22 @@
 //! Empirical cumulative distribution functions (Fig. 3a).
 
+/// The nearest-rank `p`-quantile of ascending samples, `p` in `[0, 1]`:
+/// the rule behind [`EmpiricalCdf::percentile`], for callers that hold a
+/// sorted slice and need no CDF of their own.
+///
+/// # Panics
+///
+/// Panics on an empty slice or `p` outside `[0, 1]`.
+pub(crate) fn nearest_rank(sorted: &[u64], p: f64) -> u64 {
+    assert!(!sorted.is_empty(), "percentile of empty CDF");
+    assert!((0.0..=1.0).contains(&p), "p must be in [0, 1]");
+    if p == 0.0 {
+        return sorted[0];
+    }
+    let rank = (p * sorted.len() as f64).ceil() as usize;
+    sorted[rank.clamp(1, sorted.len()) - 1]
+}
+
 /// An empirical CDF over `u64` samples (nanosecond intervals, byte sizes).
 ///
 /// # Examples
@@ -57,13 +74,7 @@ impl EmpiricalCdf {
     ///
     /// Panics on an empty CDF or `p` outside `[0, 1]`.
     pub fn percentile(&self, p: f64) -> u64 {
-        assert!(!self.sorted.is_empty(), "percentile of empty CDF");
-        assert!((0.0..=1.0).contains(&p), "p must be in [0, 1]");
-        if p == 0.0 {
-            return self.sorted[0];
-        }
-        let rank = (p * self.sorted.len() as f64).ceil() as usize;
-        self.sorted[rank.clamp(1, self.sorted.len()) - 1]
+        nearest_rank(&self.sorted, p)
     }
 
     /// Fraction of samples `<= x`.

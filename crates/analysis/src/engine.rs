@@ -29,8 +29,8 @@ use pinpoint_store::{
 };
 use pinpoint_trace::{BlockId, Category, EventKind, MemEvent, MemoryKind, PeakUsage, Trace};
 use std::any::Any;
-use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::fmt;
 use std::marker::PhantomData;
 
@@ -95,7 +95,7 @@ pub trait EventFold: Send + Sync {
     /// columnar implementation. The engine materializes each event
     /// **once per chunk** and shares it among every non-columnar fold in
     /// the pipeline; columnar folds are handed the raw batch instead,
-    /// so a five-fold report never builds an event more than once.
+    /// so a report never builds an event more than once.
     fn columnar(&self) -> bool {
         false
     }
@@ -512,10 +512,12 @@ struct PendingAti {
 }
 
 /// Accumulator of [`AtiFold`]: per-block scalar state plus the intervals
-/// closed so far, in per-block chronological order.
+/// closed so far, in per-block chronological order. The block map is
+/// hashed (std's keyed hasher, so crafted ids cannot collide it into one
+/// bucket); no output order depends on its iteration order.
 #[derive(Debug, Default)]
 pub struct AtiAcc {
-    blocks: BTreeMap<BlockId, AtiBlockState>,
+    blocks: HashMap<BlockId, AtiBlockState>,
     pending: Vec<PendingAti>,
 }
 
@@ -584,10 +586,11 @@ fn ati_merge(mut a: AtiAcc, b: AtiAcc) -> AtiAcc {
             }
         }
     }
-    // A's intervals, then the bridges (closed by B's first accesses),
-    // then B's: per-block chronological order is preserved, which the
-    // final stable sort relies on for bit-identity with the sequential
-    // pass.
+    // A's intervals, then the bridges (closed by B's first accesses, at
+    // most one per block, in map order), then B's: per-block
+    // chronological order is preserved, which the final stable
+    // (end_time_ns, block) sort relies on for bit-identity with the
+    // sequential pass.
     a.pending.extend(b_pending);
     a
 }
@@ -641,18 +644,22 @@ impl EventFold for AtiFold {
     }
 }
 
+/// Live-byte amounts per category, indexed by `Category as usize`
+/// (declaration order, the order of [`Category::ALL`]).
+type CategoryBytes = [i64; Category::ALL.len()];
+
 /// Accumulator of [`PeakFold`]: the span's net allocation delta plus the
 /// best peak candidate relative to the span start.
 #[derive(Debug, Default)]
 pub struct PeakAcc {
     /// Net live-byte change per category over the span.
-    delta: BTreeMap<Category, i64>,
+    delta: CategoryBytes,
     /// Net live-byte change overall.
     delta_total: i64,
     /// Earliest maximum of the running total within the span, with the
-    /// per-category live map at that instant (both relative to the span
-    /// start).
-    peak: Option<(i64, BTreeMap<Category, i64>)>,
+    /// per-category live bytes at that instant (both relative to the span
+    /// start). A new running peak costs an array copy.
+    peak: Option<(i64, CategoryBytes)>,
 }
 
 /// Peak-footprint extraction as a fold — the fused twin of
@@ -661,18 +668,18 @@ pub struct PeakAcc {
 pub struct PeakFold;
 
 fn peak_push(acc: &mut PeakAcc, e: &MemEvent) {
-    let cat = e.mem_kind.category();
+    let cat = e.mem_kind.category() as usize;
     match e.kind {
         EventKind::Malloc => {
-            *acc.delta.entry(cat).or_insert(0) += e.size as i64;
+            acc.delta[cat] += e.size as i64;
             acc.delta_total += e.size as i64;
-            let better = acc.peak.as_ref().is_none_or(|(p, _)| acc.delta_total > *p);
+            let better = acc.peak.is_none_or(|(p, _)| acc.delta_total > p);
             if better {
-                acc.peak = Some((acc.delta_total, acc.delta.clone()));
+                acc.peak = Some((acc.delta_total, acc.delta));
             }
         }
         EventKind::Free => {
-            *acc.delta.entry(cat).or_insert(0) -= e.size as i64;
+            acc.delta[cat] -= e.size as i64;
             acc.delta_total -= e.size as i64;
         }
         EventKind::Read | EventKind::Write => {}
@@ -697,26 +704,23 @@ fn peak_push_batch(acc: &mut PeakAcc, batch: &ColumnBatch, pred: &Predicate) {
     }
 }
 
-fn peak_merge(a: PeakAcc, mut b: PeakAcc) -> PeakAcc {
+/// Element-wise `a + b`.
+fn add_bytes(a: CategoryBytes, b: CategoryBytes) -> CategoryBytes {
+    std::array::from_fn(|c| a[c] + b[c])
+}
+
+fn peak_merge(a: PeakAcc, b: PeakAcc) -> PeakAcc {
     // Rebase B's candidate onto A's closing totals; keep A's candidate
     // on ties so the *earliest* maximum wins, like the sequential scan.
-    let cand_b = b.peak.take().map(|(pt, pc)| {
-        let mut abs = a.delta.clone();
-        for (c, v) in pc {
-            *abs.entry(c).or_insert(0) += v;
-        }
-        (a.delta_total + pt, abs)
-    });
+    let cand_b = b
+        .peak
+        .map(|(pt, pc)| (a.delta_total + pt, add_bytes(a.delta, pc)));
     let peak = match (a.peak, cand_b) {
         (Some(pa), Some(pb)) => Some(if pb.0 > pa.0 { pb } else { pa }),
         (x, y) => x.or(y),
     };
-    let mut delta = a.delta;
-    for (c, v) in b.delta {
-        *delta.entry(c).or_insert(0) += v;
-    }
     PeakAcc {
-        delta,
+        delta: add_bytes(a.delta, b.delta),
         delta_total: a.delta_total + b.delta_total,
         peak,
     }
@@ -727,13 +731,13 @@ fn peak_merge(a: PeakAcc, mut b: PeakAcc) -> PeakAcc {
 fn peak_usage(acc: PeakAcc) -> PeakUsage {
     let (peak_total, at_peak) = match acc.peak {
         Some((p, cats)) if p > 0 => (p, cats),
-        _ => (0, BTreeMap::new()),
+        _ => (0, CategoryBytes::default()),
     };
     PeakUsage {
         peak_total_bytes: peak_total.max(0) as u64,
         at_peak_by_category: Category::ALL
             .iter()
-            .map(|c| (*c, at_peak.get(c).copied().unwrap_or(0).max(0) as u64))
+            .map(|&c| (c, at_peak[c as usize].max(0) as u64))
             .collect(),
     }
 }
@@ -800,14 +804,7 @@ impl EventFold for BreakdownFold {
         true
     }
     fn finish(&self, acc: PeakAcc) -> BreakdownRow {
-        let peak = peak_usage(acc);
-        BreakdownRow {
-            label: self.label.clone(),
-            peak_bytes: peak.peak_total_bytes,
-            input_bytes: peak.bytes(Category::InputData),
-            parameter_bytes: peak.bytes(Category::Parameters),
-            intermediate_bytes: peak.bytes(Category::Intermediates),
-        }
+        BreakdownRow::from_peak(self.label.clone(), &peak_usage(acc))
     }
 }
 
@@ -823,10 +820,11 @@ struct GanttBlockState {
     free_time_ns: Option<u64>,
 }
 
-/// Accumulator of [`GanttFold`].
+/// Accumulator of [`GanttFold`]. The block map is hashed like
+/// [`AtiAcc`]'s; `finish` sorts by an explicit key.
 #[derive(Debug, Default)]
 pub struct GanttAcc {
-    blocks: BTreeMap<BlockId, GanttBlockState>,
+    blocks: HashMap<BlockId, GanttBlockState>,
     /// Time of the last event seen (lifetime end of never-freed blocks).
     end_time_ns: Option<u64>,
 }
@@ -902,7 +900,10 @@ impl EventFold for GanttFold {
             })
             .filter(|r| r.t1_ns >= self.t_start && r.t0_ns <= self.t_end)
             .collect();
-        rects.sort_by_key(|r| (r.t0_ns, r.offset));
+        // the block breaks (t0_ns, offset) ties, as block order does for
+        // `gantt_rects`'s stable sort; blocks are unique, so the key is
+        // total and an unstable sort is deterministic
+        rects.sort_unstable_by_key(|r| (r.t0_ns, r.offset, r.block));
         rects
     }
 }
@@ -1013,6 +1014,53 @@ mod tests {
                 crate::gantt_rects(&t, 0, end),
                 "threads={threads}"
             );
+        }
+    }
+
+    #[test]
+    fn tied_peaks_keep_the_earliest_category_split() {
+        // the running total reaches 100 three times, each with another
+        // category split: twice within the first chunk, then again after
+        // enough reads that it lands in a later chunk of `run_trace` (and
+        // of the store); the first split must win every tie
+        let mut t = Trace::new();
+        let mut time = 0u64;
+        let mut ev = |t: &mut Trace, kind, block, size, mem_kind| {
+            time += 1;
+            t.record(time, kind, BlockId(block), size, 0, mem_kind, None);
+        };
+        ev(&mut t, EventKind::Malloc, 0, 60, MemoryKind::Activation);
+        ev(&mut t, EventKind::Malloc, 1, 40, MemoryKind::Weight);
+        ev(&mut t, EventKind::Free, 0, 60, MemoryKind::Activation);
+        ev(&mut t, EventKind::Malloc, 2, 60, MemoryKind::Input);
+        ev(&mut t, EventKind::Free, 1, 40, MemoryKind::Weight);
+        ev(&mut t, EventKind::Free, 2, 60, MemoryKind::Input);
+        for _ in 0..DEFAULT_CHUNK_EVENTS {
+            ev(&mut t, EventKind::Read, 9, 8, MemoryKind::Other);
+        }
+        ev(&mut t, EventKind::Malloc, 3, 100, MemoryKind::WeightGrad);
+        ev(&mut t, EventKind::Free, 3, 100, MemoryKind::WeightGrad);
+        let want = PeakUsage {
+            peak_total_bytes: 100,
+            at_peak_by_category: vec![
+                (Category::InputData, 0),
+                (Category::Parameters, 40),
+                (Category::Intermediates, 60),
+            ],
+        };
+        assert_eq!(t.peak_live_bytes(), want, "sequential scan");
+
+        let mut bytes = Vec::new();
+        pinpoint_store::write_store_chunked(&t, &mut bytes, 4).unwrap();
+        let reader = pinpoint_store::StoreReader::from_bytes(bytes).unwrap();
+        let mut pipe = FusedPipeline::new();
+        let peak = pipe.register(PeakFold);
+        for threads in [1, 4] {
+            let mut out = pipe.run_trace(&t, threads);
+            assert!(out.stats().chunks_total > 1);
+            assert_eq!(out.take(peak), want, "run_trace, threads={threads}");
+            let mut out = pipe.run(&reader, threads).unwrap();
+            assert_eq!(out.take(peak), want, "store, threads={threads}");
         }
     }
 

@@ -2,6 +2,10 @@
 //! **one** decode of a trace via the fused engine, plus the canonical
 //! JSON renderings shared by the CLI and the `pinpoint-serve` daemon.
 //!
+//! A report folds each event once per pass: it registers three folds
+//! (ATI, peak, Gantt) and derives the other two results from theirs —
+//! the breakdown row from the peak, the outliers by sifting the ATIs.
+//!
 //! The JSON here is the *wire contract* between the offline tool and the
 //! server: both call the same [`report_json`] / [`query_json`] builders,
 //! and both feed them results from the same deterministic engine — so a
@@ -13,12 +17,12 @@
 
 use crate::ati::AtiDataset;
 use crate::breakdown::BreakdownRow;
+use crate::cdf::nearest_rank;
 use crate::engine::{
-    AtiFold, BreakdownFold, FoldHandle, FusedOutputs, FusedPipeline, FusedStats, GanttFold,
-    OutlierFold, PeakFold,
+    AtiFold, FoldHandle, FusedOutputs, FusedPipeline, FusedStats, GanttFold, PeakFold,
 };
 use crate::gantt::GanttRect;
-use crate::outlier::{OutlierCriteria, OutlierReport};
+use crate::outlier::{sift, OutlierCriteria, OutlierReport};
 use pinpoint_store::{ChunkSource, QueryResult, StoreError};
 use pinpoint_trace::export::{kind_name, mem_kind_name, write_event_json};
 use pinpoint_trace::{json, PeakUsage, Trace};
@@ -26,7 +30,9 @@ use std::fmt::Write as _;
 
 /// Every analysis pass of the paper — ATI, peak, breakdown, Gantt,
 /// outliers — computed over **one** decode of the trace by the fused
-/// engine (the five standalone passes would each rescan it).
+/// engine (the five standalone passes would each rescan it), with each
+/// event folded once per pass: the breakdown and the outliers are
+/// derived from the peak and the ATIs.
 #[derive(Debug, Clone)]
 pub struct TraceReport {
     /// Access-time intervals (Figs. 3–4 input).
@@ -43,47 +49,52 @@ pub struct TraceReport {
     pub stats: FusedStats,
 }
 
-/// The five [`TraceReport`] folds as registered on a pipeline;
+/// The three [`TraceReport`] folds as registered on a pipeline —
+/// [`AtiFold`], [`PeakFold`], [`GanttFold`] — plus the outlier criteria;
 /// [`ReportFolds::take`] assembles the report from the run's outputs.
+///
+/// The breakdown row and the outliers get no fold of their own: a
+/// [`BreakdownFold`](crate::BreakdownFold) would repeat the peak fold's
+/// work and an [`OutlierFold`](crate::OutlierFold) the ATI fold's, so
+/// `take` derives them from those two outputs instead.
 #[derive(Debug, Clone, Copy)]
 pub struct ReportFolds {
     ati: FoldHandle<AtiDataset>,
     peak: FoldHandle<PeakUsage>,
-    breakdown: FoldHandle<BreakdownRow>,
     gantt: FoldHandle<Vec<GanttRect>>,
-    outliers: FoldHandle<OutlierReport>,
+    criteria: OutlierCriteria,
 }
 
 impl ReportFolds {
-    /// Registers the five folds on `pipe`.
+    /// Registers the three folds on `pipe`.
     pub fn register(pipe: &mut FusedPipeline, criteria: OutlierCriteria) -> Self {
         ReportFolds {
             ati: pipe.register(AtiFold),
             peak: pipe.register(PeakFold),
-            breakdown: pipe.register(BreakdownFold {
-                label: "trace".to_string(),
-            }),
             gantt: pipe.register(GanttFold {
                 t_start: 0,
                 t_end: u64::MAX,
             }),
-            outliers: pipe.register(OutlierFold { criteria }),
+            criteria,
         }
     }
 
-    /// Takes the five outputs of a run of the pipeline they were
-    /// registered on.
+    /// Takes the three outputs of a run of the pipeline they were
+    /// registered on and derives the breakdown row (labelled `"trace"`)
+    /// and the outliers from them.
     ///
     /// # Panics
     ///
     /// As [`FusedOutputs::take`].
     pub fn take(self, out: &mut FusedOutputs) -> TraceReport {
+        let ati = out.take(self.ati);
+        let peak = out.take(self.peak);
         TraceReport {
-            ati: out.take(self.ati),
-            peak: out.take(self.peak),
-            breakdown: out.take(self.breakdown),
+            breakdown: BreakdownRow::from_peak("trace", &peak),
+            outliers: sift(&ati, self.criteria),
+            ati,
+            peak,
             gantt: out.take(self.gantt),
-            outliers: out.take(self.outliers),
             stats: out.stats().clone(),
         }
     }
@@ -91,7 +102,8 @@ impl ReportFolds {
 
 impl TraceReport {
     /// Runs all five passes over a chunk source in one fused scan: each
-    /// chunk is decoded exactly once, however many passes consume it.
+    /// chunk is decoded exactly once, however many passes consume it, and
+    /// each event is folded once per registered fold.
     /// The source is a `.ptrc` reader, or the daemon's chunk cache, which
     /// gives the same report at any `threads` count whatever mix of
     /// cache hits serves the chunks.
@@ -219,14 +231,15 @@ pub fn report_json_into(d: &TraceReport, max_rects: usize, s: &mut String) {
         d.breakdown.parameter_bytes,
         d.breakdown.intermediate_bytes,
     );
-    let (p50, p90, p99) = if d.ati.is_empty() {
+    // read straight off the dataset's sorted cache: a CDF would clone it
+    let sorted = d.ati.sorted_intervals_ns();
+    let (p50, p90, p99) = if sorted.is_empty() {
         (0, 0, 0)
     } else {
-        let cdf = d.ati.cdf();
         (
-            cdf.percentile(0.5),
-            cdf.percentile(0.9),
-            cdf.percentile(0.99),
+            nearest_rank(sorted, 0.5),
+            nearest_rank(sorted, 0.9),
+            nearest_rank(sorted, 0.99),
         )
     };
     let _ = write!(
@@ -325,6 +338,38 @@ mod tests {
     use super::*;
     use pinpoint_store::{write_store_chunked, Predicate, StoreReader};
     use pinpoint_trace::{BlockId, EventKind, MemoryKind};
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Allocations made by this thread while counting, if counting.
+        static ALLOCS: Cell<Option<u64>> = const { Cell::new(None) };
+    }
+
+    /// The system allocator, counting each thread's allocations while
+    /// that thread runs [`allocs_during`].
+    struct CountingAlloc;
+
+    // SAFETY: forwards every call unchanged to the system allocator.
+    unsafe impl GlobalAlloc for CountingAlloc {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            ALLOCS.with(|c| c.set(c.get().map(|n| n + 1)));
+            System.alloc(layout)
+        }
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            System.dealloc(ptr, layout)
+        }
+    }
+
+    #[global_allocator]
+    static COUNTING: CountingAlloc = CountingAlloc;
+
+    /// Allocations (reallocs included) `f` makes on this thread.
+    fn allocs_during(f: impl FnOnce()) -> u64 {
+        ALLOCS.with(|c| c.set(Some(0)));
+        f();
+        ALLOCS.with(|c| c.replace(None)).unwrap_or(0)
+    }
 
     fn sample_trace() -> Trace {
         let mut t = Trace::new();
@@ -401,6 +446,17 @@ mod tests {
         }
         assert_eq!(scratch.capacity(), cap, "steady-state render reallocated");
         assert_eq!(scratch.report(&d, 5), report_json(&d, 5));
+    }
+
+    #[test]
+    fn warm_render_allocates_nothing() {
+        let t = sample_trace();
+        let d = TraceReport::from_trace(&t, criteria(), 1);
+        assert!(!d.ati.is_empty() && !d.outliers.outliers.is_empty());
+        let mut scratch = RenderScratch::new();
+        let want = scratch.report(&d, 5).to_string();
+        let n = allocs_during(|| assert_eq!(scratch.report(&d, 5), want));
+        assert_eq!(n, 0, "a warm report render allocated {n} time(s)");
     }
 
     #[test]

@@ -43,7 +43,9 @@
 //! `report` runs **all five** analysis passes (ATI, peak, breakdown,
 //! Gantt, outliers) fused over a single scan of the trace — each chunk of
 //! a `.ptrc` store is decoded exactly once, however many passes consume
-//! it. The single-pass subcommands (`ati`, `outliers`, `breakdown`,
+//! it, and each event is folded once per pass: the ATI, peak and Gantt
+//! folds run, and the breakdown and outliers are derived from their
+//! results. The single-pass subcommands (`ati`, `outliers`, `breakdown`,
 //! `gantt`) run the same folds through the same engine: straight off a
 //! store, never materializing the full trace, or over a JSON trace in
 //! memory, printing byte-identical output either way.

@@ -21,6 +21,10 @@
 //!   header (magic, payload length, CRC-32) and the footer gets its own
 //!   CRC in the trailer, making later corruption detectable and the file
 //!   salvageable without its footer.
+//! - **Nothing written that cannot be read back** — every format stores
+//!   block ids and timestamps as signed deltas, so an event with either
+//!   above `i64::MAX` fails [`TraceSink::finish`] with `InvalidInput`
+//!   instead of producing a store its own reader rejects.
 
 use crate::columns::{encode_chunk_v3, MAX_CHUNK_EVENTS};
 use crate::crc32::crc32;
@@ -398,6 +402,17 @@ impl<W: Write> TraceSink for StoreWriter<W> {
 
     fn record_event(&mut self, event: MemEvent) {
         debug_assert!(!self.finished, "record_event after finish");
+        if self.deferred_err.is_none() {
+            // deferred like an I/O error: the chunk holding the event is
+            // then dropped unencoded and `finish` reports the cause
+            if let Some(why) = unencodable(&event) {
+                let msg = format!(
+                    "event {}: {why}; the store cannot encode it",
+                    self.events_total
+                );
+                self.deferred_err = Some(io::Error::new(io::ErrorKind::InvalidInput, msg));
+            }
+        }
         self.events_total += 1;
         self.pending.push(event);
         if self.pending.len() >= self.chunk_events {
@@ -442,6 +457,19 @@ impl<W: Write> TraceSink for StoreWriter<W> {
                 Err(e)
             }
         }
+    }
+}
+
+/// Why an event has no encoding, if it has none: block ids and timestamps
+/// are stored as signed deltas, so neither may exceed `i64::MAX`.
+fn unencodable(e: &MemEvent) -> Option<String> {
+    let limit = i64::MAX as u64;
+    if e.block.0 > limit {
+        Some(format!("block id {} exceeds i64::MAX", e.block.0))
+    } else if e.time_ns > limit {
+        Some(format!("timestamp {} ns exceeds i64::MAX", e.time_ns))
+    } else {
+        None
     }
 }
 
@@ -685,6 +713,71 @@ mod tests {
         .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::TimedOut);
         assert_eq!(sleeps, 2, "3 attempts = 2 backoffs");
+    }
+
+    #[test]
+    fn ids_and_times_above_i64_max_fail_finish_in_every_format() {
+        let huge = 1u64 << 63;
+        let bad = [
+            (
+                "block id",
+                MemEvent {
+                    block: BlockId(huge),
+                    ..event(1)
+                },
+            ),
+            (
+                "timestamp",
+                MemEvent {
+                    time_ns: huge,
+                    ..event(1)
+                },
+            ),
+        ];
+        for (field, e) in bad {
+            let mut t = Trace::new();
+            t.push(event(0));
+            t.push(e.clone());
+            let err = write_store_chunked(&t, Vec::new(), 4).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{field}: {err}");
+            assert!(err.to_string().contains(field), "{field}: {err}");
+            for version in [VERSION_V1, VERSION_V2, VERSION] {
+                let mut w = StoreWriter::with_format(Vec::new(), 1, version).unwrap();
+                w.record_event(event(0));
+                w.record_event(e.clone());
+                w.record_event(event(2));
+                let err = w.finish().unwrap_err();
+                assert_eq!(
+                    err.kind(),
+                    io::ErrorKind::InvalidInput,
+                    "v{version} {field}"
+                );
+                assert!(err.to_string().contains("event 1"), "v{version}: {err}");
+            }
+        }
+
+        // i64::MAX itself still round trips, in every format
+        let max = i64::MAX as u64;
+        let mut t = Trace::new();
+        t.push(event(0));
+        t.push(MemEvent {
+            block: BlockId(max),
+            time_ns: max,
+            ..event(1)
+        });
+        t.push(MemEvent {
+            time_ns: max,
+            ..event(0)
+        });
+        for version in [VERSION_V1, VERSION_V2, VERSION] {
+            let mut w = StoreWriter::with_format(Vec::new(), 2, version).unwrap();
+            for e in t.events() {
+                w.record_event(e.clone());
+            }
+            w.finish().unwrap();
+            let r = crate::StoreReader::from_bytes(w.into_inner()).unwrap();
+            assert_eq!(r.read_trace().unwrap().events(), t.events(), "v{version}");
+        }
     }
 
     #[test]

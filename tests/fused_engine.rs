@@ -1,11 +1,12 @@
 //! Property tests for the fused analysis engine: against seeded
-//! pseudo-random traces, a fused multi-pass run must be bit-identical to
-//! the five standalone passes, at any thread count, for both `.ptrc`
-//! stores and in-memory traces — and must decode each chunk exactly once.
+//! pseudo-random traces, a fused multi-pass run — and the report built on
+//! it — must be bit-identical to the five standalone passes, at any thread
+//! count, for both `.ptrc` stores and in-memory traces — and must decode
+//! each chunk exactly once.
 
 use pinpoint::analysis::{
     gantt_rects, sift, AtiDataset, AtiFold, BreakdownFold, BreakdownRow, FusedPipeline, GanttFold,
-    OutlierCriteria, OutlierFold, PeakFold,
+    OutlierCriteria, OutlierFold, PeakFold, TraceReport,
 };
 use pinpoint::store::{write_store_chunked, StoreReader};
 use pinpoint::tensor::rng::Rng64;
@@ -13,7 +14,12 @@ use pinpoint::trace::{BlockId, EventKind, Marker, MemEvent, MemoryKind, Trace};
 
 /// Generates a pseudo-random trace: arbitrary event mixes, shared and
 /// fresh blocks, op labels, markers (mirrors `store_roundtrip.rs`).
+/// About a third of the traces use sparse block ids that differ only in
+/// their high bits, and about a third use coarse times and offsets, so
+/// that Gantt `(t0_ns, offset)` ties across blocks occur.
 fn arbitrary_trace(rng: &mut Rng64, events: usize) -> Trace {
+    let sparse_ids = rng.gen_range_usize(0, 3) == 0;
+    let coarse = rng.gen_range_usize(0, 3) == 0;
     let mut t = Trace::new();
     let n_labels = rng.gen_range_usize(0, 8);
     for i in 0..n_labels {
@@ -37,23 +43,33 @@ fn arbitrary_trace(rng: &mut Rng64, events: usize) -> Trace {
     ];
     let mut time = 0u64;
     for _ in 0..events {
-        let dt_bits = rng.gen_range_usize(1, 30);
-        time += rng.gen_below(1 << dt_bits);
+        time += if coarse {
+            rng.gen_below(2)
+        } else {
+            let dt_bits = rng.gen_range_usize(1, 30);
+            rng.gen_below(1 << dt_bits)
+        };
         let op_label = if n_labels > 0 && rng.gen_bool() {
             Some(rng.gen_range_usize(0, n_labels) as u32)
         } else {
             None
         };
         // few distinct blocks, so intervals and re-mallocs actually happen
-        let block = BlockId(rng.gen_below(12));
+        let id = rng.gen_below(12);
+        let block = BlockId(if sparse_ids { id << 40 } else { id });
         let size_bits = rng.gen_range_usize(1, 33);
-        let offset_bits = rng.gen_range_usize(1, 38);
+        let offset = if coarse {
+            rng.gen_below(4) << 12
+        } else {
+            let offset_bits = rng.gen_range_usize(1, 38);
+            rng.gen_below(1 << offset_bits)
+        };
         t.push(MemEvent {
             time_ns: time,
             kind: kinds[rng.gen_range_usize(0, kinds.len())],
             block,
             size: rng.gen_below(1 << size_bits) as usize,
-            offset: rng.gen_below(1 << offset_bits) as usize,
+            offset: offset as usize,
             mem_kind: mem_kinds[rng.gen_range_usize(0, mem_kinds.len())],
             op_label,
         });
@@ -119,6 +135,16 @@ fn five_fold_pipeline(
     (pipe, ati, peak, breakdown, gantt, outliers)
 }
 
+/// Compares a report with the oracle, field by field.
+fn assert_report_matches(got: &TraceReport, want: &Oracle, events: usize, tag: &str) {
+    assert_eq!(got.ati, want.ati, "{tag}");
+    assert_eq!(got.peak, want.peak, "{tag}");
+    assert_eq!(got.breakdown, want.breakdown, "{tag}");
+    assert_eq!(got.gantt, want.gantt, "{tag}");
+    assert_eq!(got.outliers, want.outliers, "{tag}");
+    assert_eq!(got.stats.events_scanned, events as u64, "{tag}");
+}
+
 #[test]
 fn fused_five_passes_match_standalone_on_arbitrary_traces() {
     let criteria = OutlierCriteria {
@@ -126,11 +152,17 @@ fn fused_five_passes_match_standalone_on_arbitrary_traces() {
         min_size_bytes: 1 << 24,
     };
     let mut rng = Rng64::seed_from_u64(0xf05e_d0e5);
+    let mut gantt_ties = 0;
     for case in 0..20 {
         let events = rng.gen_range_usize(0, 500);
         let chunk = rng.gen_range_usize(1, 64);
         let t = arbitrary_trace(&mut rng, events);
         let want = oracle(&t, criteria);
+        gantt_ties += want
+            .gantt
+            .windows(2)
+            .filter(|w| (w[0].t0_ns, w[0].offset) == (w[1].t0_ns, w[1].offset))
+            .count();
         let end = t.end_time_ns();
         for threads in [1, 4] {
             // in-memory fused run
@@ -153,8 +185,16 @@ fn fused_five_passes_match_standalone_on_arbitrary_traces() {
             assert_eq!(out.take(breakdown), want.breakdown, "{tag}");
             assert_eq!(out.take(gantt), want.gantt, "{tag}");
             assert_eq!(out.take(outliers), want.outliers, "{tag}");
+
+            // the report, which folds three passes and derives two
+            let tag = format!("case {case}, chunk {chunk}, threads {threads}, report");
+            let d = TraceReport::from_trace(&t, criteria, threads);
+            assert_report_matches(&d, &want, t.len(), &format!("{tag} from_trace"));
+            let d = TraceReport::from_store(&r, criteria, threads).unwrap();
+            assert_report_matches(&d, &want, t.len(), &format!("{tag} from_store"));
         }
     }
+    assert!(gantt_ties > 0, "no Gantt (t0_ns, offset) tie was generated");
 }
 
 #[test]
