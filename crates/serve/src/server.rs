@@ -2,16 +2,20 @@
 //! keep-alive connection handling, request routing, and the resilience
 //! layer (deadlines, panic isolation, circuit breakers, graceful drain).
 //!
-//! Request lifecycle: the accept thread takes connections off the
-//! listener and pushes them onto a bounded queue. When the queue is at
-//! capacity the connection is answered 503 *in the accept thread* and
-//! closed — load shedding costs one small write, never a worker, so the
-//! daemon degrades to fast refusals instead of growing an unbounded
-//! backlog or hanging clients. The `Retry-After` value is derived from
-//! the queue's depth and the pool's drain width (`ceil(depth / workers)`,
-//! clamped to 1..=8 seconds): a barely-full queue says "come right back",
-//! a deep one backs clients off proportionally — and deterministically,
-//! so tests can assert the exact header.
+//! Request lifecycle: the accept thread blocks in `accept()`, sets
+//! `TCP_NODELAY` on each new connection, and pushes it onto a bounded
+//! queue, so a fresh connection waits on no timer. The stop paths wake
+//! the blocked accept with one self-connection to the listener (to
+//! loopback for an unspecified bind), which the loop drops unserved and
+//! uncounted. When the queue is at capacity the connection is answered
+//! 503 *in the accept thread* and closed — load shedding costs one small
+//! write, never a worker, so the daemon degrades to fast refusals
+//! instead of growing an unbounded backlog or hanging clients. The
+//! `Retry-After` value is derived from the queue's depth and the pool's
+//! drain width (`ceil(depth / workers)`, clamped to 1..=8 seconds): a
+//! barely-full queue says "come right back", a deep one backs clients
+//! off proportionally — and deterministically, so tests can assert the
+//! exact header.
 //!
 //! Queued connections are drained by a fixed pool of worker threads.
 //! Each worker owns one [`WorkerCtx`] — reusable connection buffers and a
@@ -70,7 +74,7 @@ use pinpoint_trace::{Category, EventKind};
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
@@ -183,6 +187,8 @@ struct Shared {
     pre_pending: AtomicU64,
     /// Monotone request ids, stamped on every `serve.request` span.
     req_seq: AtomicU64,
+    /// Where a self-connection reaches the listener (see [`wake_addr`]).
+    wake_addr: SocketAddr,
     config: ServeConfig,
 }
 
@@ -191,10 +197,19 @@ impl Shared {
         self.phase.load(Ordering::SeqCst)
     }
 
-    /// Monotone phase advance; wakes every parked worker.
+    /// Monotone phase advance; wakes every parked worker, and — on the
+    /// first move to stopping or beyond — the accept thread blocked in
+    /// `accept()`, by opening one connection to the listener. The accept
+    /// loop drops that connection unserved.
     fn advance_phase(&self, to: u8) {
-        self.phase.fetch_max(to, Ordering::SeqCst);
+        let from = self.phase.fetch_max(to, Ordering::SeqCst);
         self.ready.notify_all();
+        if from < PHASE_STOPPING && to >= PHASE_STOPPING {
+            // a refused or timed-out connect means the accept loop has
+            // already left (or is about to): it re-checks the phase
+            // before every accept
+            let _ = TcpStream::connect_timeout(&self.wake_addr, Duration::from_secs(1));
+        }
     }
 
     /// Absolute tracer timestamp by which the drain must finish
@@ -274,7 +289,6 @@ impl ServerHandle {
 /// Propagates bind errors.
 pub fn start(config: ServeConfig) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(&config.addr)?;
-    listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
     // the daemon is its own observability consumer: spans back the
     // `/debug/spans` endpoint and the `X-Pinpoint-Timing` header, so
@@ -293,6 +307,7 @@ pub fn start(config: ServeConfig) -> io::Result<ServerHandle> {
         drain_start_ns: AtomicU64::new(0),
         pre_pending: AtomicU64::new(0),
         req_seq: AtomicU64::new(0),
+        wake_addr: wake_addr(addr),
         config: config.clone(),
     });
     let mut workers = Vec::with_capacity(config.workers.max(1));
@@ -323,13 +338,34 @@ fn retry_after_secs(queue_depth: usize, workers: usize) -> u64 {
     (queue_depth.div_ceil(workers.max(1)) as u64).clamp(1, 8)
 }
 
+/// The address a self-connection uses to reach a listener bound to
+/// `bound`: the bound address itself, or for an unspecified bind
+/// (`0.0.0.0` / `[::]`) the loopback address of the same family.
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let ip = match bound.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, bound.port())
+}
+
+/// Blocks in `accept()`, so a fresh connection is handed to the queue
+/// as soon as it arrives. The stop paths wake it through
+/// [`Shared::advance_phase`]'s self-connection.
 fn accept_loop(listener: &TcpListener, shared: &Shared) {
     let io_timeout = (shared.config.io_timeout_ms > 0)
         .then(|| Duration::from_millis(shared.config.io_timeout_ms));
     while shared.phase() < PHASE_STOPPING {
         match listener.accept() {
             Ok((mut stream, _)) => {
+                if shared.phase() >= PHASE_STOPPING {
+                    // the wake connection (or a straggler racing it): a
+                    // stopping daemon admits nothing new
+                    return;
+                }
                 shared.metrics.accepted.inc();
+                let _ = stream.set_nodelay(true);
                 let _ = stream.set_read_timeout(io_timeout);
                 let _ = stream.set_write_timeout(io_timeout);
                 let mut queue = shared.queue.lock().expect("queue poisoned");
@@ -356,9 +392,13 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
                     shared.ready.notify_one();
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
+            // the peer gave up before the accept, or a signal landed
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::ConnectionAborted | io::ErrorKind::Interrupted
+                ) => {}
+            // fd or memory exhaustion: back off instead of spinning
             Err(_) => std::thread::sleep(Duration::from_millis(5)),
         }
     }
@@ -1255,6 +1295,15 @@ mod tests {
         assert_eq!(retry_after_secs(9, 4), 3);
         assert_eq!(retry_after_secs(1000, 1), 8, "clamped");
         assert_eq!(retry_after_secs(0, 0), 1, "degenerate inputs stay sane");
+    }
+
+    #[test]
+    fn wake_addr_maps_unspecified_binds_to_loopback_of_the_same_family() {
+        let wake = |bound: &str| wake_addr(bound.parse().unwrap()).to_string();
+        assert_eq!(wake("0.0.0.0:7070"), "127.0.0.1:7070");
+        assert_eq!(wake("[::]:7070"), "[::1]:7070");
+        assert_eq!(wake("127.0.0.1:7070"), "127.0.0.1:7070");
+        assert_eq!(wake("10.1.2.3:7070"), "10.1.2.3:7070");
     }
 
     #[test]

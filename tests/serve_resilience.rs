@@ -2,7 +2,8 @@
 //! that cut doomed work with a deterministic `503`, panic isolation
 //! (contained 500s and watchdog respawns), the per-store circuit
 //! breaker's full deterministic cycle, graceful drain with `/healthz`
-//! observability, and slow-loris defense via the I/O timeout.
+//! observability, stop paths that wake a blocked accept, and
+//! slow-loris defense via the I/O timeout.
 
 use pinpoint::core::{profile, ProfileConfig};
 use pinpoint::serve::breaker::cooldown_rejections;
@@ -11,6 +12,7 @@ use pinpoint::store::write_store_file;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::Duration;
 
 /// Keeps `cargo test` output readable: chaos panics (`panic` / `kill`
@@ -399,6 +401,59 @@ fn graceful_drain_finishes_inflight_work_and_stays_observable() {
     drop(pre);
 
     handle.wait();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Runs `stop` (a call that joins the daemon) on a helper thread and
+/// fails, instead of hanging the suite, if it has not returned within
+/// a few seconds — the symptom of an accept thread nobody woke.
+fn returns_promptly(what: &str, stop: impl FnOnce() + Send + 'static) {
+    let (done, finished) = mpsc::channel();
+    let helper = std::thread::spawn(move || {
+        stop();
+        let _ = done.send(());
+    });
+    if let Err(RecvTimeoutError::Timeout) = finished.recv_timeout(Duration::from_secs(5)) {
+        panic!("{what} did not return within 5 s: is the accept thread still blocked?");
+    }
+    // re-raises a panic from `stop` itself
+    helper.join().unwrap();
+}
+
+/// `ServerHandle::shutdown` on an idle daemon bound to every interface
+/// wakes the accept thread (through loopback) and returns.
+#[test]
+fn shutdown_wakes_an_idle_accept_on_an_unspecified_bind() {
+    let dir = tmp_catalog("wake-any");
+    let handle = start(ServeConfig {
+        catalog_dir: dir.clone(),
+        addr: "0.0.0.0:0".to_string(),
+        workers: 1,
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    assert!(handle.addr().ip().is_unspecified());
+    returns_promptly("shutdown() of an idle 0.0.0.0 daemon", move || {
+        handle.shutdown()
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A token `POST /shutdown` finishes its drain on the watchdog, which
+/// must wake the accept thread so `wait()` returns.
+#[test]
+fn token_shutdown_wakes_the_accept_so_wait_returns() {
+    let dir = tmp_catalog("wake-token");
+    let handle = start(ServeConfig {
+        catalog_dir: dir.clone(),
+        workers: 1,
+        shutdown_token: Some("tok".to_string()),
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let (status, _, body) = post_with(handle.addr(), "/shutdown", "", "X-Pinpoint-Token: tok\r\n");
+    assert_eq!(status, 204, "{body}");
+    returns_promptly("wait() after a token shutdown", move || handle.wait());
     let _ = std::fs::remove_dir_all(&dir);
 }
 

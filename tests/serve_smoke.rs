@@ -3,8 +3,8 @@
 //! against the CLI's offline `--json` output, salvage answers for damaged
 //! stores with exact loss accounting, deterministic overload shedding,
 //! keep-alive sessions, result-cache behavior (hits, eviction,
-//! generation invalidation, conditional `304`s), and the
-//! `pinpoint-trace-tool serve` subcommand end to end.
+//! generation invalidation, conditional `304`s), fresh-connection
+//! latency, and the `pinpoint-trace-tool serve` subcommand end to end.
 
 use pinpoint::core::{profile, ProfileConfig};
 use pinpoint::serve::{start, ServeConfig};
@@ -14,7 +14,7 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn bin(name: &str) -> PathBuf {
     // integration tests run from the workspace root; binaries are built
@@ -969,6 +969,41 @@ fn debug_spans_replays_request_trees() {
     assert!(
         saw_full_chain,
         "a fresh report must replay its full stage chain: {body}"
+    );
+
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A fresh connection reaches a worker as soon as it arrives: no poll
+/// interval sits between a client's connect and the daemon's accept.
+/// Sequential one-shot health checks must take well under the 5 ms a
+/// polling accept loop added to every one of them.
+#[test]
+fn fresh_connections_wait_on_no_accept_poll() {
+    let dir = tmp_catalog("connect-floor");
+    let handle = start(ServeConfig {
+        catalog_dir: dir.clone(),
+        workers: 2,
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let addr = handle.addr();
+
+    let mut round_trips: Vec<Duration> = (0..50)
+        .map(|_| {
+            let t = Instant::now();
+            let (status, _, body) = get(addr, "/healthz");
+            assert_eq!(status, 200, "{body}");
+            t.elapsed()
+        })
+        .collect();
+    round_trips.sort_unstable();
+    let median = round_trips[round_trips.len() / 2];
+    assert!(
+        median < Duration::from_micros(2_500),
+        "median one-shot /healthz round trip {median:?}: a fresh connection \
+         is waiting on something other than the daemon's work"
     );
 
     handle.shutdown();
