@@ -5,6 +5,7 @@
 //! studies the ATI distribution; Fig. 4 pairs every ATI with its block's
 //! size to find the swappable outliers.
 
+use crate::engine::{AtiFold, FusedPipeline};
 use pinpoint_trace::{BlockId, EventKind, MemoryKind, Trace};
 
 /// One access-time interval of one block.
@@ -39,23 +40,11 @@ pub struct AtiDataset {
 }
 
 impl AtiDataset {
-    /// Extracts every ATI from a trace.
+    /// Extracts every ATI from a trace by running [`AtiFold`] over it.
     pub fn from_trace(trace: &Trace) -> Self {
-        let mut records = Vec::new();
-        for lt in trace.lifetimes().values() {
-            for w in lt.accesses.windows(2) {
-                records.push(AtiRecord {
-                    block: lt.block,
-                    size: lt.size,
-                    mem_kind: lt.mem_kind,
-                    interval_ns: w[1].0 - w[0].0,
-                    end_time_ns: w[1].0,
-                    closing_kind: w[1].1,
-                });
-            }
-        }
-        records.sort_by_key(|r| (r.end_time_ns, r.block));
-        Self::from_records(records)
+        let mut pipe = FusedPipeline::new();
+        let ati = pipe.register(AtiFold);
+        pipe.run_trace(trace, 1).take(ati)
     }
 
     /// Builds a dataset around pre-extracted records, computing the sorted

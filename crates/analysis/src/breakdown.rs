@@ -27,8 +27,9 @@ impl BreakdownRow {
         Self::from_peak(label, &trace.peak_live_bytes())
     }
 
-    /// The row for an already-computed peak footprint.
-    pub(crate) fn from_peak(label: impl Into<String>, peak: &PeakUsage) -> Self {
+    /// The row for an already-computed peak footprint, such as a
+    /// [`PeakFold`](crate::PeakFold)'s output.
+    pub fn from_peak(label: impl Into<String>, peak: &PeakUsage) -> Self {
         BreakdownRow {
             label: label.into(),
             peak_bytes: peak.peak_total_bytes,

@@ -21,7 +21,7 @@ impl Delta {
         Delta { a, b }
     }
 
-    /// `b / a`, or `NaN` when `a == 0`.
+    /// `b / a`: `±inf` when only `a` is 0, `NaN` when both are.
     pub fn ratio(&self) -> f64 {
         self.b / self.a
     }
@@ -86,8 +86,8 @@ fn median_ati(trace: &Trace) -> f64 {
 pub fn diff_traces(a: &Trace, b: &Trace) -> TraceDiff {
     let (pa, pb) = (a.peak_live_bytes(), b.peak_live_bytes());
     let (ba, bb) = (
-        BreakdownRow::from_trace("a", a),
-        BreakdownRow::from_trace("b", b),
+        BreakdownRow::from_peak("a", &pa),
+        BreakdownRow::from_peak("b", &pb),
     );
     TraceDiff {
         events: Delta::new(a.len() as f64, b.len() as f64),

@@ -11,23 +11,24 @@
 //! back **in chunk order** — so results are bit-identical at any thread
 //! count, the repo's established determinism invariant.
 //!
-//! The five paper passes ship as ready-made folds: [`AtiFold`],
-//! [`PeakFold`], [`BreakdownFold`], [`GanttFold`], [`OutlierFold`].
+//! The paper's passes ship as three ready-made folds — [`AtiFold`],
+//! [`PeakFold`] and [`GanttFold`] — and the public `from_trace` passes
+//! ([`AtiDataset::from_trace`], [`crate::gantt_rects`]) are wrappers over
+//! them. The breakdown row and the outliers need no fold of their own:
+//! [`BreakdownRow::from_peak`](crate::BreakdownRow::from_peak) and
+//! [`sift`](crate::sift) derive them from the peak and the ATIs.
 //!
-//! [`FusedPipeline::run`] takes any [`ChunkSource`] (a `.ptrc` reader, or
-//! the serving tier's chunk cache) through the store's one [`scan`].
-//! [`FusedPipeline::run_trace`] stays a separate entry for in-memory
-//! traces: it folds the events where they lie instead of copying them
-//! into column batches first.
+//! [`FusedPipeline::run`] takes any [`ChunkSource`] (a `.ptrc` reader, the
+//! serving tier's chunk cache, or an in-memory trace's [`EventSource`])
+//! through the store's one [`scan`]; [`FusedPipeline::run_trace`] is the
+//! in-memory shorthand.
 
 use crate::ati::{AtiDataset, AtiRecord};
-use crate::breakdown::BreakdownRow;
 use crate::gantt::GanttRect;
-use crate::outlier::{sift, OutlierCriteria, OutlierReport};
 use pinpoint_store::{
-    scan, ChunkSource, ColumnBatch, Predicate, QueryStats, StoreError, DEFAULT_CHUNK_EVENTS,
+    scan, ChunkSource, ColumnBatch, EventSource, Predicate, QueryStats, StoreError,
 };
-use pinpoint_trace::{BlockId, Category, EventKind, MemEvent, MemoryKind, PeakUsage, Trace};
+use pinpoint_trace::{BlockId, EventKind, MemEvent, MemoryKind, PeakAcc, PeakUsage, Trace};
 use std::any::Any;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -320,10 +321,11 @@ impl FusedPipeline {
 
     /// Runs every registered fold over a chunk source in **one pass**:
     /// chunks not matching the union predicate are pruned via the index,
-    /// each surviving chunk is fetched (read, CRC-checked and decoded, or
-    /// taken from a cache) exactly once, and per-chunk partial states
-    /// merge in chunk order — bit-identical results at any `threads`
-    /// count, whatever mix of cache hits serves the batches.
+    /// each surviving chunk is fetched (read, CRC-checked and decoded,
+    /// taken from a cache, or filled from memory) exactly once, and
+    /// per-chunk partial states merge in chunk order — bit-identical
+    /// results at any `threads` count, whatever mix of cache hits serves
+    /// the batches.
     ///
     /// Under the source's
     /// [`ReadPolicy::Salvage`](pinpoint_store::ReadPolicy::Salvage),
@@ -368,50 +370,25 @@ impl FusedPipeline {
                 merged = merge_accs(folds, merged.take(), accs);
             },
         )?;
-        Ok(self.finalize(merged, FusedStats::from_scan(stats, events_scanned)))
-    }
-
-    /// Runs every registered fold over an in-memory trace in one pass,
-    /// splitting the event list into fixed-size chunks for the same
-    /// parallel map + in-order merge as [`run`](Self::run)
-    /// (fixed boundaries, so results are thread-count invariant). No
-    /// chunk pruning happens here — there is no index — but per-fold
-    /// event predicates still apply.
-    pub fn run_trace(&self, trace: &Trace, threads: usize) -> FusedOutputs {
-        let _run_span = pinpoint_obs::tracer().span_with("engine.run", self.folds.len() as u64);
-        let chunks: Vec<&[MemEvent]> = trace.events().chunks(DEFAULT_CHUNK_EVENTS).collect();
-        let chunks_total = chunks.len();
-        let preds: Vec<Predicate> = self.folds.iter().map(|f| f.predicate_dyn()).collect();
-        let folds = &self.folds;
-        let (merged, events_scanned) = pinpoint_parallel::map_reduce_ordered(
-            chunks,
-            threads,
-            (None, 0u64),
-            |events: &[MemEvent]| (fold_chunk(folds, &preds, events), events.len() as u64),
-            |(acc, n), (accs, len)| (merge_accs(folds, acc, accs), n + len),
-        );
-        self.finalize(
-            merged,
-            FusedStats {
-                chunks_total,
-                chunks_decoded: chunks_total,
-                events_scanned,
-                ..FusedStats::default()
-            },
-        )
-    }
-
-    /// Merged accumulators → outputs (empty input → empty-fold outputs).
-    fn finalize(&self, merged: Option<Vec<DynAcc>>, stats: FusedStats) -> FusedOutputs {
         let _finish_span = pinpoint_obs::tracer().span("engine.finish");
-        let accs = merged.unwrap_or_else(|| self.folds.iter().map(|f| f.new_acc_dyn()).collect());
-        let outputs = self
-            .folds
+        // no chunk folded: every fold finishes from an empty accumulator
+        let accs = merged.unwrap_or_else(|| folds.iter().map(|f| f.new_acc_dyn()).collect());
+        let outputs = folds
             .iter()
             .zip(accs)
             .map(|(f, a)| Some(f.finish_dyn(a)))
             .collect();
-        FusedOutputs { outputs, stats }
+        Ok(FusedOutputs {
+            outputs,
+            stats: FusedStats::from_scan(stats, events_scanned),
+        })
+    }
+
+    /// [`run`](Self::run) over an in-memory trace's [`EventSource`],
+    /// whose fetches never fail.
+    pub fn run_trace(&self, trace: &Trace, threads: usize) -> FusedOutputs {
+        self.run(&EventSource::new(trace.events()), threads)
+            .expect("in-memory chunks never fail to fetch")
     }
 }
 
@@ -448,21 +425,6 @@ fn fold_chunk_batch(
     accs
 }
 
-/// Folds one chunk of already-materialized events into fresh per-fold
-/// accumulators (the [`FusedPipeline::run_trace`] path).
-fn fold_chunk(folds: &[Box<dyn DynFold>], preds: &[Predicate], events: &[MemEvent]) -> Vec<DynAcc> {
-    let _fold_span = pinpoint_obs::tracer().span_with("engine.fold", events.len() as u64);
-    let mut accs: Vec<DynAcc> = folds.iter().map(|f| f.new_acc_dyn()).collect();
-    for e in events {
-        for ((fold, pred), acc) in folds.iter().zip(preds).zip(&mut accs) {
-            if pred.matches_event(e) {
-                fold.push_dyn(acc, e);
-            }
-        }
-    }
-    accs
-}
-
 /// In-order reduce step: merge the next chunk's accumulators into the
 /// running ones (earlier chunks on the left).
 fn merge_accs(
@@ -482,7 +444,7 @@ fn merge_accs(
 }
 
 // ---------------------------------------------------------------------------
-// The five paper passes as folds.
+// The paper's passes as folds.
 // ---------------------------------------------------------------------------
 
 /// Per-block state the ATI fold keeps — O(1) per live block, not every
@@ -521,104 +483,10 @@ pub struct AtiAcc {
     pending: Vec<PendingAti>,
 }
 
-/// Access-time-interval extraction as a fold — the fused twin of
-/// [`AtiDataset::from_trace`].
+/// Access-time-interval extraction as a fold; [`AtiDataset::from_trace`]
+/// runs it over an in-memory trace.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AtiFold;
-
-fn ati_push(acc: &mut AtiAcc, e: &MemEvent) {
-    let st = acc.blocks.entry(e.block).or_insert(AtiBlockState {
-        fallback_size: e.size,
-        fallback_kind: e.mem_kind,
-        malloc_meta: None,
-        first_access: None,
-        last_access: None,
-    });
-    match e.kind {
-        EventKind::Malloc => st.malloc_meta = Some((e.size, e.mem_kind)),
-        EventKind::Free => {}
-        EventKind::Read | EventKind::Write => {
-            if let Some((prev, _)) = st.last_access {
-                acc.pending.push(PendingAti {
-                    block: e.block,
-                    interval_ns: e.time_ns - prev,
-                    end_time_ns: e.time_ns,
-                    closing_kind: e.kind,
-                });
-            }
-            if st.first_access.is_none() {
-                st.first_access = Some((e.time_ns, e.kind));
-            }
-            st.last_access = Some((e.time_ns, e.kind));
-        }
-    }
-}
-
-fn ati_merge(mut a: AtiAcc, b: AtiAcc) -> AtiAcc {
-    let AtiAcc {
-        blocks: b_blocks,
-        pending: b_pending,
-    } = b;
-    for (block, sb) in b_blocks {
-        match a.blocks.entry(block) {
-            Entry::Vacant(v) => {
-                v.insert(sb);
-            }
-            Entry::Occupied(mut o) => {
-                let sa = o.get_mut();
-                // Bridge the interval spanning the two accumulators'
-                // event spans: A's last access → B's first.
-                if let (Some((ta, _)), Some((tb, kb))) = (sa.last_access, sb.first_access) {
-                    a.pending.push(PendingAti {
-                        block,
-                        interval_ns: tb - ta,
-                        end_time_ns: tb,
-                        closing_kind: kb,
-                    });
-                }
-                sa.malloc_meta = sb.malloc_meta.or(sa.malloc_meta);
-                if sa.first_access.is_none() {
-                    sa.first_access = sb.first_access;
-                }
-                if sb.last_access.is_some() {
-                    sa.last_access = sb.last_access;
-                }
-            }
-        }
-    }
-    // A's intervals, then the bridges (closed by B's first accesses, at
-    // most one per block, in map order), then B's: per-block
-    // chronological order is preserved, which the final stable
-    // (end_time_ns, block) sort relies on for bit-identity with the
-    // sequential pass.
-    a.pending.extend(b_pending);
-    a
-}
-
-/// Completes pending intervals with each block's final size/kind and
-/// builds the dataset exactly like the sequential pass.
-fn ati_dataset(acc: AtiAcc) -> AtiDataset {
-    let mut records: Vec<AtiRecord> = acc
-        .pending
-        .iter()
-        .map(|p| {
-            let st = &acc.blocks[&p.block];
-            let (size, mem_kind) = st
-                .malloc_meta
-                .unwrap_or((st.fallback_size, st.fallback_kind));
-            AtiRecord {
-                block: p.block,
-                size,
-                mem_kind,
-                interval_ns: p.interval_ns,
-                end_time_ns: p.end_time_ns,
-                closing_kind: p.closing_kind,
-            }
-        })
-        .collect();
-    records.sort_by_key(|r| (r.end_time_ns, r.block));
-    AtiDataset::from_records(records)
-}
 
 impl EventFold for AtiFold {
     type Acc = AtiAcc;
@@ -634,113 +502,102 @@ impl EventFold for AtiFold {
         AtiAcc::default()
     }
     fn push(&self, acc: &mut AtiAcc, e: &MemEvent) {
-        ati_push(acc, e);
-    }
-    fn merge(&self, a: AtiAcc, b: AtiAcc) -> AtiAcc {
-        ati_merge(a, b)
-    }
-    fn finish(&self, acc: AtiAcc) -> AtiDataset {
-        ati_dataset(acc)
-    }
-}
-
-/// Live-byte amounts per category, indexed by `Category as usize`
-/// (declaration order, the order of [`Category::ALL`]).
-type CategoryBytes = [i64; Category::ALL.len()];
-
-/// Accumulator of [`PeakFold`]: the span's net allocation delta plus the
-/// best peak candidate relative to the span start.
-#[derive(Debug, Default)]
-pub struct PeakAcc {
-    /// Net live-byte change per category over the span.
-    delta: CategoryBytes,
-    /// Net live-byte change overall.
-    delta_total: i64,
-    /// Earliest maximum of the running total within the span, with the
-    /// per-category live bytes at that instant (both relative to the span
-    /// start). A new running peak costs an array copy.
-    peak: Option<(i64, CategoryBytes)>,
-}
-
-/// Peak-footprint extraction as a fold — the fused twin of
-/// `Trace::peak_live_bytes()`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PeakFold;
-
-fn peak_push(acc: &mut PeakAcc, e: &MemEvent) {
-    let cat = e.mem_kind.category() as usize;
-    match e.kind {
-        EventKind::Malloc => {
-            acc.delta[cat] += e.size as i64;
-            acc.delta_total += e.size as i64;
-            let better = acc.peak.is_none_or(|(p, _)| acc.delta_total > p);
-            if better {
-                acc.peak = Some((acc.delta_total, acc.delta));
+        let st = acc.blocks.entry(e.block).or_insert(AtiBlockState {
+            fallback_size: e.size,
+            fallback_kind: e.mem_kind,
+            malloc_meta: None,
+            first_access: None,
+            last_access: None,
+        });
+        match e.kind {
+            EventKind::Malloc => st.malloc_meta = Some((e.size, e.mem_kind)),
+            EventKind::Free => {}
+            EventKind::Read | EventKind::Write => {
+                if let Some((prev, _)) = st.last_access {
+                    acc.pending.push(PendingAti {
+                        block: e.block,
+                        interval_ns: e.time_ns - prev,
+                        end_time_ns: e.time_ns,
+                        closing_kind: e.kind,
+                    });
+                }
+                if st.first_access.is_none() {
+                    st.first_access = Some((e.time_ns, e.kind));
+                }
+                st.last_access = Some((e.time_ns, e.kind));
             }
         }
-        EventKind::Free => {
-            acc.delta[cat] -= e.size as i64;
-            acc.delta_total -= e.size as i64;
-        }
-        EventKind::Read | EventKind::Write => {}
     }
-}
-
-/// Columnar twin of [`peak_push`] shared by [`PeakFold`] and
-/// [`BreakdownFold`]: the meta column's 2-bit kind code (malloc = 0,
-/// free = 1) rules out accesses with one byte test, so in access-heavy
-/// traces — the paper's regime — the vast majority of events are skipped
-/// without ever being materialized.
-fn peak_push_batch(acc: &mut PeakAcc, batch: &ColumnBatch, pred: &Predicate) {
-    let meta = batch.meta();
-    for (i, &m) in meta.iter().enumerate() {
-        if m & 0b11 > 1 {
-            continue;
+    fn merge(&self, mut a: AtiAcc, b: AtiAcc) -> AtiAcc {
+        let AtiAcc {
+            blocks: b_blocks,
+            pending: b_pending,
+        } = b;
+        for (block, sb) in b_blocks {
+            match a.blocks.entry(block) {
+                Entry::Vacant(v) => {
+                    v.insert(sb);
+                }
+                Entry::Occupied(mut o) => {
+                    let sa = o.get_mut();
+                    // Bridge the interval spanning the two accumulators'
+                    // event spans: A's last access → B's first.
+                    if let (Some((ta, _)), Some((tb, kb))) = (sa.last_access, sb.first_access) {
+                        a.pending.push(PendingAti {
+                            block,
+                            interval_ns: tb - ta,
+                            end_time_ns: tb,
+                            closing_kind: kb,
+                        });
+                    }
+                    sa.malloc_meta = sb.malloc_meta.or(sa.malloc_meta);
+                    if sa.first_access.is_none() {
+                        sa.first_access = sb.first_access;
+                    }
+                    if sb.last_access.is_some() {
+                        sa.last_access = sb.last_access;
+                    }
+                }
+            }
         }
-        let e = batch.event(i);
-        if pred.matches_event(&e) {
-            peak_push(acc, &e);
-        }
+        // A's intervals, then the bridges (closed by B's first accesses,
+        // at most one per block, in map order), then B's: per-block
+        // chronological order is preserved, which the final stable
+        // (end_time_ns, block) sort relies on to give every chunking the
+        // same record order.
+        a.pending.extend(b_pending);
+        a
     }
-}
-
-/// Element-wise `a + b`.
-fn add_bytes(a: CategoryBytes, b: CategoryBytes) -> CategoryBytes {
-    std::array::from_fn(|c| a[c] + b[c])
-}
-
-fn peak_merge(a: PeakAcc, b: PeakAcc) -> PeakAcc {
-    // Rebase B's candidate onto A's closing totals; keep A's candidate
-    // on ties so the *earliest* maximum wins, like the sequential scan.
-    let cand_b = b
-        .peak
-        .map(|(pt, pc)| (a.delta_total + pt, add_bytes(a.delta, pc)));
-    let peak = match (a.peak, cand_b) {
-        (Some(pa), Some(pb)) => Some(if pb.0 > pa.0 { pb } else { pa }),
-        (x, y) => x.or(y),
-    };
-    PeakAcc {
-        delta: add_bytes(a.delta, b.delta),
-        delta_total: a.delta_total + b.delta_total,
-        peak,
-    }
-}
-
-/// Builds the final [`PeakUsage`] exactly like the sequential scan
-/// (candidates that never exceed zero report an all-zero peak).
-fn peak_usage(acc: PeakAcc) -> PeakUsage {
-    let (peak_total, at_peak) = match acc.peak {
-        Some((p, cats)) if p > 0 => (p, cats),
-        _ => (0, CategoryBytes::default()),
-    };
-    PeakUsage {
-        peak_total_bytes: peak_total.max(0) as u64,
-        at_peak_by_category: Category::ALL
+    /// Completes pending intervals with each block's final size/kind and
+    /// orders the records by closing time, then block.
+    fn finish(&self, acc: AtiAcc) -> AtiDataset {
+        let mut records: Vec<AtiRecord> = acc
+            .pending
             .iter()
-            .map(|&c| (c, at_peak[c as usize].max(0) as u64))
-            .collect(),
+            .map(|p| {
+                let st = &acc.blocks[&p.block];
+                let (size, mem_kind) = st
+                    .malloc_meta
+                    .unwrap_or((st.fallback_size, st.fallback_kind));
+                AtiRecord {
+                    block: p.block,
+                    size,
+                    mem_kind,
+                    interval_ns: p.interval_ns,
+                    end_time_ns: p.end_time_ns,
+                    closing_kind: p.closing_kind,
+                }
+            })
+            .collect();
+        records.sort_by_key(|r| (r.end_time_ns, r.block));
+        AtiDataset::from_records(records)
     }
 }
+
+/// Peak-footprint extraction as a fold, over the same [`PeakAcc`] that
+/// `Trace::peak_live_bytes()` sweeps a whole trace with.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PeakFold;
 
 impl EventFold for PeakFold {
     type Acc = PeakAcc;
@@ -757,54 +614,31 @@ impl EventFold for PeakFold {
         PeakAcc::default()
     }
     fn push(&self, acc: &mut PeakAcc, e: &MemEvent) {
-        peak_push(acc, e);
+        acc.push(e);
     }
     fn merge(&self, a: PeakAcc, b: PeakAcc) -> PeakAcc {
-        peak_merge(a, b)
+        a.merge(b)
     }
     fn finish(&self, acc: PeakAcc) -> PeakUsage {
-        peak_usage(acc)
+        acc.finish()
     }
+    /// The meta column's 2-bit kind code (malloc = 0, free = 1) rules out
+    /// accesses with one byte test, so in access-heavy traces — the
+    /// paper's regime — the vast majority of events are skipped without
+    /// ever being materialized.
     fn push_batch(&self, acc: &mut PeakAcc, batch: &ColumnBatch, pred: &Predicate) {
-        peak_push_batch(acc, batch, pred);
+        for (i, &m) in batch.meta().iter().enumerate() {
+            if m & 0b11 > 1 {
+                continue;
+            }
+            let e = batch.event(i);
+            if pred.matches_event(&e) {
+                acc.push(&e);
+            }
+        }
     }
     fn columnar(&self) -> bool {
         true
-    }
-}
-
-/// One breakdown-figure row as a fold — the fused twin of
-/// [`BreakdownRow::from_trace`]. Shares [`PeakAcc`] with [`PeakFold`].
-#[derive(Debug, Clone)]
-pub struct BreakdownFold {
-    /// Row label (the profile/config name in Figs. 5–7).
-    pub label: String,
-}
-
-impl EventFold for BreakdownFold {
-    type Acc = PeakAcc;
-    type Output = BreakdownRow;
-
-    fn predicate(&self) -> Predicate {
-        PeakFold.predicate()
-    }
-    fn new_acc(&self) -> PeakAcc {
-        PeakAcc::default()
-    }
-    fn push(&self, acc: &mut PeakAcc, e: &MemEvent) {
-        peak_push(acc, e);
-    }
-    fn merge(&self, a: PeakAcc, b: PeakAcc) -> PeakAcc {
-        peak_merge(a, b)
-    }
-    fn push_batch(&self, acc: &mut PeakAcc, batch: &ColumnBatch, pred: &Predicate) {
-        peak_push_batch(acc, batch, pred);
-    }
-    fn columnar(&self) -> bool {
-        true
-    }
-    fn finish(&self, acc: PeakAcc) -> BreakdownRow {
-        BreakdownRow::from_peak(self.label.clone(), &peak_usage(acc))
     }
 }
 
@@ -829,9 +663,9 @@ pub struct GanttAcc {
     end_time_ns: Option<u64>,
 }
 
-/// Gantt-rectangle extraction as a fold — the fused twin of
-/// [`crate::gantt_rects`], restricted to lifetimes intersecting
-/// `[t_start, t_end]`.
+/// Gantt-rectangle extraction as a fold, restricted to lifetimes
+/// intersecting `[t_start, t_end]`; [`crate::gantt_rects`] runs it over an
+/// in-memory trace.
 #[derive(Debug, Clone, Copy)]
 pub struct GanttFold {
     /// Window start (inclusive).
@@ -900,49 +734,18 @@ impl EventFold for GanttFold {
             })
             .filter(|r| r.t1_ns >= self.t_start && r.t0_ns <= self.t_end)
             .collect();
-        // the block breaks (t0_ns, offset) ties, as block order does for
-        // `gantt_rects`'s stable sort; blocks are unique, so the key is
-        // total and an unstable sort is deterministic
+        // the block breaks (t0_ns, offset) ties; blocks are unique, so the
+        // key is total and an unstable sort is deterministic
         rects.sort_unstable_by_key(|r| (r.t0_ns, r.offset, r.block));
         rects
-    }
-}
-
-/// Fig. 4 outlier sifting as a fold — the fused twin of
-/// [`AtiDataset::from_trace`] + [`sift`]. Shares [`AtiAcc`] with
-/// [`AtiFold`].
-#[derive(Debug, Clone, Copy)]
-pub struct OutlierFold {
-    /// The high-ATI × large-size thresholds to sift with.
-    pub criteria: OutlierCriteria,
-}
-
-impl EventFold for OutlierFold {
-    type Acc = AtiAcc;
-    type Output = OutlierReport;
-
-    fn predicate(&self) -> Predicate {
-        AtiFold.predicate()
-    }
-    fn new_acc(&self) -> AtiAcc {
-        AtiAcc::default()
-    }
-    fn push(&self, acc: &mut AtiAcc, e: &MemEvent) {
-        ati_push(acc, e);
-    }
-    fn merge(&self, a: AtiAcc, b: AtiAcc) -> AtiAcc {
-        ati_merge(a, b)
-    }
-    fn finish(&self, acc: AtiAcc) -> OutlierReport {
-        sift(&ati_dataset(acc), self.criteria)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pinpoint_store::{Batch, ReadPolicy};
-    use pinpoint_trace::Trace;
+    use pinpoint_store::{Batch, ReadPolicy, DEFAULT_CHUNK_EVENTS};
+    use pinpoint_trace::Category;
 
     fn mixed_trace() -> Trace {
         let mut t = Trace::new();
@@ -991,33 +794,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_trace_run_matches_standalone_passes() {
-        let t = mixed_trace();
-        let mut pipe = FusedPipeline::new();
-        let ati = pipe.register(AtiFold);
-        let peak = pipe.register(PeakFold);
-        let end = t.end_time_ns();
-        let gantt = pipe.register(GanttFold {
-            t_start: 0,
-            t_end: end,
-        });
-        for threads in [1, 4] {
-            let mut out = pipe.run_trace(&t, threads);
-            assert_eq!(
-                out.take(ati),
-                AtiDataset::from_trace(&t),
-                "threads={threads}"
-            );
-            assert_eq!(out.take(peak), t.peak_live_bytes(), "threads={threads}");
-            assert_eq!(
-                out.take(gantt),
-                crate::gantt_rects(&t, 0, end),
-                "threads={threads}"
-            );
-        }
-    }
-
-    #[test]
     fn tied_peaks_keep_the_earliest_category_split() {
         // the running total reaches 100 three times, each with another
         // category split: twice within the first chunk, then again after
@@ -1048,7 +824,7 @@ mod tests {
                 (Category::Intermediates, 60),
             ],
         };
-        assert_eq!(t.peak_live_bytes(), want, "sequential scan");
+        assert_eq!(t.peak_live_bytes(), want, "one sweep");
 
         let mut bytes = Vec::new();
         pinpoint_store::write_store_chunked(&t, &mut bytes, 4).unwrap();
@@ -1160,7 +936,7 @@ mod tests {
     fn union_predicate_is_the_hull_of_registered_folds() {
         let mut pipe = FusedPipeline::new();
         pipe.register(PeakFold);
-        pipe.register(BreakdownFold { label: "x".into() });
+        pipe.register(PeakFold);
         // alloc-only folds keep the alloc-only mask...
         let u = pipe.union_predicate();
         assert_eq!(u, PeakFold.predicate());

@@ -4,6 +4,7 @@
 //! y-extent from device offset to offset+size. Blank vertical space between
 //! live rectangles is device memory fragmentation.
 
+use crate::engine::{FusedPipeline, GanttFold};
 use pinpoint_trace::{BlockId, MemoryKind, Trace};
 
 /// One rectangle of the Gantt chart.
@@ -24,24 +25,12 @@ pub struct GanttRect {
 }
 
 /// Extracts the Gantt rectangles of all blocks whose lifetime intersects
-/// `[t_start, t_end]`, sorted by start time then offset.
+/// `[t_start, t_end]`, sorted by start time, then offset, then block, by
+/// running [`GanttFold`] over the trace.
 pub fn gantt_rects(trace: &Trace, t_start: u64, t_end: u64) -> Vec<GanttRect> {
-    let end = trace.end_time_ns();
-    let mut rects: Vec<GanttRect> = trace
-        .lifetimes()
-        .values()
-        .map(|lt| GanttRect {
-            block: lt.block,
-            t0_ns: lt.malloc_time_ns,
-            t1_ns: lt.free_time_ns.unwrap_or(end),
-            offset: lt.offset,
-            size: lt.size,
-            mem_kind: lt.mem_kind,
-        })
-        .filter(|r| r.t1_ns >= t_start && r.t0_ns <= t_end)
-        .collect();
-    rects.sort_by_key(|r| (r.t0_ns, r.offset));
-    rects
+    let mut pipe = FusedPipeline::new();
+    let rects = pipe.register(GanttFold { t_start, t_end });
+    pipe.run_trace(trace, 1).take(rects)
 }
 
 /// Fragmentation of the device address space at instant `t`: the live

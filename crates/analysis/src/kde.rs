@@ -1,6 +1,6 @@
 //! Gaussian kernel density estimation and violin-plot statistics (Fig. 3b).
 
-/// Summary statistics + density trace of one violin (Hintze & Nelson [8]).
+/// Summary statistics + density trace of one violin (Hintze & Nelson \[8\]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ViolinStats {
     /// Sample count.

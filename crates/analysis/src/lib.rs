@@ -22,17 +22,20 @@
 //!   scheduling of a swap plan (Equation 1 is per-gap; the link is not).
 //!
 //! Every pass above works on an in-memory [`Trace`](pinpoint_trace::Trace).
-//! The ATI, peak, breakdown, Gantt and outlier passes are also
-//! [`EventFold`]s ([`AtiFold`], [`PeakFold`], [`BreakdownFold`],
-//! [`GanttFold`], [`OutlierFold`]) for the [`FusedPipeline`] engine, which
-//! runs *any* set of folds over a single decode of the trace, pruning
-//! chunks with the union of the folds' predicates and merging per-chunk
-//! partial states deterministically. [`FusedPipeline::run`] reads an
-//! on-disk `.ptrc` store (or any other
+//! The ATI, peak and Gantt passes are [`EventFold`]s ([`AtiFold`],
+//! [`PeakFold`], [`GanttFold`]) for the [`FusedPipeline`] engine, and their
+//! `from_trace` entry points ([`AtiDataset::from_trace`], [`gantt_rects`],
+//! and `Trace::peak_live_bytes` through the shared [`PeakAcc`]) are thin
+//! wrappers over them, so each pass has one implementation. The breakdown
+//! and outliers derive from the peak ([`BreakdownRow::from_peak`]) and the
+//! ATIs ([`sift`]). The engine runs *any* set of folds over a single
+//! decode of the trace, pruning chunks with the union of the folds'
+//! predicates and merging per-chunk partial states deterministically.
+//! [`FusedPipeline::run`] reads an on-disk `.ptrc` store (or any other
 //! [`ChunkSource`](pinpoint_store::ChunkSource)) one chunk at a time, and
-//! [`FusedPipeline::run_trace`] folds an in-memory trace; both give
-//! results bit-identical to the passes above. Register several folds to
-//! pay for one scan total instead of one scan per pass.
+//! [`FusedPipeline::run_trace`] runs the same scan over an in-memory
+//! trace cut into the same chunks. Register several folds to pay for one
+//! scan total instead of one scan per pass.
 //!
 //! # Examples
 //!
@@ -75,8 +78,8 @@ pub use cdf::EmpiricalCdf;
 pub use contention::{check_contention, thin_to_feasible, ContentionReport, ScheduledSwap};
 pub use diff::{diff_traces, Delta, TraceDiff};
 pub use engine::{
-    AtiAcc, AtiFold, BreakdownFold, EventFold, FoldHandle, FusedOutputs, FusedPipeline, FusedStats,
-    GanttAcc, GanttFold, OutlierFold, PeakAcc, PeakFold,
+    AtiAcc, AtiFold, EventFold, FoldHandle, FusedOutputs, FusedPipeline, FusedStats, GanttAcc,
+    GanttFold, PeakFold,
 };
 pub use gantt::{
     fragmentation_at, gantt_rects, worst_fragmentation, FragmentationSnapshot, GanttRect,
@@ -85,6 +88,7 @@ pub use iterative::{detect, period_from_mallocs, IterativeReport};
 pub use kde::{kde_on_grid, violin, violin_sorted, ViolinStats};
 pub use op_stats::{op_stats, OpMemoryStats};
 pub use outlier::{sift, OutlierCriteria, OutlierReport};
+pub use pinpoint_trace::PeakAcc;
 pub use planner::{apply, plan, SwapDecision, SwapPlan};
 pub use report::{
     query_json, query_json_into, report_json, report_json_into, RenderScratch, ReportFolds,

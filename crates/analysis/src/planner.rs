@@ -11,6 +11,7 @@
 //! footprint reduction by re-running the occupancy sweep with the planned
 //! out-of-device windows subtracted.
 
+use crate::ati::AtiDataset;
 use pinpoint_device::TransferModel;
 use pinpoint_trace::{BlockId, EventKind, Trace};
 
@@ -81,26 +82,21 @@ impl SwapPlan {
 /// small gaps useless; 1 ms is a reasonable floor).
 pub fn plan(trace: &Trace, transfer: &TransferModel, min_interval_ns: u64) -> SwapPlan {
     let mut decisions = Vec::new();
-    for lt in trace.lifetimes().values() {
-        for w in lt.accesses.windows(2) {
-            let (t0, t1) = (w[0].0, w[1].0);
-            let gap = t1 - t0;
-            if gap < min_interval_ns {
-                continue;
-            }
-            let bound = transfer.max_swap_bytes_with_latency(gap);
-            if (lt.size as f64) <= bound {
-                let d2h = transfer.d2h_time_ns(lt.size);
-                let h2d = transfer.h2d_time_ns(lt.size);
-                decisions.push(SwapDecision {
-                    block: lt.block,
-                    size: lt.size,
-                    evict_at_ns: t0,
-                    needed_at_ns: t1,
-                    out_from_ns: t0 + d2h,
-                    out_until_ns: t1.saturating_sub(h2d),
-                });
-            }
+    for r in AtiDataset::from_trace(trace).records() {
+        if r.interval_ns < min_interval_ns {
+            continue;
+        }
+        let bound = transfer.max_swap_bytes_with_latency(r.interval_ns);
+        if (r.size as f64) <= bound {
+            let (t0, t1) = (r.end_time_ns - r.interval_ns, r.end_time_ns);
+            decisions.push(SwapDecision {
+                block: r.block,
+                size: r.size,
+                evict_at_ns: t0,
+                needed_at_ns: t1,
+                out_from_ns: t0 + transfer.d2h_time_ns(r.size),
+                out_until_ns: t1.saturating_sub(transfer.h2d_time_ns(r.size)),
+            });
         }
     }
     decisions.sort_by_key(|d| (d.evict_at_ns, d.block));
@@ -413,10 +409,16 @@ mod tests {
         // one decision adds: evict read, free, malloc, prefetch write
         assert_eq!(transformed.len(), t.len() + 4 * p.decisions.len());
         // the swapped block's later accesses moved to a fresh block id
-        let lt = transformed.lifetimes();
-        let giants: Vec<_> = lt.values().filter(|l| l.size == 1_000_000_000).collect();
+        let events = transformed.events();
+        let giants: std::collections::BTreeSet<BlockId> = events
+            .iter()
+            .filter(|e| e.size == 1_000_000_000)
+            .map(|e| e.block)
+            .collect();
         assert_eq!(giants.len(), 2, "original + prefetched generation");
-        assert!(giants.iter().all(|g| g.free_time_ns.is_some()));
+        assert!(giants.iter().all(|&b| events
+            .iter()
+            .any(|e| e.block == b && e.kind == EventKind::Free)));
     }
 
     #[test]

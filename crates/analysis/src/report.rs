@@ -5,6 +5,10 @@
 //! A report folds each event once per pass: it registers three folds
 //! (ATI, peak, Gantt) and derives the other two results from theirs —
 //! the breakdown row from the peak, the outliers by sifting the ATIs.
+//! [`TraceReport::from_trace`] and [`TraceReport::from_store`] run the
+//! same scan, over an in-memory trace's chunks or a store's, so a report
+//! of a trace equals the report of its default-chunked store, scan
+//! accounting included.
 //!
 //! The JSON here is the *wire contract* between the offline tool and the
 //! server: both call the same [`report_json`] / [`query_json`] builders,
@@ -53,10 +57,9 @@ pub struct TraceReport {
 /// [`AtiFold`], [`PeakFold`], [`GanttFold`] — plus the outlier criteria;
 /// [`ReportFolds::take`] assembles the report from the run's outputs.
 ///
-/// The breakdown row and the outliers get no fold of their own: a
-/// [`BreakdownFold`](crate::BreakdownFold) would repeat the peak fold's
-/// work and an [`OutlierFold`](crate::OutlierFold) the ATI fold's, so
-/// `take` derives them from those two outputs instead.
+/// The breakdown row and the outliers get no fold of their own: `take`
+/// derives them from the peak ([`BreakdownRow::from_peak`]) and the ATIs
+/// ([`sift`]), so no event is folded twice for one report.
 #[derive(Debug, Clone, Copy)]
 pub struct ReportFolds {
     ati: FoldHandle<AtiDataset>,
@@ -121,8 +124,9 @@ impl TraceReport {
         Ok(folds.take(&mut pipe.run(source, threads)?))
     }
 
-    /// Runs all five passes over an in-memory trace in one fused scan —
-    /// bit-identical to [`TraceReport::from_store`] on the same trace.
+    /// Runs all five passes over an in-memory trace in one fused scan,
+    /// through the same chunked scan as [`TraceReport::from_store`] —
+    /// bit-identical to it on a store of the same trace.
     pub fn from_trace(trace: &Trace, criteria: OutlierCriteria, threads: usize) -> Self {
         let mut pipe = FusedPipeline::new();
         let folds = ReportFolds::register(&mut pipe, criteria);

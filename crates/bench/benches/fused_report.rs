@@ -2,11 +2,14 @@
 //!
 //! Profiles ResNet-18, encodes the trace into a `.ptrc` store, then runs
 //! the five report analyses (ATI, peak, breakdown, gantt, outliers) two
-//! ways: five standalone single-fold runs (each decoding every chunk) and
-//! one fused five-fold run (each chunk decoded exactly once). Reports
-//! wall clock at 1 and 4 worker threads in `BENCH_report.json` and
-//! asserts that the fused run is bit-identical to the baseline, decodes
-//! each chunk once, and is no slower at either thread count.
+//! ways: five standalone single-fold runs (each decoding every chunk; the
+//! breakdown and outlier passes are a peak and an ATI run followed by
+//! `BreakdownRow::from_peak` and `sift`) and one fused report run — the
+//! three `ReportFolds` that `report`, the daemon and perfbench register,
+//! each chunk decoded exactly once. Reports wall clock at 1 and 4 worker
+//! threads in `BENCH_report.json` and asserts that the fused run is
+//! bit-identical to the baseline, decodes each chunk once, and is no
+//! slower at either thread count.
 //!
 //! The fused run is measured on both a v2 and a v3 store of the same
 //! trace: results must be bit-identical across formats, and the v3 run
@@ -26,8 +29,8 @@
 //! slack, since 5% of a few ms sits near scheduler jitter).
 
 use pinpoint_analysis::{
-    AtiDataset, AtiFold, BreakdownFold, BreakdownRow, FusedPipeline, GanttFold, GanttRect,
-    OutlierCriteria, OutlierFold, OutlierReport, PeakFold,
+    sift, AtiDataset, AtiFold, BreakdownRow, FusedPipeline, GanttFold, GanttRect, OutlierCriteria,
+    OutlierReport, PeakFold, ReportFolds,
 };
 use pinpoint_bench::by_scale;
 use pinpoint_bench::criterion::Criterion;
@@ -94,16 +97,14 @@ fn sequential_five_pass(bytes: &[u8], t_end: u64, threads: usize) -> (Report, us
     let h = pipe.register(PeakFold);
     let peak = one(pipe).take(h);
     let mut pipe = FusedPipeline::new();
-    let h = pipe.register(BreakdownFold {
-        label: "trace".to_string(),
-    });
-    let breakdown = one(pipe).take(h);
+    let h = pipe.register(PeakFold);
+    let breakdown = BreakdownRow::from_peak("trace", &one(pipe).take(h));
     let mut pipe = FusedPipeline::new();
     let h = pipe.register(GanttFold { t_start: 0, t_end });
     let gantt = one(pipe).take(h);
     let mut pipe = FusedPipeline::new();
-    let h = pipe.register(OutlierFold { criteria: CRITERIA });
-    let outliers = one(pipe).take(h);
+    let h = pipe.register(AtiFold);
+    let outliers = sift(&one(pipe).take(h), CRITERIA);
     (
         Report {
             ati,
@@ -116,34 +117,26 @@ fn sequential_five_pass(bytes: &[u8], t_end: u64, threads: usize) -> (Report, us
     )
 }
 
-/// One fused five-fold run: each chunk decoded exactly once, all five
-/// accumulators fed from the same decode. Also returns the
-/// pruned-by-op-label count from the scan accounting (0 here — the
-/// five-fold union constrains no op label — surfaced so the bench JSON
-/// records the counter end to end).
-fn fused_five_fold(bytes: &[u8], t_end: u64, threads: usize) -> (Report, usize, usize) {
+/// One fused report run: the three [`ReportFolds`] fed from each chunk's
+/// one decode, the breakdown row and the outliers derived from the peak
+/// and the ATIs. Also returns the pruned-by-op-label count from the scan
+/// accounting (0 here — the report's union predicate constrains no op
+/// label — surfaced so the bench JSON records the counter end to end).
+fn fused_report(bytes: &[u8], threads: usize) -> (Report, usize, usize) {
     let mut pipe = FusedPipeline::new();
-    let ati = pipe.register(AtiFold);
-    let peak = pipe.register(PeakFold);
-    let breakdown = pipe.register(BreakdownFold {
-        label: "trace".to_string(),
-    });
-    let gantt = pipe.register(GanttFold { t_start: 0, t_end });
-    let outliers = pipe.register(OutlierFold { criteria: CRITERIA });
+    let folds = ReportFolds::register(&mut pipe, CRITERIA);
     let r = StoreReader::from_bytes(bytes.to_vec()).expect("open");
-    let mut out = pipe.run(&r, threads).expect("run");
-    let decoded = out.stats().chunks_decoded;
-    let pruned_by_label = out.stats().chunks_pruned_by_label;
+    let d = folds.take(&mut pipe.run(&r, threads).expect("run"));
     (
         Report {
-            ati: out.take(ati),
-            peak: out.take(peak),
-            breakdown: out.take(breakdown),
-            gantt: out.take(gantt),
-            outliers: out.take(outliers),
+            ati: d.ati,
+            peak: d.peak,
+            breakdown: d.breakdown,
+            gantt: d.gantt,
+            outliers: d.outliers,
         },
-        decoded,
-        pruned_by_label,
+        d.stats.chunks_decoded,
+        d.stats.chunks_pruned_by_label,
     )
 }
 
@@ -165,8 +158,9 @@ fn bench(c: &mut Criterion) {
     assert!(chunks > 1, "trace must span several chunks, got {chunks}");
 
     // recorded fused_ns baseline per thread count from the previous run
-    // (the committed BENCH_report.json); absent or unparseable skips the
-    // overhead guard — a fresh checkout's first run records it instead
+    // (BENCH_report.json, which is gitignored, so only a local earlier
+    // run leaves one); absent or unparseable skips the overhead guard —
+    // a fresh checkout's first run records it instead
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_report.json");
     let baseline: Vec<(u64, u64)> = std::fs::read_to_string(out)
         .ok()
@@ -194,9 +188,9 @@ fn bench(c: &mut Criterion) {
     let span_records_before = tracer().total_records();
     let span_bufs_before = tracer().buffer_allocs();
 
-    // warm-scan zero-allocation: the same reader running the fused
-    // five-fold twice must not grow its decode scratch pool the second
-    // time (the per-chunk zero-alloc contract the obs spans ride on)
+    // warm-scan zero-allocation: the same reader running a fused scan
+    // twice must not grow its decode scratch pool the second time (the
+    // per-chunk zero-alloc contract the obs spans ride on)
     {
         let r = StoreReader::from_bytes(bytes.clone()).expect("open");
         let run = |r: &StoreReader| {
@@ -219,8 +213,8 @@ fn bench(c: &mut Criterion) {
     let mut per_thread = Vec::new();
     for threads in [1usize, 4] {
         let (seq, seq_decoded) = sequential_five_pass(&bytes, t_end, threads);
-        let (fused, fused_decoded, pruned_by_label) = fused_five_fold(&bytes, t_end, threads);
-        let (fused_v2, ..) = fused_five_fold(&v2_bytes, t_end, threads);
+        let (fused, fused_decoded, pruned_by_label) = fused_report(&bytes, threads);
+        let (fused_v2, ..) = fused_report(&v2_bytes, threads);
         assert!(
             seq == fused,
             "fused output diverges from sequential at threads={threads}"
@@ -244,11 +238,11 @@ fn bench(c: &mut Criterion) {
             assert_eq!(r.ati.len(), seq.ati.len());
         });
         let fused_ns = median_ns(runs, || {
-            let (r, ..) = fused_five_fold(&bytes, t_end, threads);
+            let (r, ..) = fused_report(&bytes, threads);
             assert_eq!(r.ati.len(), fused.ati.len());
         });
         let fused_v2_ns = median_ns(runs, || {
-            let (r, ..) = fused_five_fold(&v2_bytes, t_end, threads);
+            let (r, ..) = fused_report(&v2_bytes, threads);
             assert_eq!(r.ati.len(), fused.ati.len());
         });
         assert!(
@@ -319,11 +313,11 @@ fn bench(c: &mut Criterion) {
     g.bench_function("sequential_five_pass_resnet18", |b| {
         b.iter(|| sequential_five_pass(&bytes, t_end, 1).0.ati.len())
     });
-    g.bench_function("fused_five_fold_resnet18", |b| {
-        b.iter(|| fused_five_fold(&bytes, t_end, 1).0.ati.len())
+    g.bench_function("fused_report_resnet18", |b| {
+        b.iter(|| fused_report(&bytes, 1).0.ati.len())
     });
-    g.bench_function("fused_five_fold_resnet18_v2_store", |b| {
-        b.iter(|| fused_five_fold(&v2_bytes, t_end, 1).0.ati.len())
+    g.bench_function("fused_report_resnet18_v2_store", |b| {
+        b.iter(|| fused_report(&v2_bytes, 1).0.ati.len())
     });
     g.finish();
 }

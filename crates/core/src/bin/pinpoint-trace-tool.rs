@@ -45,10 +45,12 @@
 //! a `.ptrc` store is decoded exactly once, however many passes consume
 //! it, and each event is folded once per pass: the ATI, peak and Gantt
 //! folds run, and the breakdown and outliers are derived from their
-//! results. The single-pass subcommands (`ati`, `outliers`, `breakdown`,
-//! `gantt`) run the same folds through the same engine: straight off a
-//! store, never materializing the full trace, or over a JSON trace in
-//! memory, printing byte-identical output either way.
+//! results. The single-pass subcommands run one of those folds each
+//! through the same engine — `ati` and `outliers` the ATI fold (`outliers`
+//! then sifts its intervals), `breakdown` the peak fold, `gantt` the Gantt
+//! fold — straight off a store, never materializing the full trace, or
+//! over a JSON trace in memory cut into the same chunks, printing
+//! byte-identical output either way.
 //!
 //! `--threads N` (or `PINPOINT_THREADS`) sets the worker-thread count for
 //! parallel work (`compare` loads and validates both traces concurrently;
@@ -76,9 +78,9 @@
 //! `mlp_case_study` example writes a CSV twin next to it).
 
 use pinpoint_analysis::{
-    detect, diff_traces, op_stats, plan, query_json, report_json, violin_sorted, AtiDataset,
-    AtiFold, BreakdownFold, BreakdownRow, FusedOutputs, FusedPipeline, GanttFold, GanttRect,
-    OutlierCriteria, OutlierFold, OutlierReport, ReportFolds,
+    detect, diff_traces, op_stats, plan, query_json, report_json, sift, violin_sorted, AtiDataset,
+    AtiFold, BreakdownRow, FusedOutputs, FusedPipeline, GanttFold, GanttRect, OutlierCriteria,
+    OutlierReport, PeakFold, ReportFolds,
 };
 use pinpoint_core::report::{human_bytes, human_time, render_trace_report};
 use pinpoint_device::TransferModel;
@@ -320,8 +322,9 @@ fn cmd_analysis(cmd: &str, path: &str, args: &[String]) -> Result<(), String> {
             Box::new(move |out| print_ati(&out.take(h)))
         }
         "breakdown" => {
-            let h = pipe.register(BreakdownFold { label: path.into() });
-            Box::new(move |out| print_breakdown(&out.take(h)))
+            let h = pipe.register(PeakFold);
+            let label = path.to_string();
+            Box::new(move |out| print_breakdown(&BreakdownRow::from_peak(label, &out.take(h))))
         }
         "gantt" => {
             let h = pipe.register(GanttFold {
@@ -331,8 +334,10 @@ fn cmd_analysis(cmd: &str, path: &str, args: &[String]) -> Result<(), String> {
             Box::new(move |out| print_gantt(&out.take(h), max))
         }
         "outliers" => {
-            let h = pipe.register(OutlierFold { criteria });
-            Box::new(move |out| print_outliers(&out.take(h), min_ati_ms, min_size_mb))
+            let h = pipe.register(AtiFold);
+            Box::new(move |out| {
+                print_outliers(&sift(&out.take(h), criteria), min_ati_ms, min_size_mb)
+            })
         }
         "report" => {
             let folds = ReportFolds::register(&mut pipe, criteria);

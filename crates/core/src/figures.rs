@@ -8,9 +8,9 @@
 use crate::parallel::{configured_threads, try_map_ordered};
 use crate::profiler::{profile, EpochEval, ProfileConfig, ProfileError};
 use pinpoint_analysis::{
-    assess, detect, sift, violin_sorted, worst_fragmentation, AtiFold, AtiRecord, BreakdownFold,
-    BreakdownRow, EmpiricalCdf, FragmentationSnapshot, FusedPipeline, GanttFold, GanttRect,
-    IterativeReport, OutlierCriteria, OutlierReport, ViolinStats,
+    assess, detect, sift, violin_sorted, worst_fragmentation, AtiFold, AtiRecord, BreakdownRow,
+    EmpiricalCdf, FragmentationSnapshot, FusedPipeline, GanttFold, GanttRect, IterativeReport,
+    OutlierCriteria, OutlierReport, ViolinStats,
 };
 use pinpoint_data::DatasetSpec;
 use pinpoint_models::{Architecture, DenseNetDepth, MlpConfig, ResNetDepth};
@@ -197,12 +197,7 @@ pub fn fig5_architectures() -> Vec<Architecture> {
 fn breakdown_rows(configs: Vec<ProfileConfig>) -> Result<Vec<BreakdownRow>, ProfileError> {
     try_map_ordered(configs, configured_threads(), |cfg| {
         let report = profile(&cfg)?;
-        // inner threads = 1: the outer fan-out already owns the workers
-        let mut pipe = FusedPipeline::new();
-        let h = pipe.register(BreakdownFold {
-            label: report.label.clone(),
-        });
-        Ok(pipe.run_trace(&report.trace, 1).take(h))
+        Ok(BreakdownRow::from_trace(report.label, &report.trace))
     })
 }
 

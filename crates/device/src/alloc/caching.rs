@@ -55,7 +55,7 @@ pub struct PoolStats {
     pub largest_free_bytes: usize,
 }
 
-/// The caching allocator. See the [module docs](self) for the policy.
+/// The caching allocator. See the module docs for the policy.
 ///
 /// # Examples
 ///

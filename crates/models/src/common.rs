@@ -81,7 +81,7 @@ impl Architecture {
     }
 
     /// Whether the dataflow is a straight chain (the paper's
-    /// linear/non-linear distinction after Yang & Cheng [6]).
+    /// linear/non-linear distinction after Yang & Cheng \[6\]).
     pub fn is_linear_topology(&self) -> bool {
         matches!(
             self,

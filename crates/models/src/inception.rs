@@ -1,7 +1,7 @@
 //! GoogLeNet-style Inception network with true channel concatenation.
 //!
 //! The paper's introduction motivates memory pressure with the Inception
-//! family (Inception-V4 "requests up to 45 GB of device memory" [6]); this
+//! family (Inception-V4 "requests up to 45 GB of device memory" \[6\]); this
 //! model reproduces the family's memory-relevant structure: four parallel
 //! branches per block (1×1, 1×1→3×3, 1×1→double-3×3, pool→1×1) whose
 //! outputs are all live simultaneously until the channel concat. Widths

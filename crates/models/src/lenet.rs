@@ -1,4 +1,4 @@
-//! LeNet-5 (the classical small CNN, after LeCun et al. [12] — the source
+//! LeNet-5 (the classical small CNN, after LeCun et al. \[12\] — the source
 //! of the paper's three-way memory taxonomy).
 
 use pinpoint_nn::layers::{Conv2d, Linear};

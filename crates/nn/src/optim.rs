@@ -21,7 +21,7 @@ pub enum Optimizer {
         mu: f32,
     },
     /// Adam (two persistent moment buffers per parameter: optimizer state
-    /// is *twice* the weight bytes — the regime ZeRO-Offload [10] targets).
+    /// is *twice* the weight bytes — the regime ZeRO-Offload \[10\] targets).
     Adam {
         /// Learning rate.
         lr: f32,

@@ -118,59 +118,6 @@ where
     map_ordered(items, threads, f).into_iter().collect()
 }
 
-/// Parallel map + deterministic reduce: maps every item on up to `threads`
-/// workers, then left-folds the mapped results **in input order** into
-/// `init`.
-///
-/// This is the chunk map-reduce shape behind the fused analysis engine:
-/// per-chunk work (decode + partial aggregation) fans out, while the
-/// reduce runs sequentially in chunk order, so the final accumulator is
-/// bit-identical at every thread count as long as `reduce` itself is
-/// deterministic.
-pub fn map_reduce_ordered<T, R, A, F, G>(
-    items: Vec<T>,
-    threads: usize,
-    init: A,
-    map: F,
-    reduce: G,
-) -> A
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-    G: FnMut(A, R) -> A,
-{
-    map_ordered(items, threads, map)
-        .into_iter()
-        .fold(init, reduce)
-}
-
-/// Fallible [`map_reduce_ordered`]: the reduce only runs if every mapped
-/// job succeeded; otherwise the earliest-indexed error is returned, as in
-/// [`try_map_ordered`].
-///
-/// # Errors
-///
-/// Returns the error of the earliest-indexed failing map job.
-pub fn try_map_reduce_ordered<T, R, A, E, F, G>(
-    items: Vec<T>,
-    threads: usize,
-    init: A,
-    map: F,
-    reduce: G,
-) -> Result<A, E>
-where
-    T: Send,
-    R: Send,
-    E: Send,
-    F: Fn(T) -> Result<R, E> + Sync,
-    G: FnMut(A, R) -> A,
-{
-    Ok(try_map_ordered(items, threads, map)?
-        .into_iter()
-        .fold(init, reduce))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -219,50 +166,6 @@ mod tests {
         }
         let ok = try_map_ordered(items, 4, Ok::<u32, ()>).unwrap();
         assert_eq!(ok.len(), 20);
-    }
-
-    #[test]
-    fn map_reduce_folds_in_input_order_at_any_thread_count() {
-        let items: Vec<u64> = (1..=24).collect();
-        // non-commutative reduce: string concatenation exposes any
-        // out-of-order merge immediately
-        let expected = items
-            .iter()
-            .map(|x| (x * 2).to_string())
-            .collect::<Vec<_>>()
-            .join(",");
-        for threads in [1, 3, 16] {
-            let got = map_reduce_ordered(
-                items.clone(),
-                threads,
-                String::new(),
-                |x| (x * 2).to_string(),
-                |mut acc, s| {
-                    if !acc.is_empty() {
-                        acc.push(',');
-                    }
-                    acc.push_str(&s);
-                    acc
-                },
-            );
-            assert_eq!(got, expected, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn try_map_reduce_propagates_the_earliest_error() {
-        let items: Vec<u32> = (0..10).collect();
-        let err = try_map_reduce_ordered(
-            items.clone(),
-            4,
-            0u32,
-            |x| if x % 2 == 1 { Err(x) } else { Ok(x) },
-            |a, b| a + b,
-        )
-        .unwrap_err();
-        assert_eq!(err, 1);
-        let sum = try_map_reduce_ordered(items, 4, 0u32, Ok::<u32, ()>, |a, b| a + b).unwrap();
-        assert_eq!(sum, 45);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! tracer clock by which the daemon must have answered. The deadline is
 //! threaded from accept through parse → catalog lookup → the fused
 //! chunk fold, where it becomes a
-//! [`CancelToken`](pinpoint_store::CancelToken) polled before every
+//! [`CancelToken`] polled before every
 //! chunk decode — so a doomed scan stops mid-store and the worker
 //! answers a deterministic `503` with `Retry-After` instead of finishing
 //! work whose client has already given up.

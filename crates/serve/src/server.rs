@@ -18,7 +18,7 @@
 //! exact header.
 //!
 //! Queued connections are drained by a fixed pool of worker threads.
-//! Each worker owns one [`WorkerCtx`] — reusable connection buffers and a
+//! Each worker owns one `WorkerCtx` — reusable connection buffers and a
 //! reusable render scratch — and serves up to
 //! [`ServeConfig::keepalive_requests`] requests per connection before
 //! closing it, honoring the client's `Connection` preference per request.
@@ -31,7 +31,7 @@
 //! - *Slow work*: every admitted request carries a [`Deadline`] whose
 //!   budget starts at accept (queue wait spends budget). The deadline is
 //!   checked before routing, after parsing, and — as a
-//!   [`CancelToken`](pinpoint_store::CancelToken) — before every chunk
+//!   [`CancelToken`] — before every chunk
 //!   decode inside the fold, so a doomed scan stops mid-store and
 //!   answers a deterministic `503` + `Retry-After: 1`.
 //! - *Buggy handlers*: the whole router runs under `catch_unwind`; a

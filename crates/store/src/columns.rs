@@ -51,6 +51,12 @@ pub const MAX_CHUNK_EVENTS: usize = 1 << 24;
 /// The meta-byte flag marking an event that carries an op label.
 const HAS_OP_BIT: u8 = 1 << 5;
 
+/// An event's packed meta byte: kind code in bits 0–1, memory-kind code
+/// in bits 2–4, the has-op flag in bit 5.
+pub(crate) fn meta_byte(e: &MemEvent) -> u8 {
+    kind_code(e.kind) | (mem_kind_code(e.mem_kind) << 2) | (u8::from(e.op_label.is_some()) << 5)
+}
+
 fn corrupt(msg: impl Into<String>) -> StoreError {
     StoreError::Corrupt(msg.into())
 }
@@ -273,6 +279,33 @@ impl DecodeScratch {
         }
         Ok(())
     }
+
+    /// Fills the internal batch straight from in-memory events, with the
+    /// columns a decode of their encoded chunk would produce: no encode,
+    /// checksum or decode in between. Counts buffer growth like a decode.
+    pub(crate) fn fill(&mut self, events: &[MemEvent]) -> &ColumnBatch {
+        let before = self.batch.element_capacity();
+        let b = &mut self.batch;
+        // one column at a time, as a decode fills them; extending from a
+        // slice iterator reserves the column's full length first
+        refill(&mut b.time, events.iter().map(|e| e.time_ns));
+        refill(&mut b.meta, events.iter().map(meta_byte));
+        refill(&mut b.block, events.iter().map(|e| e.block.0));
+        refill(&mut b.size, events.iter().map(|e| e.size as u64));
+        refill(&mut b.offset, events.iter().map(|e| e.offset as u64));
+        refill(&mut b.op, events.iter().map(|e| e.op_label.unwrap_or(0)));
+        b.len = events.len();
+        if self.batch.element_capacity() > before {
+            self.reallocs += 1;
+        }
+        &self.batch
+    }
+}
+
+/// Replaces a column's contents with `vals`.
+fn refill<T>(col: &mut Vec<T>, vals: impl Iterator<Item = T>) {
+    col.clear();
+    col.extend(vals);
 }
 
 /// Reserves room for `want` elements, clamped to the payload byte length:
@@ -652,10 +685,7 @@ pub fn encode_chunk_v3(events: &[MemEvent]) -> (Vec<u8>, ChunkMeta) {
         prev_time = e.time_ns as i64;
         deltas.push(d);
         time_vals.push(zigzag(d));
-        let byte = kind_code(e.kind)
-            | (mem_kind_code(e.mem_kind) << 2)
-            | (u8::from(e.op_label.is_some()) << 5);
-        meta_vals.push(u64::from(byte));
+        meta_vals.push(u64::from(meta_byte(e)));
         block_vals.push(zigzag(e.block.0 as i64 - prev_block));
         prev_block = e.block.0 as i64;
         size_vals.push(e.size as u64);

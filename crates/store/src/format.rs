@@ -270,10 +270,7 @@ pub fn encode_chunk(events: &[MemEvent]) -> (Vec<u8>, ChunkMeta) {
     for e in events {
         write_i64(&mut time_col, e.time_ns as i64 - prev_time);
         prev_time = e.time_ns as i64;
-        let byte = kind_code(e.kind)
-            | (mem_kind_code(e.mem_kind) << 2)
-            | (u8::from(e.op_label.is_some()) << 5);
-        meta_col.push(byte);
+        meta_col.push(crate::columns::meta_byte(e));
         write_i64(&mut block_col, e.block.0 as i64 - prev_block);
         prev_block = e.block.0 as i64;
         write_u64(&mut size_col, e.size as u64);

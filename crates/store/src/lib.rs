@@ -24,7 +24,8 @@
 //!   [`Predicate`], fans the survivors out over `pinpoint-parallel`
 //!   workers, and folds their results in chunk order (bit-identical
 //!   output at every thread count). [`StoreReader::query`] and the fused
-//!   analysis engine both run on it.
+//!   analysis engine both run on it, and an [`EventSource`] runs an
+//!   in-memory event slice through the same scan.
 //! - **Batch conversion** — [`write_store`] / [`StoreReader::read_trace`]
 //!   bridge to and from the in-memory `Trace` for the existing JSON
 //!   tooling and analyses.
@@ -32,12 +33,13 @@
 //! Format v2 adds integrity end to end: every chunk is framed by a
 //! `PTCK` record header carrying its byte length and CRC-32, and the
 //! footer is covered by its own checksum in the trailer. Writers stream
-//! into a temp file and atomically rename on successful
-//! [`StoreWriter::finish`], with bounded seeded retry for transient write
-//! errors ([`RetryPolicy`]). Readers take a [`ReadPolicy`]: `Strict`
-//! (default) fails fast with a typed [`StoreError`], while `Salvage`
-//! skips corrupt chunks with exact accounting and rebuilds the index by
-//! rescanning when the footer itself is damaged. The [`fault`] module is
+//! into a temp file and atomically rename on a successful
+//! [`finish`](pinpoint_trace::TraceSink::finish), with bounded seeded
+//! retry for transient write errors ([`RetryPolicy`]). Readers take a
+//! [`ReadPolicy`]: `Strict` (default) fails fast with a typed
+//! [`StoreError`], while `Salvage` skips corrupt chunks with exact
+//! accounting and rebuilds the index by rescanning when the footer
+//! itself is damaged. The [`fault`] module is
 //! a deterministic fault-injection harness (seeded bit-flips,
 //! truncations, short and failing I/O) used by the corruption-matrix
 //! tests to prove all of the above.
@@ -95,7 +97,7 @@ pub use reader::{
     ChunkFault, Predicate, QueryResult, QueryStats, ReadPolicy, SalvageSummary, ScrubStats,
     StoreReader,
 };
-pub use source::{query, scan, Batch, ChunkSource};
+pub use source::{query, scan, Batch, ChunkSource, EventSource};
 pub use writer::{
     write_store, write_store_chunked, write_store_chunked_v1, write_store_chunked_v2,
     write_store_file, RetryPolicy, StoreWriter,

@@ -2,9 +2,10 @@
 //!
 //! A [`ChunkSource`] hands out a store's chunks in decoded form: the
 //! [`StoreReader`](crate::StoreReader) reads and decodes into pooled
-//! [`DecodeScratch`] buffers, while a serving tier can answer from a
-//! cache of shared [`ColumnBatch`]es. [`scan`] is the single loop over
-//! such a source. It prunes the chunk index against a [`Predicate`],
+//! [`DecodeScratch`] buffers, a serving tier can answer from a cache of
+//! shared [`ColumnBatch`]es, and an [`EventSource`] fills the batches
+//! straight from an in-memory event slice. [`scan`] is the single loop
+//! over such a source. It prunes the chunk index against a [`Predicate`],
 //! decodes and maps the surviving chunks on worker threads, folds their
 //! results **in chunk order** on the calling thread, and, under
 //! [`ReadPolicy::Salvage`], skips corrupt chunks with exact accounting.
@@ -13,9 +14,10 @@
 
 use crate::columns::{ColumnBatch, DecodeScratch};
 use crate::error::StoreError;
-use crate::format::ChunkMeta;
+use crate::format::{meta_from_events, ChunkMeta, DEFAULT_CHUNK_EVENTS};
 use crate::reader::{Predicate, QueryResult, QueryStats, ReadPolicy};
 use pinpoint_obs::tracer;
+use pinpoint_trace::MemEvent;
 use std::ops::Deref;
 use std::sync::Arc;
 
@@ -80,6 +82,50 @@ pub trait ChunkSource: Sync {
     /// Takes back the buffers a scan borrowed, each in the slot it was
     /// lent in. The default drops them.
     fn restore_scratch(&self, _pool: Vec<DecodeScratch>) {}
+}
+
+/// An in-memory event slice as a [`ChunkSource`], cut into the chunks a
+/// default-chunked store of the same events holds
+/// ([`DEFAULT_CHUNK_EVENTS`] each). Its index entries are computed from
+/// the events, so a scan prunes it exactly as it prunes the store, and a
+/// fetch fills the scan's batch straight from the events. Fetches never
+/// fail.
+#[derive(Debug)]
+pub struct EventSource<'a> {
+    events: &'a [MemEvent],
+    chunks: Vec<ChunkMeta>,
+}
+
+impl<'a> EventSource<'a> {
+    /// Indexes `events` chunk by chunk.
+    pub fn new(events: &'a [MemEvent]) -> Self {
+        EventSource {
+            events,
+            chunks: events
+                .chunks(DEFAULT_CHUNK_EVENTS)
+                .map(meta_from_events)
+                .collect(),
+        }
+    }
+}
+
+impl ChunkSource for EventSource<'_> {
+    fn chunks(&self) -> &[ChunkMeta] {
+        &self.chunks
+    }
+
+    fn policy(&self) -> ReadPolicy {
+        ReadPolicy::Strict
+    }
+
+    fn fetch<'s>(&self, i: usize, scratch: &'s mut DecodeScratch) -> Result<Batch<'s>, StoreError> {
+        let out_of_range = StoreError::ChunkOutOfRange {
+            chunk: i,
+            chunks: self.chunks.len(),
+        };
+        let events = self.events.chunks(DEFAULT_CHUNK_EVENTS).nth(i);
+        Ok(Batch::Scratch(scratch.fill(events.ok_or(out_of_range)?)))
+    }
 }
 
 /// Runs `map` over every chunk of `source` that the index cannot rule
@@ -204,4 +250,73 @@ pub fn query<S: ChunkSource + ?Sized>(
         |_, matched| events.extend(matched),
     )?;
     Ok(QueryResult { events, stats })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{write_store, StoreReader};
+    use pinpoint_trace::{BlockId, EventKind, MemoryKind, Trace};
+
+    #[test]
+    fn event_source_serves_a_default_chunked_stores_index_and_columns() {
+        let kinds = [
+            EventKind::Malloc,
+            EventKind::Read,
+            EventKind::Write,
+            EventKind::Free,
+        ];
+        let mem_kinds = [
+            MemoryKind::Input,
+            MemoryKind::Weight,
+            MemoryKind::WeightGrad,
+            MemoryKind::OptimizerState,
+            MemoryKind::Activation,
+            MemoryKind::ActivationGrad,
+            MemoryKind::Workspace,
+            MemoryKind::Other,
+        ];
+        let mut trace = Trace::new();
+        for i in 0..(DEFAULT_CHUNK_EVENTS * 5 / 2) as u64 {
+            trace.push(MemEvent {
+                time_ns: i * 7,
+                kind: kinds[(i % 4) as usize],
+                block: BlockId(i % 13),
+                size: (i % 5) as usize * 512,
+                offset: (i % 3) as usize * 4096,
+                mem_kind: mem_kinds[(i % 8) as usize],
+                op_label: (i % 3 == 0).then_some((i % 70) as u32),
+            });
+        }
+        let mut bytes = Vec::new();
+        write_store(&trace, &mut bytes).unwrap();
+        let reader = StoreReader::from_bytes(bytes).unwrap();
+        let source = EventSource::new(trace.events());
+        assert_eq!(source.chunks().len(), reader.num_chunks());
+        let mut scratch = DecodeScratch::new();
+        for (i, stored) in reader.chunks().iter().enumerate() {
+            // every zone map agrees; only the on-disk placement differs
+            let indexed = ChunkMeta {
+                offset: stored.offset,
+                byte_len: stored.byte_len,
+                crc32: stored.crc32,
+                ..source.chunks()[i]
+            };
+            assert_eq!(indexed, *stored, "chunk {i}");
+            let want = reader.decode_chunk(i).unwrap();
+            let got = source.fetch(i, &mut scratch).unwrap();
+            assert_eq!(got.len(), want.len(), "chunk {i}");
+            assert_eq!(got.time(), want.time(), "chunk {i}");
+            assert_eq!(got.meta(), want.meta(), "chunk {i}");
+            assert_eq!(got.block(), want.block(), "chunk {i}");
+            assert_eq!(got.size(), want.size(), "chunk {i}");
+            assert_eq!(got.offset(), want.offset(), "chunk {i}");
+            assert_eq!(got.op(), want.op(), "chunk {i}");
+        }
+        let n = reader.num_chunks();
+        assert!(matches!(
+            source.fetch(n, &mut scratch),
+            Err(StoreError::ChunkOutOfRange { chunk, chunks }) if chunk == n && chunks == n
+        ));
+    }
 }

@@ -9,7 +9,7 @@
 //! * [`conv`] — im2col 2-D convolution
 //! * [`pool`] — max/avg/global-avg pooling
 //! * [`norm`] — batch normalization
-//! * [`concat`] — channel concatenation / split (Inception merges)
+//! * [`concat`](mod@concat) — channel concatenation / split (Inception merges)
 //! * [`depthwise`] — depthwise convolution (MobileNet)
 //! * [`optim`] — Adam and decoupled weight decay
 

@@ -111,7 +111,7 @@ impl fmt::Display for MemoryKind {
     }
 }
 
-/// The paper's three memory-content categories (Figs. 5–7, after [12]).
+/// The paper's three memory-content categories (Figs. 5–7, after \[12\]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Category {
     /// Mini-batch input data.

@@ -14,6 +14,8 @@
 //!   interned op-label table;
 //! * [`BlockLifetime`] — a block's full life (alloc → accesses → free),
 //!   including its access-time intervals (the paper's ATI metric);
+//! * [`PeakUsage`] / [`PeakAcc`] — the peak live footprint by category,
+//!   and the mergeable sweep that computes it;
 //! * [`export`] — CSV / JSON serialization.
 //!
 //! # Examples
@@ -45,4 +47,4 @@ mod trace;
 
 pub use event::{BlockId, Category, EventKind, MemEvent, MemoryKind};
 pub use sink::TraceSink;
-pub use trace::{BlockLifetime, Marker, PeakUsage, Trace};
+pub use trace::{BlockLifetime, Marker, PeakAcc, PeakUsage, Trace};

@@ -246,40 +246,15 @@ impl Trace {
     }
 
     /// Returns the peak over time of total live bytes per paper category,
-    /// plus the overall peak, by sweeping mallocs/frees.
+    /// plus the overall peak, by sweeping mallocs/frees through one
+    /// [`PeakAcc`].
     ///
     /// This is the quantity behind the occupation-breakdown figures: the
     /// footprint a training iteration actually needs from the device.
     pub fn peak_live_bytes(&self) -> PeakUsage {
-        let mut live: BTreeMap<Category, i64> = BTreeMap::new();
-        let mut total: i64 = 0;
-        let mut peak_total: i64 = 0;
-        let mut at_peak: BTreeMap<Category, i64> = BTreeMap::new();
-        for e in &self.events {
-            let cat = e.mem_kind.category();
-            match e.kind {
-                EventKind::Malloc => {
-                    *live.entry(cat).or_insert(0) += e.size as i64;
-                    total += e.size as i64;
-                    if total > peak_total {
-                        peak_total = total;
-                        at_peak = live.clone();
-                    }
-                }
-                EventKind::Free => {
-                    *live.entry(cat).or_insert(0) -= e.size as i64;
-                    total -= e.size as i64;
-                }
-                _ => {}
-            }
-        }
-        PeakUsage {
-            peak_total_bytes: peak_total.max(0) as u64,
-            at_peak_by_category: Category::ALL
-                .iter()
-                .map(|c| (*c, at_peak.get(c).copied().unwrap_or(0).max(0) as u64))
-                .collect(),
-        }
+        let mut acc = PeakAcc::default();
+        self.events.iter().for_each(|e| acc.push(e));
+        acc.finish()
     }
 }
 
@@ -310,6 +285,91 @@ impl PeakUsage {
             self.bytes(cat) as f64 / self.peak_total_bytes as f64
         }
     }
+}
+
+/// Live-byte amounts per category, indexed by `Category as usize`
+/// (declaration order, the order of [`Category::ALL`]).
+type CategoryBytes = [i64; Category::ALL.len()];
+
+/// The peak-footprint sweep over a contiguous span of events, split so
+/// that spans can be swept apart and merged in order: the span's net
+/// allocation delta plus its best peak candidate, both relative to the
+/// span start. [`Trace::peak_live_bytes`] pushes a whole trace through
+/// one accumulator; the fused analysis engine pushes each chunk through
+/// its own and merges them in chunk order, with the same result.
+#[derive(Debug, Default)]
+pub struct PeakAcc {
+    /// Net live-byte change per category over the span.
+    delta: CategoryBytes,
+    /// Net live-byte change overall.
+    delta_total: i64,
+    /// Earliest maximum of the running total at a malloc within the
+    /// span, with the per-category live bytes at that instant. A new
+    /// running peak costs an array copy.
+    peak: Option<(i64, CategoryBytes)>,
+}
+
+impl PeakAcc {
+    /// Sweeps one event: mallocs and frees move the live totals, accesses
+    /// are ignored.
+    #[inline]
+    pub fn push(&mut self, e: &MemEvent) {
+        let cat = e.mem_kind.category() as usize;
+        match e.kind {
+            EventKind::Malloc => {
+                self.delta[cat] += e.size as i64;
+                self.delta_total += e.size as i64;
+                // strict: the earliest of tied maxima wins
+                if self.peak.is_none_or(|(p, _)| self.delta_total > p) {
+                    self.peak = Some((self.delta_total, self.delta));
+                }
+            }
+            EventKind::Free => {
+                self.delta[cat] -= e.size as i64;
+                self.delta_total -= e.size as i64;
+            }
+            EventKind::Read | EventKind::Write => {}
+        }
+    }
+
+    /// Appends the span `b`, which starts where `self` ends.
+    pub fn merge(self, b: PeakAcc) -> PeakAcc {
+        // rebase B's candidate onto A's closing totals; keep A's on ties
+        // so the earliest maximum wins, as in one sweep
+        let cand_b = b
+            .peak
+            .map(|(pt, pc)| (self.delta_total + pt, add_bytes(self.delta, pc)));
+        let peak = match (self.peak, cand_b) {
+            (Some(pa), Some(pb)) => Some(if pb.0 > pa.0 { pb } else { pa }),
+            (x, y) => x.or(y),
+        };
+        PeakAcc {
+            delta: add_bytes(self.delta, b.delta),
+            delta_total: self.delta_total + b.delta_total,
+            peak,
+        }
+    }
+
+    /// The peak of a span that starts with nothing live. A span whose
+    /// running total never rises above zero reports an all-zero peak.
+    pub fn finish(self) -> PeakUsage {
+        let (peak_total, at_peak) = match self.peak {
+            Some((p, cats)) if p > 0 => (p, cats),
+            _ => (0, CategoryBytes::default()),
+        };
+        PeakUsage {
+            peak_total_bytes: peak_total as u64,
+            at_peak_by_category: Category::ALL
+                .iter()
+                .map(|&c| (c, at_peak[c as usize].max(0) as u64))
+                .collect(),
+        }
+    }
+}
+
+/// Element-wise `a + b`.
+fn add_bytes(a: CategoryBytes, b: CategoryBytes) -> CategoryBytes {
+    std::array::from_fn(|c| a[c] + b[c])
 }
 
 /// One device memory block's full observed life.

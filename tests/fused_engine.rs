@@ -1,22 +1,29 @@
 //! Property tests for the fused analysis engine: against seeded
-//! pseudo-random traces, a fused multi-pass run — and the report built on
-//! it — must be bit-identical to the five standalone passes, at any thread
-//! count, for both `.ptrc` stores and in-memory traces — and must decode
-//! each chunk exactly once.
+//! pseudo-random traces, every pass — the folds a report runs, the report
+//! built on them, and the public `from_trace` wrappers over the folds —
+//! must equal the brute-force oracles in `tests/oracle`, field by field,
+//! at any thread count, for both `.ptrc` stores and in-memory traces; and
+//! a fused run must decode each chunk exactly once and prune chunks no
+//! registered fold needs.
+
+mod oracle;
 
 use pinpoint::analysis::{
-    gantt_rects, sift, AtiDataset, AtiFold, BreakdownFold, BreakdownRow, FusedPipeline, GanttFold,
-    OutlierCriteria, OutlierFold, PeakFold, TraceReport,
+    gantt_rects, sift, AtiDataset, AtiRecord, BreakdownRow, FusedPipeline, GanttRect,
+    OutlierCriteria, OutlierReport, PeakFold, TraceReport,
 };
-use pinpoint::store::{write_store_chunked, StoreReader};
+use pinpoint::store::{write_store_chunked, StoreReader, DEFAULT_CHUNK_EVENTS};
 use pinpoint::tensor::rng::Rng64;
-use pinpoint::trace::{BlockId, EventKind, Marker, MemEvent, MemoryKind, Trace};
+use pinpoint::trace::{
+    BlockId, Category, EventKind, Marker, MemEvent, MemoryKind, PeakUsage, Trace,
+};
 
 /// Generates a pseudo-random trace: arbitrary event mixes, shared and
 /// fresh blocks, op labels, markers (mirrors `store_roundtrip.rs`).
 /// About a third of the traces use sparse block ids that differ only in
-/// their high bits, and about a third use coarse times and offsets, so
-/// that Gantt `(t0_ns, offset)` ties across blocks occur.
+/// their high bits, and about a third use coarse times, offsets and
+/// sizes, so that Gantt `(t0_ns, offset)` ties across blocks occur, and
+/// the live total reaches its peak again with another category split.
 fn arbitrary_trace(rng: &mut Rng64, events: usize) -> Trace {
     let sparse_ids = rng.gen_range_usize(0, 3) == 0;
     let coarse = rng.gen_range_usize(0, 3) == 0;
@@ -57,7 +64,12 @@ fn arbitrary_trace(rng: &mut Rng64, events: usize) -> Trace {
         // few distinct blocks, so intervals and re-mallocs actually happen
         let id = rng.gen_below(12);
         let block = BlockId(if sparse_ids { id << 40 } else { id });
-        let size_bits = rng.gen_range_usize(1, 33);
+        let size = if coarse {
+            rng.gen_below(4) << 12
+        } else {
+            let size_bits = rng.gen_range_usize(1, 33);
+            rng.gen_below(1 << size_bits)
+        };
         let offset = if coarse {
             rng.gen_below(4) << 12
         } else {
@@ -68,7 +80,7 @@ fn arbitrary_trace(rng: &mut Rng64, events: usize) -> Trace {
             time_ns: time,
             kind: kinds[rng.gen_range_usize(0, kinds.len())],
             block,
-            size: rng.gen_below(1 << size_bits) as usize,
+            size: size as usize,
             offset: offset as usize,
             mem_kind: mem_kinds[rng.gen_range_usize(0, mem_kinds.len())],
             op_label,
@@ -90,59 +102,69 @@ fn store_of(t: &Trace, chunk: usize) -> StoreReader {
     StoreReader::from_bytes(bytes).unwrap()
 }
 
-/// The five standalone sequential passes — the oracle the fused engine
-/// must reproduce bit for bit.
+/// The five passes, as the oracles compute them.
 struct Oracle {
-    ati: AtiDataset,
-    peak: pinpoint::trace::PeakUsage,
+    ati: Vec<AtiRecord>,
+    sorted_intervals: Vec<u64>,
+    peak: PeakUsage,
     breakdown: BreakdownRow,
-    gantt: Vec<pinpoint::analysis::GanttRect>,
-    outliers: pinpoint::analysis::OutlierReport,
+    gantt: Vec<GanttRect>,
+    outliers: OutlierReport,
 }
 
 fn oracle(t: &Trace, criteria: OutlierCriteria) -> Oracle {
-    let ati = AtiDataset::from_trace(t);
-    let outliers = sift(&ati, criteria);
+    let ati = oracle::ati_records(t);
     Oracle {
-        peak: t.peak_live_bytes(),
-        breakdown: BreakdownRow::from_trace("trace", t),
-        gantt: gantt_rects(t, 0, t.end_time_ns()),
-        outliers,
+        sorted_intervals: oracle::sorted_intervals(&ati),
+        peak: oracle::peak(t),
+        breakdown: oracle::breakdown("trace", t),
+        gantt: oracle::gantt(t, 0, t.end_time_ns()),
+        outliers: oracle::outliers(&ati, criteria),
         ati,
     }
 }
 
-#[allow(clippy::type_complexity)]
-fn five_fold_pipeline(
-    criteria: OutlierCriteria,
-    t_end: u64,
-) -> (
-    FusedPipeline,
-    pinpoint::analysis::FoldHandle<AtiDataset>,
-    pinpoint::analysis::FoldHandle<pinpoint::trace::PeakUsage>,
-    pinpoint::analysis::FoldHandle<BreakdownRow>,
-    pinpoint::analysis::FoldHandle<Vec<pinpoint::analysis::GanttRect>>,
-    pinpoint::analysis::FoldHandle<pinpoint::analysis::OutlierReport>,
-) {
-    let mut pipe = FusedPipeline::new();
-    let ati = pipe.register(AtiFold);
-    let peak = pipe.register(PeakFold);
-    let breakdown = pipe.register(BreakdownFold {
-        label: "trace".to_string(),
-    });
-    let gantt = pipe.register(GanttFold { t_start: 0, t_end });
-    let outliers = pipe.register(OutlierFold { criteria });
-    (pipe, ati, peak, breakdown, gantt, outliers)
+fn assert_ati_matches(got: &AtiDataset, want: &Oracle, tag: &str) {
+    assert_eq!(got.records(), want.ati, "{tag}");
+    assert_eq!(got.sorted_intervals_ns(), want.sorted_intervals, "{tag}");
 }
 
 /// Compares a report with the oracle, field by field.
 fn assert_report_matches(got: &TraceReport, want: &Oracle, events: usize, tag: &str) {
-    assert_eq!(got.ati, want.ati, "{tag}");
+    assert_ati_matches(&got.ati, want, tag);
     assert_eq!(got.peak, want.peak, "{tag}");
     assert_eq!(got.breakdown, want.breakdown, "{tag}");
     assert_eq!(got.gantt, want.gantt, "{tag}");
     assert_eq!(got.outliers, want.outliers, "{tag}");
     assert_eq!(got.stats.events_scanned, events as u64, "{tag}");
+}
+
+/// Malloc events after the first peak instant at which the live total
+/// equals the peak again with another category split: the ties the
+/// earliest-maximum rule decides.
+fn peak_ties(t: &Trace, want: &PeakUsage) -> usize {
+    let mut live = [0i64; 3];
+    let mut split_at_first_peak = None;
+    let mut ties = 0;
+    for e in t.events() {
+        let c = Category::ALL
+            .iter()
+            .position(|&c| c == e.mem_kind.category())
+            .expect("a listed category");
+        match e.kind {
+            EventKind::Malloc => live[c] += e.size as i64,
+            EventKind::Free => live[c] -= e.size as i64,
+            EventKind::Read | EventKind::Write => continue,
+        }
+        let total: i64 = live.iter().sum();
+        if e.kind == EventKind::Malloc && total > 0 && total as u64 == want.peak_total_bytes {
+            match split_at_first_peak {
+                None => split_at_first_peak = Some(live),
+                Some(first) => ties += usize::from(first != live),
+            }
+        }
+    }
+    ties
 }
 
 #[test]
@@ -152,7 +174,7 @@ fn fused_five_passes_match_standalone_on_arbitrary_traces() {
         min_size_bytes: 1 << 24,
     };
     let mut rng = Rng64::seed_from_u64(0xf05e_d0e5);
-    let mut gantt_ties = 0;
+    let (mut gantt_ties, mut tied_peaks) = (0, 0);
     for case in 0..20 {
         let events = rng.gen_range_usize(0, 500);
         let chunk = rng.gen_range_usize(1, 64);
@@ -163,30 +185,27 @@ fn fused_five_passes_match_standalone_on_arbitrary_traces() {
             .windows(2)
             .filter(|w| (w[0].t0_ns, w[0].offset) == (w[1].t0_ns, w[1].offset))
             .count();
-        let end = t.end_time_ns();
+        tied_peaks += peak_ties(&t, &want.peak);
+
+        // the public in-memory passes, each a wrapper over its fold
+        let tag = format!("case {case}, from_trace");
+        let ati = AtiDataset::from_trace(&t);
+        assert_ati_matches(&ati, &want, &tag);
+        assert_eq!(t.peak_live_bytes(), want.peak, "{tag}");
+        assert_eq!(
+            BreakdownRow::from_trace("trace", &t),
+            want.breakdown,
+            "{tag}"
+        );
+        assert_eq!(gantt_rects(&t, 0, t.end_time_ns()), want.gantt, "{tag}");
+        assert_eq!(sift(&ati, criteria), want.outliers, "{tag}");
+        let (t0, t1) = (t.end_time_ns() / 3, t.end_time_ns() / 2);
+        assert_eq!(gantt_rects(&t, t0, t1), oracle::gantt(&t, t0, t1), "{tag}");
+
+        let r = store_of(&t, chunk);
         for threads in [1, 4] {
-            // in-memory fused run
-            let (pipe, ati, peak, breakdown, gantt, outliers) = five_fold_pipeline(criteria, end);
-            let mut out = pipe.run_trace(&t, threads);
-            let tag = format!("case {case}, chunk {chunk}, threads {threads}, in-memory");
-            assert_eq!(out.take(ati), want.ati, "{tag}");
-            assert_eq!(out.take(peak), want.peak, "{tag}");
-            assert_eq!(out.take(breakdown), want.breakdown, "{tag}");
-            assert_eq!(out.take(gantt), want.gantt, "{tag}");
-            assert_eq!(out.take(outliers), want.outliers, "{tag}");
-
-            // `.ptrc` fused run
-            let r = store_of(&t, chunk);
-            let (pipe, ati, peak, breakdown, gantt, outliers) = five_fold_pipeline(criteria, end);
-            let mut out = pipe.run(&r, threads).unwrap();
-            let tag = format!("case {case}, chunk {chunk}, threads {threads}, store");
-            assert_eq!(out.take(ati), want.ati, "{tag}");
-            assert_eq!(out.take(peak), want.peak, "{tag}");
-            assert_eq!(out.take(breakdown), want.breakdown, "{tag}");
-            assert_eq!(out.take(gantt), want.gantt, "{tag}");
-            assert_eq!(out.take(outliers), want.outliers, "{tag}");
-
-            // the report, which folds three passes and derives two
+            // the report's three folds over both sources, the breakdown
+            // and the outliers derived from their outputs
             let tag = format!("case {case}, chunk {chunk}, threads {threads}, report");
             let d = TraceReport::from_trace(&t, criteria, threads);
             assert_report_matches(&d, &want, t.len(), &format!("{tag} from_trace"));
@@ -195,6 +214,7 @@ fn fused_five_passes_match_standalone_on_arbitrary_traces() {
         }
     }
     assert!(gantt_ties > 0, "no Gantt (t0_ns, offset) tie was generated");
+    assert!(tied_peaks > 0, "no peak was reached twice with two splits");
 }
 
 #[test]
@@ -208,14 +228,12 @@ fn fused_five_pass_run_decodes_each_chunk_exactly_once() {
         min_ati_ns: 1,
         min_size_bytes: 1,
     };
-    let (pipe, ati, ..) = five_fold_pipeline(criteria, t.end_time_ns());
-    let out = pipe.run(&r, 4).unwrap();
-    // five consumers, one decode per chunk — not five
+    let d = TraceReport::from_store(&r, criteria, 4).unwrap();
+    // five passes from three folds, one decode per chunk — not five
     assert_eq!(r.chunks_decoded(), chunks as u64);
-    assert_eq!(out.stats().chunks_decoded, chunks);
-    assert_eq!(out.stats().chunks_pruned, 0);
-    assert_eq!(out.stats().events_scanned, t.len() as u64);
-    let _ = { out }.take(ati);
+    assert_eq!(d.stats.chunks_decoded, chunks);
+    assert_eq!(d.stats.chunks_pruned, 0);
+    assert_eq!(d.stats.events_scanned, t.len() as u64);
 }
 
 #[test]
@@ -228,14 +246,12 @@ fn alloc_only_pipeline_prunes_chunks_but_stays_exact() {
         let r = store_of(&t, 16);
         let mut pipe = FusedPipeline::new();
         let peak = pipe.register(PeakFold);
-        let breakdown = pipe.register(BreakdownFold {
-            label: "trace".to_string(),
-        });
         let mut out = pipe.run(&r, 1).unwrap();
-        assert_eq!(out.take(peak), t.peak_live_bytes(), "case {case}");
+        let peak = out.take(peak);
+        assert_eq!(peak, oracle::peak(&t), "case {case}");
         assert_eq!(
-            out.take(breakdown),
-            BreakdownRow::from_trace("trace", &t),
+            BreakdownRow::from_peak("trace", &peak),
+            oracle::breakdown("trace", &t),
             "case {case}"
         );
         let stats = out.stats();
@@ -251,7 +267,8 @@ fn alloc_only_pipeline_prunes_chunks_but_stays_exact() {
 #[test]
 fn peak_only_pipeline_skips_access_only_chunks_through_the_index() {
     // a few mallocs up front, then a long run of reads: most chunks hold
-    // no Malloc|Free event, so the peak fold's predicate must prune them
+    // no Malloc|Free event, so the peak fold's predicate must prune them,
+    // in a store and in memory alike
     let mut t = Trace::new();
     let mut time = 0u64;
     for i in 0..4u64 {
@@ -266,7 +283,7 @@ fn peak_only_pipeline_skips_access_only_chunks_through_the_index() {
         );
         time += 3;
     }
-    for i in 0..400u64 {
+    for i in 0..(3 * DEFAULT_CHUNK_EVENTS as u64 + 400) {
         t.record(
             time,
             EventKind::Read,
@@ -278,27 +295,38 @@ fn peak_only_pipeline_skips_access_only_chunks_through_the_index() {
         );
         time += 5;
     }
+    let mut pipe = FusedPipeline::new();
+    let peak = pipe.register(PeakFold);
+    let want = oracle::peak(&t);
     for threads in [1, 4] {
-        let r = store_of(&t, 32);
-        let mut pipe = FusedPipeline::new();
-        let peak = pipe.register(PeakFold);
-        let mut out = pipe.run(&r, threads).unwrap();
-        assert_eq!(out.take(peak), t.peak_live_bytes(), "threads {threads}");
-        let stats = out.stats();
-        assert!(
-            stats.chunks_pruned > 0,
-            "threads {threads}: access-only chunks must be pruned, stats: {stats:?}"
-        );
-        assert_eq!(
-            stats.chunks_decoded + stats.chunks_pruned,
-            stats.chunks_total,
-            "threads {threads}"
-        );
-        assert!(
-            r.chunks_decoded() < r.num_chunks() as u64,
-            "threads {threads}: {} of {} chunks decoded",
-            r.chunks_decoded(),
-            r.num_chunks()
-        );
+        for chunk in [32, DEFAULT_CHUNK_EVENTS] {
+            let r = store_of(&t, chunk);
+            let mut out = pipe.run(&r, threads).unwrap();
+            let tag = format!("threads {threads}, store chunked by {chunk}");
+            assert_eq!(out.take(peak), want, "{tag}");
+            let stats = out.stats().clone();
+            assert!(
+                stats.chunks_pruned > 0,
+                "{tag}: access-only chunks must be pruned, stats: {stats:?}"
+            );
+            assert_eq!(
+                stats.chunks_decoded + stats.chunks_pruned,
+                stats.chunks_total,
+                "{tag}"
+            );
+            assert!(
+                r.chunks_decoded() < r.num_chunks() as u64,
+                "{tag}: {} of {} chunks decoded",
+                r.chunks_decoded(),
+                r.num_chunks()
+            );
+            if chunk == DEFAULT_CHUNK_EVENTS {
+                // the in-memory trace is cut into the same chunks, so it
+                // prunes exactly the same ones
+                let mut mem = pipe.run_trace(&t, threads);
+                assert_eq!(mem.take(peak), want, "threads {threads}, in-memory");
+                assert_eq!(*mem.stats(), stats, "threads {threads}, in-memory");
+            }
+        }
     }
 }

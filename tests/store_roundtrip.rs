@@ -2,9 +2,10 @@
 //! in-memory trace, plus the acceptance criteria for the chunked layout
 //! (pushdown skips chunks; the binary format is much smaller than JSON).
 
+mod oracle;
+
 use pinpoint::analysis::{
-    gantt_rects, sift, AtiDataset, AtiFold, BreakdownFold, BreakdownRow, EventFold, FusedPipeline,
-    GanttFold, OutlierCriteria, OutlierFold,
+    sift, AtiFold, BreakdownRow, EventFold, FusedPipeline, GanttFold, OutlierCriteria, PeakFold,
 };
 use pinpoint::core::{profile, ProfileConfig};
 use pinpoint::store::{write_store_chunked, Predicate, StoreReader};
@@ -121,28 +122,28 @@ fn analyses_from_store_are_bit_identical_to_in_memory() {
     let t = profiled_trace();
     let r = store_of(&t, 512);
 
-    let ati_mem = AtiDataset::from_trace(&t);
-    assert_eq!(fold_store(&r, AtiFold), ati_mem);
+    let ati = fold_store(&r, AtiFold);
+    let ati_want = oracle::ati_records(&t);
+    assert_eq!(ati.records(), ati_want);
 
     let criteria = OutlierCriteria {
         min_ati_ns: 1_000,
         min_size_bytes: 1_000,
     };
-    assert_eq!(
-        fold_store(&r, OutlierFold { criteria }),
-        sift(&ati_mem, criteria)
-    );
+    assert_eq!(sift(&ati, criteria), oracle::outliers(&ati_want, criteria));
 
+    let peak = fold_store(&r, PeakFold);
+    assert_eq!(peak, oracle::peak(&t));
     assert_eq!(
-        fold_store(&r, BreakdownFold { label: "w".into() }),
-        BreakdownRow::from_trace("w", &t)
+        BreakdownRow::from_peak("w", &peak),
+        oracle::breakdown("w", &t)
     );
 
     let end = t.end_time_ns();
     for (t_start, t_end) in [(0, end), (end / 3, end / 2)] {
         assert_eq!(
             fold_store(&r, GanttFold { t_start, t_end }),
-            gantt_rects(&t, t_start, t_end),
+            oracle::gantt(&t, t_start, t_end),
             "window {t_start}..{t_end}"
         );
     }
