@@ -5,7 +5,7 @@
 //! studies the ATI distribution; Fig. 4 pairs every ATI with its block's
 //! size to find the swappable outliers.
 
-use crate::engine::{AtiFold, FusedPipeline};
+use crate::engine::{run_trace, AtiFold};
 use pinpoint_trace::{BlockId, EventKind, MemoryKind, Trace};
 
 /// One access-time interval of one block.
@@ -42,9 +42,7 @@ pub struct AtiDataset {
 impl AtiDataset {
     /// Extracts every ATI from a trace by running [`AtiFold`] over it.
     pub fn from_trace(trace: &Trace) -> Self {
-        let mut pipe = FusedPipeline::new();
-        let ati = pipe.register(AtiFold);
-        pipe.run_trace(trace, 1).take(ati)
+        run_trace(&AtiFold, trace, 1).0
     }
 
     /// Builds a dataset around pre-extracted records, computing the sorted

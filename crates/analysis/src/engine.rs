@@ -1,12 +1,10 @@
-//! Fused one-decode analysis engine.
+//! One-decode analysis engine.
 //!
 //! The paper derives all of its characterization results (Figs. 2–7) from
-//! *one* trace, yet running the passes one at a time re-reads that trace
-//! once per pass. This module fuses any set of passes over a **single
-//! scan**: each pass is an [`EventFold`] (per-chunk `push`, associative
-//! `merge`, final `finish`), and a [`FusedPipeline`] registers folds,
-//! prunes chunks with the **union** of their predicates, decodes each
-//! surviving chunk exactly once, fans chunks out across
+//! *one* trace. Each pass is an [`EventFold`] (per-chunk `push`,
+//! associative `merge`, final `finish`), and [`run`] folds one over a
+//! **single scan**: it prunes chunks with the fold's predicate, decodes
+//! each surviving chunk exactly once, fans chunks out across
 //! `pinpoint-parallel` workers, and merges the per-chunk partial states
 //! back **in chunk order** — so results are bit-identical at any thread
 //! count, the repo's established determinism invariant.
@@ -14,14 +12,16 @@
 //! The paper's passes ship as three ready-made folds — [`AtiFold`],
 //! [`PeakFold`] and [`GanttFold`] — and the public `from_trace` passes
 //! ([`AtiDataset::from_trace`], [`crate::gantt_rects`]) are wrappers over
-//! them. The breakdown row and the outliers need no fold of their own:
+//! them. A [`TraceReport`](crate::TraceReport) runs all three as one fold
+//! whose accumulator holds each one's, so a report still decodes each
+//! chunk once and builds each event once. The breakdown row and the
+//! outliers need no fold of their own:
 //! [`BreakdownRow::from_peak`](crate::BreakdownRow::from_peak) and
 //! [`sift`](crate::sift) derive them from the peak and the ATIs.
 //!
-//! [`FusedPipeline::run`] takes any [`ChunkSource`] (a `.ptrc` reader, the
-//! serving tier's chunk cache, or an in-memory trace's [`EventSource`])
-//! through the store's one [`scan`]; [`FusedPipeline::run_trace`] is the
-//! in-memory shorthand.
+//! [`run`] takes any [`ChunkSource`] (a `.ptrc` reader, the serving tier's
+//! chunk cache, or an in-memory trace's [`EventSource`]) through the
+//! store's one [`scan`]; [`run_trace`] is the in-memory shorthand.
 
 use crate::ati::{AtiDataset, AtiRecord};
 use crate::gantt::GanttRect;
@@ -29,18 +29,15 @@ use pinpoint_store::{
     scan, ChunkSource, ColumnBatch, EventSource, Predicate, QueryStats, StoreError,
 };
 use pinpoint_trace::{BlockId, EventKind, MemEvent, MemoryKind, PeakAcc, PeakUsage, Trace};
-use std::any::Any;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::fmt;
-use std::marker::PhantomData;
 
 /// One analysis pass expressed as a chunk-parallel fold.
 ///
-/// The engine decodes a chunk of events, calls [`push`](Self::push) for
-/// each event into a fresh per-chunk [`Acc`](Self::Acc), then combines
-/// per-chunk accumulators **left-to-right in chunk order** with
-/// [`merge`](Self::merge), and finally converts the fully merged
+/// The engine decodes a chunk of events, folds them into a fresh
+/// per-chunk [`Acc`](Self::Acc) with [`push_batch`](Self::push_batch),
+/// then combines per-chunk accumulators **left-to-right in chunk order**
+/// with [`merge`](Self::merge), and finally converts the fully merged
 /// accumulator into the pass's result with [`finish`](Self::finish).
 ///
 /// # Contract
@@ -51,13 +48,12 @@ use std::marker::PhantomData;
 ///   engine always passes the earlier accumulator as `a`.
 /// * [`predicate`](Self::predicate) must be **sound**: an event that does
 ///   not match the predicate must not affect the result. The engine uses
-///   it both to prune whole chunks (via the union across registered
-///   folds) and to skip single events for this fold.
+///   it both to prune whole chunks and to skip single events.
 pub trait EventFold: Send + Sync {
     /// Per-chunk partial state.
-    type Acc: Send + 'static;
+    type Acc: Send;
     /// Final result of the pass.
-    type Output: Send + 'static;
+    type Output;
 
     /// The events this fold needs to observe (see the trait contract).
     fn predicate(&self) -> Predicate;
@@ -74,15 +70,11 @@ pub trait EventFold: Send + Sync {
     /// fold's own [`predicate`](Self::predicate); the engine passes it so
     /// overrides don't have to recompute it per chunk.
     ///
-    /// The default materializes each event and filters with `pred` —
-    /// semantically identical to the per-event path. Folds whose
-    /// predicate can be tested straight off a column override this to
-    /// skip events without ever building a [`MemEvent`] (see
+    /// The default materializes each event and filters with `pred`.
+    /// Folds whose predicate can be tested straight off a column override
+    /// this to skip events without ever building a [`MemEvent`] (see
     /// [`PeakFold`], which rules out accesses with one byte test per
-    /// event) — and must then also override
-    /// [`columnar`](Self::columnar) to return `true`, or the engine's
-    /// shared per-event loop is used and the override never runs.
-    /// Overrides must stay bit-identical to the default.
+    /// event). Overrides must stay bit-identical to the default.
     fn push_batch(&self, acc: &mut Self::Acc, batch: &ColumnBatch, pred: &Predicate) {
         for i in 0..batch.len() {
             let e = batch.event(i);
@@ -91,99 +83,23 @@ pub trait EventFold: Send + Sync {
             }
         }
     }
-
-    /// Whether [`push_batch`](Self::push_batch) is overridden with a
-    /// columnar implementation. The engine materializes each event
-    /// **once per chunk** and shares it among every non-columnar fold in
-    /// the pipeline; columnar folds are handed the raw batch instead,
-    /// so a report never builds an event more than once.
-    fn columnar(&self) -> bool {
-        false
-    }
 }
 
-/// Type-erased accumulator, so one pipeline can carry folds with
-/// different `Acc` types.
-type DynAcc = Box<dyn Any + Send>;
-
-/// Object-safe mirror of [`EventFold`]; implemented for every fold via
-/// the blanket impl below.
-trait DynFold: Send + Sync {
-    fn predicate_dyn(&self) -> Predicate;
-    fn new_acc_dyn(&self) -> DynAcc;
-    fn push_dyn(&self, acc: &mut DynAcc, e: &MemEvent);
-    fn push_batch_dyn(&self, acc: &mut DynAcc, batch: &ColumnBatch, pred: &Predicate);
-    fn columnar_dyn(&self) -> bool;
-    fn merge_dyn(&self, a: DynAcc, b: DynAcc) -> DynAcc;
-    fn finish_dyn(&self, acc: DynAcc) -> DynAcc;
-}
-
-impl<F: EventFold> DynFold for F {
-    fn predicate_dyn(&self) -> Predicate {
-        self.predicate()
-    }
-    fn new_acc_dyn(&self) -> DynAcc {
-        Box::new(self.new_acc())
-    }
-    fn push_dyn(&self, acc: &mut DynAcc, e: &MemEvent) {
-        let acc = acc.downcast_mut::<F::Acc>().expect("fold acc type");
-        self.push(acc, e);
-    }
-    fn push_batch_dyn(&self, acc: &mut DynAcc, batch: &ColumnBatch, pred: &Predicate) {
-        let acc = acc.downcast_mut::<F::Acc>().expect("fold acc type");
-        self.push_batch(acc, batch, pred);
-    }
-    fn columnar_dyn(&self) -> bool {
-        self.columnar()
-    }
-    fn merge_dyn(&self, a: DynAcc, b: DynAcc) -> DynAcc {
-        let a = a.downcast::<F::Acc>().expect("fold acc type");
-        let b = b.downcast::<F::Acc>().expect("fold acc type");
-        Box::new(self.merge(*a, *b))
-    }
-    fn finish_dyn(&self, acc: DynAcc) -> DynAcc {
-        let acc = acc.downcast::<F::Acc>().expect("fold acc type");
-        Box::new(self.finish(*acc))
-    }
-}
-
-/// Typed receipt for a registered fold; redeem it with
-/// [`FusedOutputs::take`] after the pipeline runs.
-pub struct FoldHandle<O> {
-    index: usize,
-    _output: PhantomData<fn() -> O>,
-}
-
-impl<O> Clone for FoldHandle<O> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<O> Copy for FoldHandle<O> {}
-
-impl<O> fmt::Debug for FoldHandle<O> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("FoldHandle")
-            .field("index", &self.index)
-            .finish()
-    }
-}
-
-/// Scan accounting for one fused run — how much pruning and decoding the
-/// union predicate bought, and (under
+/// Scan accounting for one fold run — how much pruning and decoding the
+/// fold's predicate bought, and (under
 /// [`ReadPolicy::Salvage`](pinpoint_store::ReadPolicy::Salvage)) exactly
 /// what corruption cost.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FusedStats {
     /// Chunks in the store (or synthesized from the in-memory trace).
     pub chunks_total: usize,
-    /// Chunks actually decoded — each exactly once, however many folds ran.
+    /// Chunks actually decoded — each exactly once per run.
     pub chunks_decoded: usize,
-    /// Chunks skipped via the footer index and the union predicate.
+    /// Chunks skipped via the footer index and the fold's predicate.
     pub chunks_pruned: usize,
     /// Of the pruned chunks, how many were rejected *specifically* by the
     /// v3 per-chunk op-label bitset — every other zone-map test would
-    /// have let them through. Always 0 when no registered fold constrains
+    /// have let them through. Always 0 when the fold does not constrain
     /// the op label, and on pre-v3 stores (their index defaults to the
     /// all-labels bitset).
     pub chunks_pruned_by_label: usize,
@@ -214,233 +130,75 @@ impl FusedStats {
     }
 }
 
-/// Results of a fused run: one output slot per registered fold, plus
-/// scan statistics.
-pub struct FusedOutputs {
-    outputs: Vec<Option<DynAcc>>,
-    stats: FusedStats,
-}
-
-impl fmt::Debug for FusedOutputs {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("FusedOutputs")
-            .field("outputs", &self.outputs.len())
-            .field("stats", &self.stats)
-            .finish()
-    }
-}
-
-impl FusedOutputs {
-    /// Removes and returns the output of the fold behind `handle`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the handle came from a different pipeline or the output
-    /// was already taken.
-    pub fn take<O: 'static>(&mut self, handle: FoldHandle<O>) -> O {
-        let boxed = self
-            .outputs
-            .get_mut(handle.index)
-            .and_then(Option::take)
-            .expect("fold output present (taken once, handle from this run)");
-        *boxed.downcast::<O>().expect("handle output type")
-    }
-
-    /// Scan accounting for the run.
-    pub fn stats(&self) -> &FusedStats {
-        &self.stats
-    }
-}
-
-/// A set of registered folds run over **one** decode of a trace.
+/// Runs `fold` over a chunk source in **one pass**: chunks not matching
+/// the fold's predicate are pruned via the index, each surviving chunk is
+/// fetched (read, CRC-checked and decoded, taken from a cache, or filled
+/// from memory) exactly once and folded into a fresh accumulator, and the
+/// per-chunk accumulators merge in chunk order — bit-identical results at
+/// any `threads` count, whatever mix of cache hits serves the batches.
 ///
-/// See the module docs for the full picture; in short:
+/// Under the source's
+/// [`ReadPolicy::Salvage`](pinpoint_store::ReadPolicy::Salvage), corrupt
+/// chunks are dropped with exact accounting (`chunks_skipped`,
+/// `events_lost`, `first_error`) instead of failing the run; the result
+/// is then bit-identical — at any thread count — to a run over a store
+/// containing only the surviving chunks.
+///
+/// # Errors
+///
+/// I/O errors and [`StoreError::Cancelled`] always; corruption errors
+/// under [`ReadPolicy::Strict`](pinpoint_store::ReadPolicy::Strict).
+pub fn run<F: EventFold, S: ChunkSource + ?Sized>(
+    fold: &F,
+    source: &S,
+    threads: usize,
+) -> Result<(F::Output, FusedStats), StoreError> {
+    let _run_span = pinpoint_obs::tracer().span("engine.run");
+    let pred = fold.predicate();
+    let mut merged: Option<F::Acc> = None;
+    let mut events_scanned = 0u64;
+    let stats = scan(
+        source,
+        &pred,
+        "engine.prune",
+        threads,
+        |_, batch| {
+            let _fold_span = pinpoint_obs::tracer().span_with("engine.fold", batch.len() as u64);
+            let mut acc = fold.new_acc();
+            fold.push_batch(&mut acc, batch, &pred);
+            (acc, batch.len() as u64)
+        },
+        |i, (acc, n)| {
+            events_scanned += n;
+            let _merge_span = pinpoint_obs::tracer().span_with("engine.merge", i as u64);
+            merged = Some(match merged.take() {
+                None => acc,
+                Some(prev) => fold.merge(prev, acc),
+            });
+        },
+    )?;
+    let _finish_span = pinpoint_obs::tracer().span("engine.finish");
+    // no chunk folded: the fold finishes from an empty accumulator
+    let acc = merged.unwrap_or_else(|| fold.new_acc());
+    Ok((
+        fold.finish(acc),
+        FusedStats::from_scan(stats, events_scanned),
+    ))
+}
+
+/// [`run`] over an in-memory trace's [`EventSource`], whose fetches never
+/// fail.
 ///
 /// ```
-/// use pinpoint_analysis::{AtiFold, FusedPipeline, PeakFold};
+/// use pinpoint_analysis::{run_trace, PeakFold};
 /// # use pinpoint_trace::Trace;
-/// let mut pipe = FusedPipeline::new();
-/// let ati = pipe.register(AtiFold);
-/// let peak = pipe.register(PeakFold);
-/// let mut out = pipe.run_trace(&Trace::new(), 1);
-/// let (dataset, usage) = (out.take(ati), out.take(peak));
-/// # assert!(dataset.is_empty());
-/// # assert_eq!(usage.peak_total_bytes, 0);
+/// let (usage, stats) = run_trace(&PeakFold, &Trace::new(), 1);
+/// assert_eq!(usage.peak_total_bytes, 0);
+/// assert_eq!(stats.chunks_total, 0);
 /// ```
-#[derive(Default)]
-pub struct FusedPipeline {
-    folds: Vec<Box<dyn DynFold>>,
-}
-
-impl fmt::Debug for FusedPipeline {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("FusedPipeline")
-            .field("folds", &self.folds.len())
-            .finish()
-    }
-}
-
-impl FusedPipeline {
-    /// An empty pipeline; register folds, then run it.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Registers a fold; redeem the returned handle for its output after
-    /// a run.
-    pub fn register<F: EventFold + 'static>(&mut self, fold: F) -> FoldHandle<F::Output> {
-        let index = self.folds.len();
-        self.folds.push(Box::new(fold));
-        FoldHandle {
-            index,
-            _output: PhantomData,
-        }
-    }
-
-    /// Number of registered folds.
-    pub fn len(&self) -> usize {
-        self.folds.len()
-    }
-
-    /// True when no folds are registered.
-    pub fn is_empty(&self) -> bool {
-        self.folds.is_empty()
-    }
-
-    /// The union of every registered fold's predicate — the coarsest
-    /// filter that is still sound for all of them, used for chunk-index
-    /// pruning. Returns the match-everything predicate when the pipeline
-    /// is empty.
-    pub fn union_predicate(&self) -> Predicate {
-        self.folds
-            .iter()
-            .map(|f| f.predicate_dyn())
-            .reduce(|a, b| a.union(&b))
-            .unwrap_or_else(Predicate::any)
-    }
-
-    /// Runs every registered fold over a chunk source in **one pass**:
-    /// chunks not matching the union predicate are pruned via the index,
-    /// each surviving chunk is fetched (read, CRC-checked and decoded,
-    /// taken from a cache, or filled from memory) exactly once, and
-    /// per-chunk partial states merge in chunk order — bit-identical
-    /// results at any `threads` count, whatever mix of cache hits serves
-    /// the batches.
-    ///
-    /// Under the source's
-    /// [`ReadPolicy::Salvage`](pinpoint_store::ReadPolicy::Salvage),
-    /// corrupt chunks are dropped with exact accounting (`chunks_skipped`,
-    /// `events_lost`, `first_error`) instead of failing the run; the fold
-    /// results are then bit-identical — at any thread count — to a run
-    /// over a store containing only the surviving chunks.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors and [`StoreError::Cancelled`] always; corruption errors
-    /// under [`ReadPolicy::Strict`](pinpoint_store::ReadPolicy::Strict).
-    pub fn run<S: ChunkSource + ?Sized>(
-        &self,
-        source: &S,
-        threads: usize,
-    ) -> Result<FusedOutputs, StoreError> {
-        let _run_span = pinpoint_obs::tracer().span_with("engine.run", self.folds.len() as u64);
-        let preds: Vec<Predicate> = self.folds.iter().map(|f| f.predicate_dyn()).collect();
-        let folds = &self.folds;
-        let mut merged: Option<Vec<DynAcc>> = None;
-        let mut events_scanned = 0u64;
-        // an empty pipeline feeds no fold, so its empty kind mask prunes
-        // every chunk instead of decoding them all for nothing
-        let pred = if folds.is_empty() {
-            Predicate {
-                kind_mask: Some(0),
-                ..Predicate::any()
-            }
-        } else {
-            self.union_predicate()
-        };
-        let stats = scan(
-            source,
-            &pred,
-            "engine.prune",
-            threads,
-            |_, batch| (fold_chunk_batch(folds, &preds, batch), batch.len() as u64),
-            |i, (accs, n)| {
-                events_scanned += n;
-                let _merge_span = pinpoint_obs::tracer().span_with("engine.merge", i as u64);
-                merged = merge_accs(folds, merged.take(), accs);
-            },
-        )?;
-        let _finish_span = pinpoint_obs::tracer().span("engine.finish");
-        // no chunk folded: every fold finishes from an empty accumulator
-        let accs = merged.unwrap_or_else(|| folds.iter().map(|f| f.new_acc_dyn()).collect());
-        let outputs = folds
-            .iter()
-            .zip(accs)
-            .map(|(f, a)| Some(f.finish_dyn(a)))
-            .collect();
-        Ok(FusedOutputs {
-            outputs,
-            stats: FusedStats::from_scan(stats, events_scanned),
-        })
-    }
-
-    /// [`run`](Self::run) over an in-memory trace's [`EventSource`],
-    /// whose fetches never fail.
-    pub fn run_trace(&self, trace: &Trace, threads: usize) -> FusedOutputs {
-        self.run(&EventSource::new(trace.events()), threads)
-            .expect("in-memory chunks never fail to fetch")
-    }
-}
-
-/// Folds one decoded column batch into fresh per-fold accumulators.
-///
-/// Columnar folds consume the batch directly (never building an event);
-/// all remaining folds share a single materialization loop, so each
-/// event is built at most once per chunk however many folds registered.
-fn fold_chunk_batch(
-    folds: &[Box<dyn DynFold>],
-    preds: &[Predicate],
-    batch: &ColumnBatch,
-) -> Vec<DynAcc> {
-    let _fold_span = pinpoint_obs::tracer().span_with("engine.fold", batch.len() as u64);
-    let mut accs: Vec<DynAcc> = folds.iter().map(|f| f.new_acc_dyn()).collect();
-    let mut shared: Vec<usize> = Vec::new();
-    for (j, fold) in folds.iter().enumerate() {
-        if fold.columnar_dyn() {
-            fold.push_batch_dyn(&mut accs[j], batch, &preds[j]);
-        } else {
-            shared.push(j);
-        }
-    }
-    if !shared.is_empty() {
-        for i in 0..batch.len() {
-            let e = batch.event(i);
-            for &j in &shared {
-                if preds[j].matches_event(&e) {
-                    folds[j].push_dyn(&mut accs[j], &e);
-                }
-            }
-        }
-    }
-    accs
-}
-
-/// In-order reduce step: merge the next chunk's accumulators into the
-/// running ones (earlier chunks on the left).
-fn merge_accs(
-    folds: &[Box<dyn DynFold>],
-    acc: Option<Vec<DynAcc>>,
-    next: Vec<DynAcc>,
-) -> Option<Vec<DynAcc>> {
-    Some(match acc {
-        None => next,
-        Some(prev) => prev
-            .into_iter()
-            .zip(next)
-            .zip(folds)
-            .map(|((a, b), f)| f.merge_dyn(a, b))
-            .collect(),
-    })
+pub fn run_trace<F: EventFold>(fold: &F, trace: &Trace, threads: usize) -> (F::Output, FusedStats) {
+    run(fold, &EventSource::new(trace.events()), threads)
+        .expect("in-memory chunks never fail to fetch")
 }
 
 // ---------------------------------------------------------------------------
@@ -637,9 +395,6 @@ impl EventFold for PeakFold {
             }
         }
     }
-    fn columnar(&self) -> bool {
-        true
-    }
 }
 
 /// Per-block state of the Gantt fold, mirroring one
@@ -744,6 +499,8 @@ impl EventFold for GanttFold {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gantt_rects;
+    use crate::report::ReportFold;
     use pinpoint_store::{Batch, ReadPolicy, DEFAULT_CHUNK_EVENTS};
     use pinpoint_trace::Category;
 
@@ -829,14 +586,12 @@ mod tests {
         let mut bytes = Vec::new();
         pinpoint_store::write_store_chunked(&t, &mut bytes, 4).unwrap();
         let reader = pinpoint_store::StoreReader::from_bytes(bytes).unwrap();
-        let mut pipe = FusedPipeline::new();
-        let peak = pipe.register(PeakFold);
         for threads in [1, 4] {
-            let mut out = pipe.run_trace(&t, threads);
-            assert!(out.stats().chunks_total > 1);
-            assert_eq!(out.take(peak), want, "run_trace, threads={threads}");
-            let mut out = pipe.run(&reader, threads).unwrap();
-            assert_eq!(out.take(peak), want, "store, threads={threads}");
+            let (peak, stats) = run_trace(&PeakFold, &t, threads);
+            assert!(stats.chunks_total > 1);
+            assert_eq!(peak, want, "run_trace, threads={threads}");
+            let (peak, _) = run(&PeakFold, &reader, threads).unwrap();
+            assert_eq!(peak, want, "store, threads={threads}");
         }
     }
 
@@ -890,9 +645,6 @@ mod tests {
                 (0..b.len()).for_each(|k| survivors.push(b.event(k)));
             }
         }
-        let mut pipe = FusedPipeline::new();
-        let peak = pipe.register(PeakFold);
-        let ati = pipe.register(AtiFold);
 
         for threads in [1, 4] {
             for policy in [ReadPolicy::Strict, ReadPolicy::Salvage] {
@@ -906,63 +658,36 @@ mod tests {
                     };
                     let case = format!("threads={threads} {policy:?} cancel={cancel}");
                     let q = pinpoint_store::query(&source, &Predicate::any(), threads);
-                    let run = pipe.run(&source, threads);
+                    let folded = run(&ReportFold, &source, threads);
                     if policy == ReadPolicy::Strict || cancel {
                         let want = if cancel { "cancelled" } else { "rotted" };
-                        for err in [q.unwrap_err(), run.unwrap_err()] {
+                        for err in [q.unwrap_err(), folded.unwrap_err()] {
                             assert!(err.to_string().contains(want), "{case}: {err}");
                         }
                         continue;
                     }
-                    let (q, mut out) = (q.unwrap(), run.unwrap());
+                    let (q, ((ati, peak, gantt), stats)) = (q.unwrap(), folded.unwrap());
                     let first_error = Some(format!("corrupt store: chunk {broken} rotted"));
                     assert_eq!(q.events, survivors.events(), "{case}");
                     assert_eq!(q.stats.chunks_skipped, 1, "{case}");
                     assert_eq!(q.stats.events_lost, lost, "{case}");
                     assert_eq!(q.stats.first_error, first_error, "{case}");
-                    let stats = out.stats().clone();
                     assert_eq!(stats.chunks_skipped, 1, "{case}");
                     assert_eq!(stats.events_lost, lost, "{case}");
                     assert_eq!(stats.first_error, first_error, "{case}");
                     assert_eq!(stats.chunks_decoded, chunks.len() - 1, "{case}");
-                    assert_eq!(out.take(peak), survivors.peak_live_bytes(), "{case}");
-                    assert_eq!(out.take(ati), AtiDataset::from_trace(&survivors), "{case}");
+                    assert_eq!(peak, survivors.peak_live_bytes(), "{case}");
+                    assert_eq!(ati, AtiDataset::from_trace(&survivors), "{case}");
+                    assert_eq!(gantt, gantt_rects(&survivors, 0, u64::MAX), "{case}");
                 }
             }
         }
     }
 
     #[test]
-    fn union_predicate_is_the_hull_of_registered_folds() {
-        let mut pipe = FusedPipeline::new();
-        pipe.register(PeakFold);
-        pipe.register(PeakFold);
-        // alloc-only folds keep the alloc-only mask...
-        let u = pipe.union_predicate();
-        assert_eq!(u, PeakFold.predicate());
-        // ...until an everything-fold joins.
-        pipe.register(AtiFold);
-        assert_eq!(pipe.union_predicate(), Predicate::any());
-    }
-
-    #[test]
-    fn empty_pipeline_and_empty_trace_are_fine() {
-        let pipe = FusedPipeline::new();
-        let out = pipe.run_trace(&Trace::new(), 4);
-        assert_eq!(out.stats().chunks_total, 0);
-
-        // over a store, an empty pipeline prunes every chunk
-        let mut bytes = Vec::new();
-        pinpoint_store::write_store_chunked(&mixed_trace(), &mut bytes, 16).unwrap();
-        let reader = pinpoint_store::StoreReader::from_bytes(bytes).unwrap();
-        let out = pipe.run(&reader, 4).unwrap();
-        assert!(out.stats().chunks_total > 1);
-        assert_eq!(out.stats().chunks_pruned, out.stats().chunks_total);
-        assert_eq!(reader.chunks_decoded(), 0);
-
-        let mut pipe = FusedPipeline::new();
-        let peak = pipe.register(PeakFold);
-        let mut out = pipe.run_trace(&Trace::new(), 4);
-        assert_eq!(out.take(peak).peak_total_bytes, 0);
+    fn empty_trace_is_fine() {
+        let (usage, stats) = run_trace(&PeakFold, &Trace::new(), 4);
+        assert_eq!(usage.peak_total_bytes, 0);
+        assert_eq!(stats.chunks_total, 0);
     }
 }

@@ -4,7 +4,7 @@
 //! y-extent from device offset to offset+size. Blank vertical space between
 //! live rectangles is device memory fragmentation.
 
-use crate::engine::{FusedPipeline, GanttFold};
+use crate::engine::{run_trace, GanttFold};
 use pinpoint_trace::{BlockId, MemoryKind, Trace};
 
 /// One rectangle of the Gantt chart.
@@ -28,9 +28,7 @@ pub struct GanttRect {
 /// `[t_start, t_end]`, sorted by start time, then offset, then block, by
 /// running [`GanttFold`] over the trace.
 pub fn gantt_rects(trace: &Trace, t_start: u64, t_end: u64) -> Vec<GanttRect> {
-    let mut pipe = FusedPipeline::new();
-    let rects = pipe.register(GanttFold { t_start, t_end });
-    pipe.run_trace(trace, 1).take(rects)
+    run_trace(&GanttFold { t_start, t_end }, trace, 1).0
 }
 
 /// Fragmentation of the device address space at instant `t`: the live

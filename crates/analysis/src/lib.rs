@@ -23,19 +23,19 @@
 //!
 //! Every pass above works on an in-memory [`Trace`](pinpoint_trace::Trace).
 //! The ATI, peak and Gantt passes are [`EventFold`]s ([`AtiFold`],
-//! [`PeakFold`], [`GanttFold`]) for the [`FusedPipeline`] engine, and their
-//! `from_trace` entry points ([`AtiDataset::from_trace`], [`gantt_rects`],
-//! and `Trace::peak_live_bytes` through the shared [`PeakAcc`]) are thin
+//! [`PeakFold`], [`GanttFold`]), and their `from_trace` entry points
+//! ([`AtiDataset::from_trace`], [`gantt_rects`], and
+//! `Trace::peak_live_bytes` through the shared [`PeakAcc`]) are thin
 //! wrappers over them, so each pass has one implementation. The breakdown
 //! and outliers derive from the peak ([`BreakdownRow::from_peak`]) and the
-//! ATIs ([`sift`]). The engine runs *any* set of folds over a single
-//! decode of the trace, pruning chunks with the union of the folds'
-//! predicates and merging per-chunk partial states deterministically.
-//! [`FusedPipeline::run`] reads an on-disk `.ptrc` store (or any other
-//! [`ChunkSource`](pinpoint_store::ChunkSource)) one chunk at a time, and
-//! [`FusedPipeline::run_trace`] runs the same scan over an in-memory
-//! trace cut into the same chunks. Register several folds to pay for one
-//! scan total instead of one scan per pass.
+//! ATIs ([`sift`]). The engine is one statically typed loop: [`run`]
+//! folds one fold over a single decode of an on-disk `.ptrc` store (or
+//! any other [`ChunkSource`](pinpoint_store::ChunkSource)), one chunk at a
+//! time, pruning chunks with the fold's predicate and merging per-chunk
+//! partial states deterministically; [`run_trace`] runs the same scan over
+//! an in-memory trace cut into the same chunks. [`TraceReport`] runs the
+//! three folds as one, so a report pays for one scan total instead of one
+//! scan per pass.
 //!
 //! # Examples
 //!
@@ -78,8 +78,7 @@ pub use cdf::EmpiricalCdf;
 pub use contention::{check_contention, thin_to_feasible, ContentionReport, ScheduledSwap};
 pub use diff::{diff_traces, Delta, TraceDiff};
 pub use engine::{
-    AtiAcc, AtiFold, EventFold, FoldHandle, FusedOutputs, FusedPipeline, FusedStats, GanttAcc,
-    GanttFold, PeakFold,
+    run, run_trace, AtiAcc, AtiFold, EventFold, FusedStats, GanttAcc, GanttFold, PeakFold,
 };
 pub use gantt::{
     fragmentation_at, gantt_rects, worst_fragmentation, FragmentationSnapshot, GanttRect,
@@ -91,8 +90,7 @@ pub use outlier::{sift, OutlierCriteria, OutlierReport};
 pub use pinpoint_trace::PeakAcc;
 pub use planner::{apply, plan, SwapDecision, SwapPlan};
 pub use report::{
-    query_json, query_json_into, report_json, report_json_into, RenderScratch, ReportFolds,
-    TraceReport,
+    query_json, query_json_into, report_json, report_json_into, RenderScratch, TraceReport,
 };
 pub use svg::{gantt_svg, SvgConfig};
 pub use swap::{assess, SwapFeasibilityReport, SwapVerdict};

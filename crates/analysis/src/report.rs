@@ -1,13 +1,14 @@
 //! [`TraceReport`]: every analysis pass of the paper computed over
-//! **one** decode of a trace via the fused engine, plus the canonical
+//! **one** decode of a trace via the fold engine, plus the canonical
 //! JSON renderings shared by the CLI and the `pinpoint-serve` daemon.
 //!
-//! A report folds each event once per pass: it registers three folds
-//! (ATI, peak, Gantt) and derives the other two results from theirs —
-//! the breakdown row from the peak, the outliers by sifting the ATIs.
-//! [`TraceReport::from_trace`] and [`TraceReport::from_store`] run the
-//! same scan, over an in-memory trace's chunks or a store's, so a report
-//! of a trace equals the report of its default-chunked store, scan
+//! A report is one fold, whose accumulator holds the ATI, peak and Gantt
+//! folds' accumulators: each chunk is decoded once, each event is built
+//! once and pushed into all three, and the other two results are derived
+//! from theirs — the breakdown row from the peak, the outliers by sifting
+//! the ATIs. [`TraceReport::from_trace`] and [`TraceReport::from_store`]
+//! run the same scan, over an in-memory trace's chunks or a store's, so a
+//! report of a trace equals the report of its default-chunked store, scan
 //! accounting included.
 //!
 //! The JSON here is the *wire contract* between the offline tool and the
@@ -22,21 +23,19 @@
 use crate::ati::AtiDataset;
 use crate::breakdown::BreakdownRow;
 use crate::cdf::nearest_rank;
-use crate::engine::{
-    AtiFold, FoldHandle, FusedOutputs, FusedPipeline, FusedStats, GanttFold, PeakFold,
-};
+use crate::engine::{run, run_trace, AtiAcc, AtiFold, EventFold, FusedStats, GanttAcc, GanttFold};
 use crate::gantt::GanttRect;
 use crate::outlier::{sift, OutlierCriteria, OutlierReport};
-use pinpoint_store::{ChunkSource, QueryResult, StoreError};
+use pinpoint_store::{ChunkSource, ColumnBatch, Predicate, QueryResult, StoreError};
 use pinpoint_trace::export::{kind_name, mem_kind_name, write_event_json};
-use pinpoint_trace::{json, PeakUsage, Trace};
+use pinpoint_trace::{json, MemEvent, PeakAcc, PeakUsage, Trace};
 use std::fmt::Write as _;
 
 /// Every analysis pass of the paper — ATI, peak, breakdown, Gantt,
-/// outliers — computed over **one** decode of the trace by the fused
+/// outliers — computed over **one** decode of the trace by the fold
 /// engine (the five standalone passes would each rescan it), with each
-/// event folded once per pass: the breakdown and the outliers are
-/// derived from the peak and the ATIs.
+/// event built once: the breakdown and the outliers are derived from the
+/// peak and the ATIs.
 #[derive(Debug, Clone)]
 pub struct TraceReport {
     /// Access-time intervals (Figs. 3–4 input).
@@ -53,84 +52,104 @@ pub struct TraceReport {
     pub stats: FusedStats,
 }
 
-/// The three [`TraceReport`] folds as registered on a pipeline —
-/// [`AtiFold`], [`PeakFold`], [`GanttFold`] — plus the outlier criteria;
-/// [`ReportFolds::take`] assembles the report from the run's outputs.
-///
-/// The breakdown row and the outliers get no fold of their own: `take`
-/// derives them from the peak ([`BreakdownRow::from_peak`]) and the ATIs
-/// ([`sift`]), so no event is folded twice for one report.
-#[derive(Debug, Clone, Copy)]
-pub struct ReportFolds {
-    ati: FoldHandle<AtiDataset>,
-    peak: FoldHandle<PeakUsage>,
-    gantt: FoldHandle<Vec<GanttRect>>,
-    criteria: OutlierCriteria,
+/// The Gantt window of a report: every block lifetime.
+const WHOLE_TRACE: GanttFold = GanttFold {
+    t_start: 0,
+    t_end: u64::MAX,
+};
+
+/// The fold behind [`TraceReport`]: [`AtiFold`], the peak sweep and a
+/// whole-trace [`GanttFold`] in one accumulator. Its predicate matches
+/// every event, since the ATI and Gantt passes need them all;
+/// [`PeakAcc::push`] ignores accesses itself.
+#[derive(Debug)]
+pub(crate) struct ReportFold;
+
+/// Accumulator of [`ReportFold`]: one part per fold.
+#[derive(Debug, Default)]
+pub(crate) struct ReportAcc {
+    ati: AtiAcc,
+    peak: PeakAcc,
+    gantt: GanttAcc,
 }
 
-impl ReportFolds {
-    /// Registers the three folds on `pipe`.
-    pub fn register(pipe: &mut FusedPipeline, criteria: OutlierCriteria) -> Self {
-        ReportFolds {
-            ati: pipe.register(AtiFold),
-            peak: pipe.register(PeakFold),
-            gantt: pipe.register(GanttFold {
-                t_start: 0,
-                t_end: u64::MAX,
-            }),
-            criteria,
+impl EventFold for ReportFold {
+    type Acc = ReportAcc;
+    type Output = (AtiDataset, PeakUsage, Vec<GanttRect>);
+
+    fn predicate(&self) -> Predicate {
+        Predicate::any()
+    }
+    fn new_acc(&self) -> ReportAcc {
+        ReportAcc::default()
+    }
+    fn push(&self, acc: &mut ReportAcc, e: &MemEvent) {
+        AtiFold.push(&mut acc.ati, e);
+        acc.peak.push(e);
+        WHOLE_TRACE.push(&mut acc.gantt, e);
+    }
+    fn merge(&self, a: ReportAcc, b: ReportAcc) -> ReportAcc {
+        ReportAcc {
+            ati: AtiFold.merge(a.ati, b.ati),
+            peak: a.peak.merge(b.peak),
+            gantt: WHOLE_TRACE.merge(a.gantt, b.gantt),
         }
     }
-
-    /// Takes the three outputs of a run of the pipeline they were
-    /// registered on and derives the breakdown row (labelled `"trace"`)
-    /// and the outliers from them.
-    ///
-    /// # Panics
-    ///
-    /// As [`FusedOutputs::take`].
-    pub fn take(self, out: &mut FusedOutputs) -> TraceReport {
-        let ati = out.take(self.ati);
-        let peak = out.take(self.peak);
-        TraceReport {
-            breakdown: BreakdownRow::from_peak("trace", &peak),
-            outliers: sift(&ati, self.criteria),
-            ati,
-            peak,
-            gantt: out.take(self.gantt),
-            stats: out.stats().clone(),
+    fn finish(&self, acc: ReportAcc) -> Self::Output {
+        (
+            AtiFold.finish(acc.ati),
+            acc.peak.finish(),
+            WHOLE_TRACE.finish(acc.gantt),
+        )
+    }
+    /// Every event matches, so each is built once and pushed into all
+    /// three parts with no per-event predicate test.
+    fn push_batch(&self, acc: &mut ReportAcc, batch: &ColumnBatch, _: &Predicate) {
+        for i in 0..batch.len() {
+            self.push(acc, &batch.event(i));
         }
     }
 }
 
 impl TraceReport {
-    /// Runs all five passes over a chunk source in one fused scan: each
-    /// chunk is decoded exactly once, however many passes consume it, and
-    /// each event is folded once per registered fold.
+    /// Runs all five passes over a chunk source in one scan: each chunk
+    /// is decoded exactly once and each event built once.
     /// The source is a `.ptrc` reader, or the daemon's chunk cache, which
     /// gives the same report at any `threads` count whatever mix of
     /// cache hits serves the chunks.
     ///
     /// # Errors
     ///
-    /// As [`FusedPipeline::run`].
+    /// As [`run`].
     pub fn from_store<S: ChunkSource + ?Sized>(
         source: &S,
         criteria: OutlierCriteria,
         threads: usize,
     ) -> Result<Self, StoreError> {
-        let mut pipe = FusedPipeline::new();
-        let folds = ReportFolds::register(&mut pipe, criteria);
-        Ok(folds.take(&mut pipe.run(source, threads)?))
+        Ok(Self::derive(run(&ReportFold, source, threads)?, criteria))
     }
 
-    /// Runs all five passes over an in-memory trace in one fused scan,
-    /// through the same chunked scan as [`TraceReport::from_store`] —
+    /// Runs all five passes over an in-memory trace in one scan, through
+    /// the same chunked scan as [`TraceReport::from_store`] —
     /// bit-identical to it on a store of the same trace.
     pub fn from_trace(trace: &Trace, criteria: OutlierCriteria, threads: usize) -> Self {
-        let mut pipe = FusedPipeline::new();
-        let folds = ReportFolds::register(&mut pipe, criteria);
-        folds.take(&mut pipe.run_trace(trace, threads))
+        Self::derive(run_trace(&ReportFold, trace, threads), criteria)
+    }
+
+    /// Assembles the report from a [`ReportFold`] run, deriving the
+    /// breakdown row (labelled `"trace"`) and the outliers.
+    fn derive(
+        ((ati, peak, gantt), stats): (<ReportFold as EventFold>::Output, FusedStats),
+        criteria: OutlierCriteria,
+    ) -> Self {
+        TraceReport {
+            breakdown: BreakdownRow::from_peak("trace", &peak),
+            outliers: sift(&ati, criteria),
+            ati,
+            peak,
+            gantt,
+            stats,
+        }
     }
 }
 

@@ -4,19 +4,21 @@
 //! the five report analyses (ATI, peak, breakdown, gantt, outliers) two
 //! ways: five standalone single-fold runs (each decoding every chunk; the
 //! breakdown and outlier passes are a peak and an ATI run followed by
-//! `BreakdownRow::from_peak` and `sift`) and one fused report run — the
-//! three `ReportFolds` that `report`, the daemon and perfbench register,
-//! each chunk decoded exactly once. Reports wall clock at 1 and 4 worker
-//! threads in `BENCH_report.json` and asserts that the fused run is
-//! bit-identical to the baseline, decodes each chunk once, and is no
-//! slower at either thread count.
+//! `BreakdownRow::from_peak` and `sift`) and one fused report run —
+//! `TraceReport::from_store`, the call that `report`, the daemon and
+//! perfbench make, each chunk decoded exactly once. Reports wall clock at
+//! 1 and 4 worker threads in `BENCH_report.json` and asserts that the
+//! fused run is bit-identical to the baseline, decodes each chunk once,
+//! and is no slower at either thread count.
 //!
 //! The fused run is measured on both a v2 and a v3 store of the same
 //! trace: results must be bit-identical across formats, and the v3 run
 //! must not be slower (timer-noise margin) — the batched-decode
-//! regression guard on every CI bench-smoke run. The scan accounting
-//! (including the v3-only `chunks_pruned_by_label` counter) lands in the
-//! JSON.
+//! regression guard on every CI bench-smoke run. The two stores are
+//! timed interleaved, v3 then v2 in each round, so a slow burst on the
+//! host lands on both sides instead of deciding the comparison. The scan
+//! accounting (including the v3-only `chunks_pruned_by_label` counter)
+//! lands in the JSON.
 //!
 //! This bench also carries the observability overhead guard: the hot
 //! paths are instrumented with `pinpoint-obs` spans, and with the
@@ -29,8 +31,8 @@
 //! slack, since 5% of a few ms sits near scheduler jitter).
 
 use pinpoint_analysis::{
-    sift, AtiDataset, AtiFold, BreakdownRow, FusedPipeline, GanttFold, GanttRect, OutlierCriteria,
-    OutlierReport, PeakFold, ReportFolds,
+    run, sift, AtiDataset, AtiFold, BreakdownRow, EventFold, GanttFold, GanttRect, OutlierCriteria,
+    OutlierReport, PeakFold, TraceReport,
 };
 use pinpoint_bench::by_scale;
 use pinpoint_bench::criterion::Criterion;
@@ -48,16 +50,28 @@ const CRITERIA: OutlierCriteria = OutlierCriteria {
     min_size_bytes: 600_000_000,
 };
 
-fn median_ns(runs: usize, mut f: impl FnMut()) -> u128 {
-    let mut times: Vec<u128> = (0..runs)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_nanos()
-        })
-        .collect();
+fn time_ns(f: &mut impl FnMut()) -> u128 {
+    let t0 = Instant::now();
+    f();
+    t0.elapsed().as_nanos()
+}
+
+fn median(mut times: Vec<u128>) -> u128 {
     times.sort_unstable();
     times[times.len() / 2]
+}
+
+fn median_ns(runs: usize, mut f: impl FnMut()) -> u128 {
+    median((0..runs).map(|_| time_ns(&mut f)).collect())
+}
+
+/// Medians of `a` and `b` over `runs` rounds timed interleaved, `a` then
+/// `b` in each round.
+fn paired_median_ns(runs: usize, mut a: impl FnMut(), mut b: impl FnMut()) -> (u128, u128) {
+    let (ta, tb) = (0..runs)
+        .map(|_| (time_ns(&mut a), time_ns(&mut b)))
+        .unzip();
+    (median(ta), median(tb))
 }
 
 fn resnet18_trace() -> Trace {
@@ -80,31 +94,40 @@ struct Report {
     outliers: OutlierReport,
 }
 
+/// One standalone single-fold run over a freshly opened store; adds its
+/// decoded chunks to `decoded`.
+fn fold_store<F: EventFold>(
+    bytes: &[u8],
+    fold: &F,
+    threads: usize,
+    decoded: &mut usize,
+) -> F::Output {
+    let r = StoreReader::from_bytes(bytes.to_vec()).expect("open");
+    let (out, stats) = run(fold, &r, threads).expect("run");
+    *decoded += stats.chunks_decoded;
+    out
+}
+
 /// Five standalone single-fold runs: every pass re-opens the store and
 /// decodes every chunk, so the decode work is ~5x the fused run's.
 fn sequential_five_pass(bytes: &[u8], t_end: u64, threads: usize) -> (Report, usize) {
     let mut decoded = 0usize;
-    let mut one = |pipe: FusedPipeline| {
-        let r = StoreReader::from_bytes(bytes.to_vec()).expect("open");
-        let out = pipe.run(&r, threads).expect("run");
-        decoded += out.stats().chunks_decoded;
-        out
-    };
-    let mut pipe = FusedPipeline::new();
-    let h = pipe.register(AtiFold);
-    let ati = one(pipe).take(h);
-    let mut pipe = FusedPipeline::new();
-    let h = pipe.register(PeakFold);
-    let peak = one(pipe).take(h);
-    let mut pipe = FusedPipeline::new();
-    let h = pipe.register(PeakFold);
-    let breakdown = BreakdownRow::from_peak("trace", &one(pipe).take(h));
-    let mut pipe = FusedPipeline::new();
-    let h = pipe.register(GanttFold { t_start: 0, t_end });
-    let gantt = one(pipe).take(h);
-    let mut pipe = FusedPipeline::new();
-    let h = pipe.register(AtiFold);
-    let outliers = sift(&one(pipe).take(h), CRITERIA);
+    let ati = fold_store(bytes, &AtiFold, threads, &mut decoded);
+    let peak = fold_store(bytes, &PeakFold, threads, &mut decoded);
+    let breakdown = BreakdownRow::from_peak(
+        "trace",
+        &fold_store(bytes, &PeakFold, threads, &mut decoded),
+    );
+    let gantt = fold_store(
+        bytes,
+        &GanttFold { t_start: 0, t_end },
+        threads,
+        &mut decoded,
+    );
+    let outliers = sift(
+        &fold_store(bytes, &AtiFold, threads, &mut decoded),
+        CRITERIA,
+    );
     (
         Report {
             ati,
@@ -117,16 +140,15 @@ fn sequential_five_pass(bytes: &[u8], t_end: u64, threads: usize) -> (Report, us
     )
 }
 
-/// One fused report run: the three [`ReportFolds`] fed from each chunk's
-/// one decode, the breakdown row and the outliers derived from the peak
-/// and the ATIs. Also returns the pruned-by-op-label count from the scan
-/// accounting (0 here — the report's union predicate constrains no op
-/// label — surfaced so the bench JSON records the counter end to end).
+/// One fused report run: [`TraceReport::from_store`] feeds each chunk's
+/// one decode to the ATI, peak and Gantt folds, and derives the breakdown
+/// row and the outliers from the peak and the ATIs. Also returns the
+/// pruned-by-op-label count from the scan accounting (0 here — the
+/// report's predicate constrains no op label — surfaced so the bench JSON
+/// records the counter end to end).
 fn fused_report(bytes: &[u8], threads: usize) -> (Report, usize, usize) {
-    let mut pipe = FusedPipeline::new();
-    let folds = ReportFolds::register(&mut pipe, CRITERIA);
     let r = StoreReader::from_bytes(bytes.to_vec()).expect("open");
-    let d = folds.take(&mut pipe.run(&r, threads).expect("run"));
+    let d = TraceReport::from_store(&r, CRITERIA, threads).expect("run");
     (
         Report {
             ati: d.ati,
@@ -193,15 +215,10 @@ fn bench(c: &mut Criterion) {
     // per-chunk zero-alloc contract the obs spans ride on)
     {
         let r = StoreReader::from_bytes(bytes.clone()).expect("open");
-        let run = |r: &StoreReader| {
-            let mut pipe = FusedPipeline::new();
-            let h = pipe.register(AtiFold);
-            let mut out = pipe.run(r, 4).expect("run");
-            out.take(h).len()
-        };
-        let cold = run(&r);
+        let scan = |r: &StoreReader| run(&AtiFold, r, 4).expect("run").0.len();
+        let cold = scan(&r);
         let warmed = r.decode_reallocs();
-        let warm = run(&r);
+        let warm = scan(&r);
         assert_eq!(cold, warm);
         assert_eq!(
             r.decode_reallocs(),
@@ -237,14 +254,17 @@ fn bench(c: &mut Criterion) {
             let (r, _) = sequential_five_pass(&bytes, t_end, threads);
             assert_eq!(r.ati.len(), seq.ati.len());
         });
-        let fused_ns = median_ns(runs, || {
-            let (r, ..) = fused_report(&bytes, threads);
-            assert_eq!(r.ati.len(), fused.ati.len());
-        });
-        let fused_v2_ns = median_ns(runs, || {
-            let (r, ..) = fused_report(&v2_bytes, threads);
-            assert_eq!(r.ati.len(), fused.ati.len());
-        });
+        let (fused_ns, fused_v2_ns) = paired_median_ns(
+            runs,
+            || {
+                let (r, ..) = fused_report(&bytes, threads);
+                assert_eq!(r.ati.len(), fused.ati.len());
+            },
+            || {
+                let (r, ..) = fused_report(&v2_bytes, threads);
+                assert_eq!(r.ati.len(), fused.ati.len());
+            },
+        );
         assert!(
             fused_ns <= seq_ns,
             "fused run must be no slower than the five-pass baseline \

@@ -41,16 +41,16 @@
 //! fully intact one, dropping only chunks whose bytes are beyond repair.
 //!
 //! `report` runs **all five** analysis passes (ATI, peak, breakdown,
-//! Gantt, outliers) fused over a single scan of the trace — each chunk of
-//! a `.ptrc` store is decoded exactly once, however many passes consume
-//! it, and each event is folded once per pass: the ATI, peak and Gantt
-//! folds run, and the breakdown and outliers are derived from their
-//! results. The single-pass subcommands run one of those folds each
-//! through the same engine — `ati` and `outliers` the ATI fold (`outliers`
-//! then sifts its intervals), `breakdown` the peak fold, `gantt` the Gantt
-//! fold — straight off a store, never materializing the full trace, or
-//! over a JSON trace in memory cut into the same chunks, printing
-//! byte-identical output either way.
+//! Gantt, outliers) over a single scan of the trace — each chunk of a
+//! `.ptrc` store is decoded exactly once and each event built once, for
+//! the ATI, peak and Gantt folds that one report fold holds; the
+//! breakdown and outliers are derived from their results. The single-pass
+//! subcommands run one of those folds each through the same engine —
+//! `ati` and `outliers` the ATI fold (`outliers` then sifts its
+//! intervals), `breakdown` the peak fold, `gantt` the Gantt fold —
+//! straight off a store, never materializing the full trace, or over a
+//! JSON trace in memory cut into the same chunks, printing byte-identical
+//! output either way.
 //!
 //! `--threads N` (or `PINPOINT_THREADS`) sets the worker-thread count for
 //! parallel work (`compare` loads and validates both traces concurrently;
@@ -78,15 +78,18 @@
 //! `mlp_case_study` example writes a CSV twin next to it).
 
 use pinpoint_analysis::{
-    detect, diff_traces, op_stats, plan, query_json, report_json, sift, violin_sorted, AtiDataset,
-    AtiFold, BreakdownRow, FusedOutputs, FusedPipeline, GanttFold, GanttRect, OutlierCriteria,
-    OutlierReport, PeakFold, ReportFolds,
+    detect, diff_traces, op_stats, plan, query_json, report_json, run, sift, violin_sorted,
+    AtiDataset, AtiFold, BreakdownRow, GanttFold, GanttRect, OutlierCriteria, OutlierReport,
+    PeakFold, TraceReport,
 };
 use pinpoint_core::report::{human_bytes, human_time, render_trace_report};
 use pinpoint_device::TransferModel;
-use pinpoint_store::{Predicate, ReadPolicy, StoreReader, StoreWriter};
+use pinpoint_store::{
+    parse_category, parse_kind, ChunkSource, EventSource, Predicate, ReadPolicy, StoreError,
+    StoreReader, StoreWriter,
+};
 use pinpoint_trace::export::read_json;
-use pinpoint_trace::{Category, EventKind, Trace, TraceSink};
+use pinpoint_trace::{Trace, TraceSink};
 use std::fs::File;
 use std::io::{ErrorKind, Read};
 use std::process::ExitCode;
@@ -195,29 +198,6 @@ fn open_store(path: &str) -> Result<StoreReader, String> {
     StoreReader::open(path).map_err(|e| format!("cannot read store {path}: {e}"))
 }
 
-fn parse_kind(s: &str) -> Result<EventKind, String> {
-    match s.to_ascii_lowercase().as_str() {
-        "malloc" => Ok(EventKind::Malloc),
-        "free" => Ok(EventKind::Free),
-        "read" => Ok(EventKind::Read),
-        "write" => Ok(EventKind::Write),
-        other => Err(format!(
-            "unknown kind `{other}` (want malloc|free|read|write)"
-        )),
-    }
-}
-
-fn parse_category(s: &str) -> Result<Category, String> {
-    match s.to_ascii_lowercase().as_str() {
-        "input" | "input-data" => Ok(Category::InputData),
-        "parameters" | "params" => Ok(Category::Parameters),
-        "intermediates" | "intermediate" => Ok(Category::Intermediates),
-        other => Err(format!(
-            "unknown category `{other}` (want input|parameters|intermediates)"
-        )),
-    }
-}
-
 fn outlier_flags(args: &[String]) -> (f64, f64, OutlierCriteria) {
     let min_ati_ms = flag_value(args, "--min-ati-ms").unwrap_or(800.0);
     let min_size_mb = flag_value(args, "--min-size-mb").unwrap_or(600.0);
@@ -304,63 +284,56 @@ fn print_gantt(rects: &[GanttRect], max: usize) {
     }
 }
 
-/// Prints one analysis subcommand's result from a run's outputs.
-type Printer = Box<dyn FnOnce(&mut FusedOutputs)>;
+/// Runs `f` over the chunks of `path`: straight off a `.ptrc` store (one
+/// decode per surviving chunk, no materialized trace), or over a JSON
+/// trace loaded into memory and cut into the same chunks, so the same
+/// analysis prints the same bytes either way.
+fn over_chunks<T>(
+    path: &str,
+    f: impl FnOnce(&dyn ChunkSource) -> Result<T, StoreError>,
+) -> Result<T, String> {
+    if is_store(path)? {
+        f(&open_store(path)?).map_err(|e| format!("cannot analyze store {path}: {e}"))
+    } else {
+        Ok(f(&EventSource::new(load(path)?.events()))
+            .expect("in-memory chunks never fail to fetch"))
+    }
+}
 
-/// The analysis subcommands that run as folds. Each registers its folds
-/// on one pipeline, which runs straight off a `.ptrc` store (one decode
-/// per surviving chunk, no materialized trace) or over a JSON trace in
-/// memory; the same outputs print the same bytes either way.
+/// The analysis subcommands that run as folds: each is one fold run, or
+/// for `report` one [`TraceReport`], over either input format.
 fn cmd_analysis(cmd: &str, path: &str, args: &[String]) -> Result<(), String> {
     let obs = obs_flags(args);
     let max = flag_value(args, "--max").unwrap_or(30.0) as usize;
     let (min_ati_ms, min_size_mb, criteria) = outlier_flags(args);
-    let mut pipe = FusedPipeline::new();
-    let print: Printer = match cmd {
-        "ati" => {
-            let h = pipe.register(AtiFold);
-            Box::new(move |out| print_ati(&out.take(h)))
-        }
+    let threads = pinpoint_core::parallel::configured_threads();
+    match cmd {
+        "ati" => print_ati(&over_chunks(path, |s| run(&AtiFold, s, threads))?.0),
         "breakdown" => {
-            let h = pipe.register(PeakFold);
-            let label = path.to_string();
-            Box::new(move |out| print_breakdown(&BreakdownRow::from_peak(label, &out.take(h))))
+            let (peak, _) = over_chunks(path, |s| run(&PeakFold, s, threads))?;
+            print_breakdown(&BreakdownRow::from_peak(path, &peak));
         }
         "gantt" => {
-            let h = pipe.register(GanttFold {
+            let all = GanttFold {
                 t_start: 0,
                 t_end: u64::MAX,
-            });
-            Box::new(move |out| print_gantt(&out.take(h), max))
+            };
+            print_gantt(&over_chunks(path, |s| run(&all, s, threads))?.0, max);
         }
         "outliers" => {
-            let h = pipe.register(AtiFold);
-            Box::new(move |out| {
-                print_outliers(&sift(&out.take(h), criteria), min_ati_ms, min_size_mb)
-            })
+            let (atis, _) = over_chunks(path, |s| run(&AtiFold, s, threads))?;
+            print_outliers(&sift(&atis, criteria), min_ati_ms, min_size_mb);
         }
         "report" => {
-            let folds = ReportFolds::register(&mut pipe, criteria);
-            let json = args.iter().any(|a| a == "--json");
-            Box::new(move |out| {
-                let d = folds.take(out);
-                if json {
-                    println!("{}", report_json(&d, max));
-                } else {
-                    print!("{}", render_trace_report(&d, max));
-                }
-            })
+            let d = over_chunks(path, |s| TraceReport::from_store(s, criteria, threads))?;
+            if args.iter().any(|a| a == "--json") {
+                println!("{}", report_json(&d, max));
+            } else {
+                print!("{}", render_trace_report(&d, max));
+            }
         }
         other => return Err(format!("`{other}` is not a fold analysis")),
-    };
-    let threads = pinpoint_core::parallel::configured_threads();
-    let mut out = if is_store(path)? {
-        pipe.run(&open_store(path)?, threads)
-            .map_err(|e| format!("cannot analyze store {path}: {e}"))?
-    } else {
-        pipe.run_trace(&load(path)?, threads)
-    };
-    print(&mut out);
+    }
     obs_finish(&obs)
 }
 
@@ -650,7 +623,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         },
         shutdown_token: flag_str(args, "--shutdown-token").map(String::from),
         chaos_token: flag_str(args, "--chaos-token").map(String::from),
-        ..pinpoint_serve::ServeConfig::default()
     };
     let workers = config.workers;
     let (io_ms, deadline_ms) = (config.io_timeout_ms, config.request_deadline_ms);
@@ -701,7 +673,7 @@ fn main() -> ExitCode {
     };
     // store-centric subcommands have their own argument shapes and never
     // materialize a full in-memory trace up front; the fold analyses run
-    // over either format through one pipeline
+    // over either format through one helper
     match cmd.as_str() {
         "convert" | "scrub" => {
             let Some(out) = args.get(2) else {

@@ -8,8 +8,8 @@
 use crate::parallel::{configured_threads, try_map_ordered};
 use crate::profiler::{profile, EpochEval, ProfileConfig, ProfileError};
 use pinpoint_analysis::{
-    assess, detect, sift, violin_sorted, worst_fragmentation, AtiFold, AtiRecord, BreakdownRow,
-    EmpiricalCdf, FragmentationSnapshot, FusedPipeline, GanttFold, GanttRect, IterativeReport,
+    assess, detect, run_trace, sift, violin_sorted, worst_fragmentation, AtiFold, AtiRecord,
+    BreakdownRow, EmpiricalCdf, FragmentationSnapshot, GanttFold, GanttRect, IterativeReport,
     OutlierCriteria, OutlierReport, ViolinStats,
 };
 use pinpoint_data::DatasetSpec;
@@ -46,12 +46,11 @@ pub struct Fig2Data {
 /// Propagates device errors.
 pub fn fig2_gantt(iterations: usize) -> Result<Fig2Data, ProfileError> {
     let report = profile(&ProfileConfig::mlp_case_study(iterations))?;
-    let mut pipe = FusedPipeline::new();
-    let h = pipe.register(GanttFold {
+    let window = GanttFold {
         t_start: 0,
         t_end: report.trace.end_time_ns(),
-    });
-    let rects = pipe.run_trace(&report.trace, configured_threads()).take(h);
+    };
+    let (rects, _) = run_trace(&window, &report.trace, configured_threads());
     Ok(Fig2Data {
         iterative: detect(&report.trace),
         worst_fragmentation: worst_fragmentation(&report.trace, 64),
@@ -90,9 +89,7 @@ pub struct Fig3Data {
 /// Panics if the run produced no intervals (requires `iterations >= 2`).
 pub fn fig3_ati(iterations: usize) -> Result<Fig3Data, ProfileError> {
     let report = profile(&ProfileConfig::mlp_case_study(iterations))?;
-    let mut pipe = FusedPipeline::new();
-    let h = pipe.register(AtiFold);
-    let atis = pipe.run_trace(&report.trace, configured_threads()).take(h);
+    let (atis, _) = run_trace(&AtiFold, &report.trace, configured_threads());
     let cdf = atis.cdf();
     // u64 -> f64 is monotone, so the cached ascending order survives the cast
     let samples: Vec<f64> = atis
@@ -147,9 +144,7 @@ pub fn fig4_outliers(eval: EpochEval, epochs: usize) -> Result<Fig4Data, Profile
     let mut cfg = ProfileConfig::mlp_case_study(eval.iters_per_epoch * epochs + 1);
     cfg.epoch_eval = Some(eval);
     let report = profile(&cfg)?;
-    let mut pipe = FusedPipeline::new();
-    let h = pipe.register(AtiFold);
-    let atis = pipe.run_trace(&report.trace, configured_threads()).take(h);
+    let (atis, _) = run_trace(&AtiFold, &report.trace, configured_threads());
     let transfer = cfg.device.transfer.clone();
     let swap_report = assess(&atis, &transfer);
     // scale the outlier criteria with the evaluation buffer so shrunken

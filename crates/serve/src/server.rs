@@ -67,10 +67,10 @@ use crate::result_cache::{etag, if_none_match, CachedResult, ResultCache};
 use pinpoint_analysis::{OutlierCriteria, RenderScratch, TraceReport};
 use pinpoint_obs::{tracer, SpanGuard, NO_ARG};
 use pinpoint_store::{
-    Batch, CancelToken, ChunkMeta, ChunkSource, DecodeScratch, Predicate, ReadPolicy, StoreError,
+    parse_category, parse_kind, Batch, CancelToken, ChunkMeta, ChunkSource, DecodeScratch,
+    Predicate, ReadPolicy, StoreError,
 };
 use pinpoint_trace::json::{self, Json};
-use pinpoint_trace::{Category, EventKind};
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::io;
@@ -119,9 +119,6 @@ pub struct ServeConfig {
     /// worker forever). 0 behaves as 1 — every connection gets at least
     /// one request.
     pub keepalive_requests: usize,
-    /// Per-request chunk-decode fan-out (results are identical at any
-    /// value; >1 trades cross-request throughput for per-request latency).
-    pub request_threads: usize,
     /// Socket read/write timeout in milliseconds (0 disables it): bounds
     /// how long a slow or stalled client can pin a worker.
     pub io_timeout_ms: u64,
@@ -151,7 +148,6 @@ impl Default for ServeConfig {
             workers: pinpoint_parallel::configured_threads(),
             queue_cap: 64,
             keepalive_requests: 128,
-            request_threads: 1,
             io_timeout_ms: 10_000,
             request_deadline_ms: 30_000,
             drain_deadline_ms: 5_000,
@@ -982,7 +978,8 @@ fn num_field(body: Option<&Json>, key: &str) -> Result<Option<f64>, String> {
 
 /// Builds a [`Predicate`] from the query body, mirroring the CLI's
 /// `query` flags field for field (same names modulo `--`/`_`, same
-/// float-to-ns conversions) so the two paths can never drift.
+/// float-to-ns conversions, the same kind and category name parsers) so
+/// the two paths can never drift. One kind and one category per body.
 fn predicate_from_body(body: Option<&Json>, entry: &StoreEntry) -> Result<Predicate, String> {
     let mut pred = Predicate::any();
     let t0 = num_field(body, "t0_us")?;
@@ -1001,21 +998,10 @@ fn predicate_from_body(body: Option<&Json>, entry: &StoreEntry) -> Result<Predic
         );
     }
     if let Some(kind) = body.and_then(|b| b.get("kind")).and_then(Json::as_str) {
-        pred = pred.with_kind(match kind {
-            "malloc" => EventKind::Malloc,
-            "free" => EventKind::Free,
-            "read" => EventKind::Read,
-            "write" => EventKind::Write,
-            other => return Err(format!("unknown kind `{other}`")),
-        });
+        pred = pred.with_kind(parse_kind(kind)?);
     }
     if let Some(cat) = body.and_then(|b| b.get("category")).and_then(Json::as_str) {
-        pred = pred.with_category(match cat {
-            "input" => Category::InputData,
-            "parameters" => Category::Parameters,
-            "intermediates" => Category::Intermediates,
-            other => return Err(format!("unknown category `{other}`")),
-        });
+        pred = pred.with_category(parse_category(cat)?);
     }
     if let Some(min) = num_field(body, "min_size_bytes")? {
         pred = pred.with_min_size(min as u64);
@@ -1184,7 +1170,8 @@ fn handle_query(
         cache: &shared.cache,
         cancel: deadline.cancel_token(),
     };
-    match pinpoint_store::query(&source, &pred, shared.config.request_threads) {
+    // one thread per request: the worker pool runs requests in parallel
+    match pinpoint_store::query(&source, &pred, 1) {
         Ok(q) => {
             timer.stage("serve.fold");
             let result = CachedResult {
@@ -1261,7 +1248,8 @@ fn handle_report(
         cache: &shared.cache,
         cancel: deadline.cancel_token(),
     };
-    match TraceReport::from_store(&source, criteria, shared.config.request_threads) {
+    // one thread per request, as for queries
+    match TraceReport::from_store(&source, criteria, 1) {
         Ok(d) => {
             timer.stage("serve.fold");
             let result = CachedResult {

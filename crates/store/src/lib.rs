@@ -94,8 +94,8 @@ pub use columns::{
 pub use error::StoreError;
 pub use format::{ChunkMeta, Footer, DEFAULT_CHUNK_EVENTS, MAGIC, VERSION, VERSION_V1, VERSION_V2};
 pub use reader::{
-    ChunkFault, Predicate, QueryResult, QueryStats, ReadPolicy, SalvageSummary, ScrubStats,
-    StoreReader,
+    parse_category, parse_kind, ChunkFault, Predicate, QueryResult, QueryStats, ReadPolicy,
+    SalvageSummary, ScrubStats, StoreReader,
 };
 pub use source::{query, scan, Batch, ChunkSource, EventSource};
 pub use writer::{

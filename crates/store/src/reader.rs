@@ -133,55 +133,6 @@ impl Predicate {
         self
     }
 
-    /// The union (disjunctive hull) of two predicates: a predicate that
-    /// matches every chunk either operand could match.
-    ///
-    /// Per field, the hull keeps a constraint only when **both** operands
-    /// constrain it (an unset field already matches everything): time and
-    /// block ranges widen to the enclosing range, kind/category masks OR,
-    /// and `min_size` drops to the smaller bound. The result can be wider
-    /// than the exact disjunction (two disjoint time windows hull to one
-    /// window covering the gap), which is sound for pruning — it only ever
-    /// decodes more, never less. The fused analysis engine folds all
-    /// registered passes' predicates through this to prune chunks once for
-    /// the whole pass set.
-    #[must_use]
-    pub fn union(&self, other: &Predicate) -> Predicate {
-        fn hull(a: Option<(u64, u64)>, b: Option<(u64, u64)>) -> Option<(u64, u64)> {
-            match (a, b) {
-                (Some((al, ah)), Some((bl, bh))) => Some((al.min(bl), ah.max(bh))),
-                _ => None,
-            }
-        }
-        fn mask_union(a: Option<u8>, b: Option<u8>) -> Option<u8> {
-            match (a, b) {
-                (Some(a), Some(b)) => Some(a | b),
-                _ => None,
-            }
-        }
-        Predicate {
-            time_range: hull(self.time_range, other.time_range),
-            block_range: hull(self.block_range, other.block_range),
-            kind_mask: mask_union(self.kind_mask, other.kind_mask),
-            category_mask: mask_union(self.category_mask, other.category_mask),
-            min_size: match (self.min_size, other.min_size) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                _ => None,
-            },
-            max_size: match (self.max_size, other.max_size) {
-                (Some(a), Some(b)) => Some(a.max(b)),
-                _ => None,
-            },
-            // exact labels have no join other than equality: two different
-            // labels hull to "any label" (constraint dropped)
-            op_label: match (self.op_label, other.op_label) {
-                (Some(a), Some(b)) if a == b => Some(a),
-                _ => None,
-            },
-            offset_range: hull(self.offset_range, other.offset_range),
-        }
-    }
-
     /// Whether any event of a chunk with this index entry *could* match —
     /// `false` proves the chunk can be skipped without decoding.
     pub fn matches_chunk(&self, meta: &ChunkMeta) -> bool {
@@ -290,6 +241,42 @@ impl Predicate {
             }
         }
         true
+    }
+}
+
+/// Parses the event-kind name a query filter takes (the CLI's `--kind`,
+/// the daemon's `"kind"` field), case-insensitively.
+///
+/// # Errors
+///
+/// A message naming the accepted kinds.
+pub fn parse_kind(s: &str) -> Result<EventKind, String> {
+    match s.to_ascii_lowercase().as_str() {
+        "malloc" => Ok(EventKind::Malloc),
+        "free" => Ok(EventKind::Free),
+        "read" => Ok(EventKind::Read),
+        "write" => Ok(EventKind::Write),
+        other => Err(format!(
+            "unknown kind `{other}` (want malloc|free|read|write)"
+        )),
+    }
+}
+
+/// Parses the paper-category name a query filter takes (the CLI's
+/// `--category`, the daemon's `"category"` field), case-insensitively
+/// and with its short spellings.
+///
+/// # Errors
+///
+/// A message naming the accepted categories.
+pub fn parse_category(s: &str) -> Result<Category, String> {
+    match s.to_ascii_lowercase().as_str() {
+        "input" | "input-data" => Ok(Category::InputData),
+        "parameters" | "params" => Ok(Category::Parameters),
+        "intermediates" | "intermediate" => Ok(Category::Intermediates),
+        other => Err(format!(
+            "unknown category `{other}` (want input|parameters|intermediates)"
+        )),
     }
 }
 
@@ -1118,39 +1105,6 @@ mod tests {
             .unwrap();
         assert_eq!(q.stats.chunks_decoded, 0, "no input-data chunk at all");
         assert!(q.events.is_empty());
-    }
-
-    #[test]
-    fn predicate_union_is_a_sound_hull() {
-        let a = Predicate::any()
-            .with_time_range(0, 100)
-            .with_kind(EventKind::Malloc)
-            .with_min_size(512);
-        let b = Predicate::any()
-            .with_time_range(400, 900)
-            .with_kind(EventKind::Free)
-            .with_min_size(64);
-        let u = a.union(&b);
-        assert_eq!(u.time_range, Some((0, 900)));
-        assert_eq!(
-            u.kind_mask,
-            Some(kind_bit(EventKind::Malloc) | kind_bit(EventKind::Free))
-        );
-        assert_eq!(u.min_size, Some(64));
-        // a field either side leaves open is open in the union
-        assert_eq!(u.block_range, None);
-        assert_eq!(u.category_mask, None);
-        // match-everything absorbs anything
-        assert_eq!(a.union(&Predicate::any()), Predicate::any());
-        // the hull matches every chunk either operand matches
-        let t = sample_trace();
-        let bytes = store_bytes(&t, 8);
-        let r = StoreReader::from_bytes(bytes).unwrap();
-        for meta in &r.footer().chunks {
-            if a.matches_chunk(meta) || b.matches_chunk(meta) {
-                assert!(u.matches_chunk(meta), "{meta:?}");
-            }
-        }
     }
 
     #[test]

@@ -238,11 +238,14 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // consume one UTF-8 scalar (multi-byte safe)
-                let rest = std::str::from_utf8(&b[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
+                // copy the run up to the next `"` or `\`: both are ASCII,
+                // so the run ends on a char boundary
+                let end = b[*pos..]
+                    .iter()
+                    .position(|&c| c == b'"' || c == b'\\')
+                    .map_or(b.len(), |n| *pos + n);
+                out.push_str(std::str::from_utf8(&b[*pos..end]).map_err(|e| e.to_string())?);
+                *pos = end;
             }
         }
     }
@@ -285,6 +288,41 @@ mod tests {
         assert!(parse("{\"a\":}").is_err());
         assert!(parse("[1,2").is_err());
         assert!(parse("1 2").is_err());
+    }
+
+    #[test]
+    fn parses_megabyte_strings_in_linear_time() {
+        // one 1 MiB string (mixed ASCII, multi-byte chars and escapes) and a
+        // 1 MiB array of short strings; a parser that rescans the rest of
+        // the input per character takes minutes on either
+        let unit = "ab\u{e9}\u{1f600}\\\"x";
+        let long: String = unit.repeat((1 << 20) / unit.len());
+        let mut doc = String::new();
+        write_str(&mut doc, &long);
+        let shorts: Vec<String> = (0..(1 << 20) / 8).map(|i| format!("s{i}")).collect();
+        let mut arr = String::from("[");
+        for (i, v) in shorts.iter().enumerate() {
+            if i > 0 {
+                arr.push(',');
+            }
+            write_str(&mut arr, v);
+        }
+        arr.push(']');
+        assert!(doc.len() >= 1 << 20 && arr.len() >= 1 << 20);
+
+        let t0 = std::time::Instant::now();
+        let parsed = parse(&doc).unwrap();
+        let parsed_arr = parse(&arr).unwrap();
+        let took = t0.elapsed();
+        assert_eq!(parsed.as_str(), Some(long.as_str()));
+        let got: Vec<&str> = parsed_arr
+            .as_arr()
+            .unwrap()
+            .iter()
+            .map(|v| v.as_str().unwrap())
+            .collect();
+        assert_eq!(got, shorts);
+        assert!(took.as_secs() < 2, "parsing 2 MiB of strings took {took:?}");
     }
 
     #[test]

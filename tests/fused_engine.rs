@@ -3,13 +3,13 @@
 //! built on them, and the public `from_trace` wrappers over the folds —
 //! must equal the brute-force oracles in `tests/oracle`, field by field,
 //! at any thread count, for both `.ptrc` stores and in-memory traces; and
-//! a fused run must decode each chunk exactly once and prune chunks no
-//! registered fold needs.
+//! a fused run must decode each chunk exactly once and prune chunks its
+//! fold does not need.
 
 mod oracle;
 
 use pinpoint::analysis::{
-    gantt_rects, sift, AtiDataset, AtiRecord, BreakdownRow, FusedPipeline, GanttRect,
+    gantt_rects, run, run_trace, sift, AtiDataset, AtiRecord, BreakdownRow, GanttRect,
     OutlierCriteria, OutlierReport, PeakFold, TraceReport,
 };
 use pinpoint::store::{write_store_chunked, StoreReader, DEFAULT_CHUNK_EVENTS};
@@ -238,23 +238,19 @@ fn fused_five_pass_run_decodes_each_chunk_exactly_once() {
 
 #[test]
 fn alloc_only_pipeline_prunes_chunks_but_stays_exact() {
-    // only Malloc|Free folds registered -> the union predicate lets the
-    // footer index skip access-only chunks, without changing any result
+    // a Malloc|Free-only fold -> its predicate lets the footer index skip
+    // access-only chunks, without changing any result
     let mut rng = Rng64::seed_from_u64(0x9a7e_5007);
     for case in 0..10 {
         let t = arbitrary_trace(&mut rng, 400);
         let r = store_of(&t, 16);
-        let mut pipe = FusedPipeline::new();
-        let peak = pipe.register(PeakFold);
-        let mut out = pipe.run(&r, 1).unwrap();
-        let peak = out.take(peak);
+        let (peak, stats) = run(&PeakFold, &r, 1).unwrap();
         assert_eq!(peak, oracle::peak(&t), "case {case}");
         assert_eq!(
             BreakdownRow::from_peak("trace", &peak),
             oracle::breakdown("trace", &t),
             "case {case}"
         );
-        let stats = out.stats();
         assert_eq!(
             stats.chunks_decoded + stats.chunks_pruned,
             stats.chunks_total,
@@ -295,16 +291,13 @@ fn peak_only_pipeline_skips_access_only_chunks_through_the_index() {
         );
         time += 5;
     }
-    let mut pipe = FusedPipeline::new();
-    let peak = pipe.register(PeakFold);
     let want = oracle::peak(&t);
     for threads in [1, 4] {
         for chunk in [32, DEFAULT_CHUNK_EVENTS] {
             let r = store_of(&t, chunk);
-            let mut out = pipe.run(&r, threads).unwrap();
+            let (peak, stats) = run(&PeakFold, &r, threads).unwrap();
             let tag = format!("threads {threads}, store chunked by {chunk}");
-            assert_eq!(out.take(peak), want, "{tag}");
-            let stats = out.stats().clone();
+            assert_eq!(peak, want, "{tag}");
             assert!(
                 stats.chunks_pruned > 0,
                 "{tag}: access-only chunks must be pruned, stats: {stats:?}"
@@ -323,9 +316,9 @@ fn peak_only_pipeline_skips_access_only_chunks_through_the_index() {
             if chunk == DEFAULT_CHUNK_EVENTS {
                 // the in-memory trace is cut into the same chunks, so it
                 // prunes exactly the same ones
-                let mut mem = pipe.run_trace(&t, threads);
-                assert_eq!(mem.take(peak), want, "threads {threads}, in-memory");
-                assert_eq!(*mem.stats(), stats, "threads {threads}, in-memory");
+                let (mem_peak, mem_stats) = run_trace(&PeakFold, &t, threads);
+                assert_eq!(mem_peak, want, "threads {threads}, in-memory");
+                assert_eq!(mem_stats, stats, "threads {threads}, in-memory");
             }
         }
     }

@@ -158,28 +158,37 @@ fn daemon_bodies_match_cli_json_output() {
     assert_eq!(daemon, cli.trim_end_matches('\n'), "report bytes diverge");
 
     // query: same predicate via JSON body and CLI flags, several thread
-    // counts on the CLI side — identical bytes every way
-    let (status, _, daemon) = post(
-        addr,
-        "/stores/mlp/query",
-        "{\"kind\":\"malloc\",\"min_size_bytes\":1000,\"max\":7}",
-    );
-    assert_eq!(status, 200);
-    for threads in ["1", "4"] {
-        let out = Command::new(&tool)
-            .arg("query")
-            .arg(&store)
-            .args(["--kind", "malloc", "--min-size-bytes", "1000", "--max", "7"])
-            .args(["--threads", threads, "--json"])
-            .output()
-            .unwrap();
-        assert!(out.status.success(), "{out:?}");
-        let cli = String::from_utf8(out.stdout).unwrap();
-        assert_eq!(
-            daemon,
-            cli.trim_end_matches('\n'),
-            "query bytes diverge at --threads {threads}"
-        );
+    // counts on the CLI side — identical bytes every way, with kind and
+    // category names spelled any way the CLI accepts
+    let cases: [(&str, &[&str]); 2] = [
+        (
+            "{\"kind\":\"malloc\",\"min_size_bytes\":1000,\"max\":7}",
+            &["--kind", "malloc", "--min-size-bytes", "1000", "--max", "7"],
+        ),
+        (
+            "{\"kind\":\"MALLOC\",\"category\":\"params\",\"max\":7}",
+            &["--kind", "MALLOC", "--category", "params", "--max", "7"],
+        ),
+    ];
+    for (body, flags) in cases {
+        let (status, _, daemon) = post(addr, "/stores/mlp/query", body);
+        assert_eq!(status, 200, "{body}: {daemon}");
+        for threads in ["1", "4"] {
+            let out = Command::new(&tool)
+                .arg("query")
+                .arg(&store)
+                .args(flags)
+                .args(["--threads", threads, "--json"])
+                .output()
+                .unwrap();
+            assert!(out.status.success(), "{out:?}");
+            let cli = String::from_utf8(out.stdout).unwrap();
+            assert_eq!(
+                daemon,
+                cli.trim_end_matches('\n'),
+                "query bytes diverge for {body} at --threads {threads}"
+            );
+        }
     }
 
     handle.shutdown();

@@ -5,7 +5,7 @@
 mod oracle;
 
 use pinpoint::analysis::{
-    sift, AtiFold, BreakdownRow, EventFold, FusedPipeline, GanttFold, OutlierCriteria, PeakFold,
+    run, sift, AtiFold, BreakdownRow, EventFold, GanttFold, OutlierCriteria, PeakFold,
 };
 use pinpoint::core::{profile, ProfileConfig};
 use pinpoint::store::{write_store_chunked, Predicate, StoreReader};
@@ -110,11 +110,9 @@ fn store_of(t: &Trace, chunk: usize) -> StoreReader {
     StoreReader::from_bytes(bytes).unwrap()
 }
 
-/// Runs one fold over a store through the fused engine.
-fn fold_store<F: EventFold + 'static>(r: &StoreReader, fold: F) -> F::Output {
-    let mut pipe = FusedPipeline::new();
-    let h = pipe.register(fold);
-    pipe.run(r, 4).unwrap().take(h)
+/// Runs one fold over a store through the fold engine.
+fn fold_store<F: EventFold>(r: &StoreReader, fold: F) -> F::Output {
+    run(&fold, r, 4).unwrap().0
 }
 
 #[test]
