@@ -10,14 +10,20 @@
 //!   device) and reused best-fit, splitting when the remainder is useful;
 //! * adjacent free chunks within a segment coalesce.
 //!
+//! As in c10, where each `Block` points at its `prev`/`next` neighbours,
+//! every chunk lives in a slab and links to the chunks on either side of
+//! it in the same segment. A free therefore finds the neighbours it may
+//! coalesce with in O(1), and only the per-pool best-fit sets (ordered by
+//! `(size, offset)`) are searched.
+//!
 //! The cache is what produces the paper's hallmark observation: after the
 //! first iteration warms the cache, every later iteration's mallocs are
 //! cache hits at the *same offsets*, yielding the periodic Gantt chart of
 //! Fig. 2 and the low fragmentation the paper notes.
 
 use super::{round_up, AllocError, AllocStats, Block, DeviceAllocator, MIN_BLOCK_BYTES};
-use pinpoint_trace::BlockId;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use pinpoint_trace::{BlockId, BlockMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Requests at or below this size go to the small pool (PyTorch `kSmallSize`).
 const SMALL_REQUEST_LIMIT: usize = 1 << 20;
@@ -34,13 +40,35 @@ enum Pool {
     Large,
 }
 
+/// Slab index of a chunk.
+type Slot = usize;
+/// The missing neighbour at either end of a segment.
+const NIL: Slot = usize::MAX;
+
 #[derive(Debug, Clone, Copy)]
 struct Chunk {
+    offset: usize,
     size: usize,
-    segment: u32,
     pool: Pool,
     free: bool,
+    /// The chunks just below and just above this one in its segment
+    /// (`NIL` at the segment's ends).
+    prev: Slot,
+    next: Slot,
 }
+
+/// A reserved segment: its size and the slot of its first chunk. The
+/// first chunk keeps its slot for the segment's whole life, because a
+/// merge always keeps the lower of the two chunks.
+#[derive(Debug, Clone, Copy)]
+struct Segment {
+    size: usize,
+    head: Slot,
+}
+
+/// A best-fit set entry: ordered by `(size, offset)`, which is unique per
+/// chunk, so the slot riding along never decides a comparison.
+type FreeKey = (usize, usize, Slot);
 
 /// Cache statistics of one size-class pool.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -75,17 +103,18 @@ pub struct CachingAllocator {
     capacity: usize,
     next_offset: usize,
     next_id: u64,
-    next_segment: u32,
-    /// Every chunk (free or allocated), keyed by offset. Chunks partition
-    /// the reserved segments exactly.
-    chunks: BTreeMap<usize, Chunk>,
-    free_small: BTreeSet<(usize, usize)>,
-    free_large: BTreeSet<(usize, usize)>,
-    live: HashMap<BlockId, usize>,
-    requested: HashMap<BlockId, usize>,
-    /// Segment extents: id → (offset, size); needed by `empty_cache` to
-    /// recognize whole-segment free chunks.
-    segments: HashMap<u32, (usize, usize)>,
+    /// Every chunk (free or allocated). Within a segment the chunks form
+    /// a linked list in address order that partitions the segment
+    /// exactly; slots of chunks merged away or released with their
+    /// segment are recycled via `vacant`.
+    chunks: Vec<Chunk>,
+    vacant: Vec<Slot>,
+    free_small: BTreeSet<FreeKey>,
+    free_large: BTreeSet<FreeKey>,
+    /// Live blocks: their chunk's slot and the size the caller asked for.
+    live: BlockMap<(Slot, usize)>,
+    /// Reserved segments by offset.
+    segments: BTreeMap<usize, Segment>,
     /// Address ranges of released segments (offset → size), coalesced and
     /// reusable by later reservations; ranges touching the bump pointer
     /// rewind it instead.
@@ -100,19 +129,18 @@ impl CachingAllocator {
             capacity,
             next_offset: 0,
             next_id: 0,
-            next_segment: 0,
-            chunks: BTreeMap::new(),
+            chunks: Vec::new(),
+            vacant: Vec::new(),
             free_small: BTreeSet::new(),
             free_large: BTreeSet::new(),
-            live: HashMap::new(),
-            requested: HashMap::new(),
-            segments: HashMap::new(),
+            live: BlockMap::default(),
+            segments: BTreeMap::new(),
             free_va: BTreeMap::new(),
             stats: AllocStats::default(),
         }
     }
 
-    fn free_set(&mut self, pool: Pool) -> &mut BTreeSet<(usize, usize)> {
+    fn free_set(&mut self, pool: Pool) -> &mut BTreeSet<FreeKey> {
         match pool {
             Pool::Small => &mut self.free_small,
             Pool::Large => &mut self.free_large,
@@ -120,17 +148,51 @@ impl CachingAllocator {
     }
 
     /// Best-fit lookup: smallest free chunk of the pool with size ≥ rounded.
-    fn find_free(&self, pool: Pool, rounded: usize) -> Option<(usize, usize)> {
+    fn find_free(&self, pool: Pool, rounded: usize) -> Option<FreeKey> {
         let set = match pool {
             Pool::Small => &self.free_small,
             Pool::Large => &self.free_large,
         };
-        set.range((rounded, 0)..).next().copied()
+        set.range((rounded, 0, 0)..).next().copied()
+    }
+
+    /// Stores `chunk` in a vacant slot, or a new one.
+    fn new_chunk(&mut self, chunk: Chunk) -> Slot {
+        match self.vacant.pop() {
+            Some(slot) => {
+                self.chunks[slot] = chunk;
+                slot
+            }
+            None => {
+                self.chunks.push(chunk);
+                self.chunks.len() - 1
+            }
+        }
+    }
+
+    /// Unlinks chunk `slot`, which has a lower neighbour, from its
+    /// segment's list and vacates its slot.
+    fn unlink(&mut self, slot: Slot) {
+        let Chunk { prev, next, .. } = self.chunks[slot];
+        self.chunks[prev].next = next;
+        if next != NIL {
+            self.chunks[next].prev = prev;
+        }
+        self.vacant.push(slot);
+    }
+
+    /// The chunks of the segment starting at `head`, in address order.
+    fn segment_chunks(&self, head: Slot) -> impl Iterator<Item = (Slot, &Chunk)> + '_ {
+        std::iter::successors(Some(head), move |&s| {
+            let next = self.chunks[s].next;
+            (next != NIL).then_some(next)
+        })
+        .map(move |s| (s, &self.chunks[s]))
     }
 
     /// Reserves a fresh segment from the device for `pool`, inserting it as
-    /// one big free chunk.
-    fn reserve_segment(&mut self, pool: Pool, rounded: usize) -> Result<(), AllocError> {
+    /// one big free chunk, and returns that chunk's best-fit key.
+    fn reserve_segment(&mut self, pool: Pool, rounded: usize) -> Result<FreeKey, AllocError> {
         let preferred = match pool {
             Pool::Small => SMALL_SEGMENT_BYTES,
             Pool::Large => LARGE_SEGMENT_MIN_BYTES.max(rounded),
@@ -173,21 +235,25 @@ impl CachingAllocator {
             self.next_offset += seg_size;
             off
         };
-        let segment = self.next_segment;
-        self.next_segment += 1;
-        self.segments.insert(segment, (offset, seg_size));
-        self.chunks.insert(
+        let head = self.new_chunk(Chunk {
             offset,
-            Chunk {
+            size: seg_size,
+            pool,
+            free: true,
+            prev: NIL,
+            next: NIL,
+        });
+        self.segments.insert(
+            offset,
+            Segment {
                 size: seg_size,
-                segment,
-                pool,
-                free: true,
+                head,
             },
         );
-        self.free_set(pool).insert((seg_size, offset));
+        let key = (seg_size, offset, head);
+        self.free_set(pool).insert(key);
         self.stats.on_reserve(seg_size);
-        Ok(())
+        Ok(key)
     }
 
     /// Releases every cached (fully free) segment back to the device,
@@ -195,20 +261,25 @@ impl CachingAllocator {
     /// `torch.cuda.empty_cache()`. Also invoked automatically when a
     /// reservation fails, before reporting OOM (PyTorch's retry).
     pub fn empty_cache(&mut self) -> usize {
-        let whole_segments: Vec<(usize, Chunk)> = self
-            .chunks
+        // a segment is idle when its first chunk is free and spans it
+        let idle: Vec<(usize, Segment)> = self
+            .segments
             .iter()
-            .filter(|(&off, c)| c.free && self.segments.get(&c.segment) == Some(&(off, c.size)))
-            .map(|(&off, c)| (off, *c))
+            .filter(|(_, seg)| {
+                let head = &self.chunks[seg.head];
+                head.free && head.next == NIL
+            })
+            .map(|(&off, &seg)| (off, seg))
             .collect();
         let mut released = 0usize;
-        for (off, c) in whole_segments {
-            self.chunks.remove(&off);
-            self.free_set(c.pool).remove(&(c.size, off));
-            self.segments.remove(&c.segment);
-            self.release_va(off, c.size);
-            self.stats.reserved_bytes -= c.size;
-            released += c.size;
+        for (off, seg) in idle {
+            let pool = self.chunks[seg.head].pool;
+            self.free_set(pool).remove(&(seg.size, off, seg.head));
+            self.vacant.push(seg.head);
+            self.segments.remove(&off);
+            self.release_va(off, seg.size);
+            self.stats.reserved_bytes -= seg.size;
+            released += seg.size;
         }
         released
     }
@@ -242,16 +313,18 @@ impl CachingAllocator {
     pub fn pool_stats(&self) -> (PoolStats, PoolStats) {
         let mut small = PoolStats::default();
         let mut large = PoolStats::default();
-        for c in self.chunks.values() {
-            let s = match c.pool {
-                Pool::Small => &mut small,
-                Pool::Large => &mut large,
-            };
-            s.reserved_bytes += c.size;
-            if c.free {
-                s.cached_free_bytes += c.size;
-                s.free_chunks += 1;
-                s.largest_free_bytes = s.largest_free_bytes.max(c.size);
+        for seg in self.segments.values() {
+            for (_, c) in self.segment_chunks(seg.head) {
+                let s = match c.pool {
+                    Pool::Small => &mut small,
+                    Pool::Large => &mut large,
+                };
+                s.reserved_bytes += c.size;
+                if c.free {
+                    s.cached_free_bytes += c.size;
+                    s.free_chunks += 1;
+                    s.largest_free_bytes = s.largest_free_bytes.max(c.size);
+                }
             }
         }
         (small, large)
@@ -271,69 +344,102 @@ impl CachingAllocator {
     /// Returns a description of the first violated invariant.
     #[doc(hidden)]
     pub fn debug_check_invariants(&self) -> Result<(), String> {
-        // chunks partition [segment starts, reserved) with no overlap
-        let mut covered = 0usize;
-        let mut prev_end: Option<usize> = None;
-        for (&off, c) in &self.chunks {
-            if let Some(end) = prev_end {
-                if off < end {
-                    return Err(format!("chunk at {off} overlaps previous ending at {end}"));
-                }
+        // each segment's list starts at the segment, links both ways, and
+        // partitions it with chunks of one pool; segments never overlap
+        const VACANT: u8 = 1;
+        const LINKED: u8 = 2;
+        let mut slots = vec![0u8; self.chunks.len()];
+        for &v in &self.vacant {
+            if std::mem::replace(&mut slots[v], VACANT) != 0 {
+                return Err(format!("chunk slot {v} is vacant twice"));
             }
-            prev_end = Some(off + c.size);
-            covered += c.size;
+        }
+        let mut covered = 0usize;
+        let mut seg_end = 0usize;
+        let mut free_count = 0usize;
+        let mut allocated = 0usize;
+        for (&seg_off, seg) in &self.segments {
+            if seg_off < seg_end {
+                return Err(format!(
+                    "segment at {seg_off} overlaps previous ending at {seg_end}"
+                ));
+            }
+            seg_end = seg_off + seg.size;
+            let pool = self.chunks[seg.head].pool;
+            let mut expect = seg_off;
+            let mut prev = NIL;
+            let mut prev_free = false;
+            for (slot, c) in self.segment_chunks(seg.head) {
+                if std::mem::replace(&mut slots[slot], LINKED) != 0 {
+                    return Err(format!("chunk slot {slot} is vacant or linked twice"));
+                }
+                if c.offset != expect {
+                    return Err(format!("chunk at {} should start at {expect}", c.offset));
+                }
+                if c.prev != prev {
+                    return Err(format!("chunk at {} has a stale prev link", c.offset));
+                }
+                if c.pool != pool {
+                    return Err(format!("chunk at {} is in another pool", c.offset));
+                }
+                if c.free && prev_free {
+                    return Err(format!("uncoalesced free chunk at {}", c.offset));
+                }
+                let set = match c.pool {
+                    Pool::Small => &self.free_small,
+                    Pool::Large => &self.free_large,
+                };
+                let in_set = set.contains(&(c.size, c.offset, slot));
+                if c.free {
+                    free_count += 1;
+                    if !in_set {
+                        return Err(format!("free chunk at {} missing from free set", c.offset));
+                    }
+                } else {
+                    allocated += 1;
+                    if in_set {
+                        return Err(format!(
+                            "allocated chunk at {} present in free set",
+                            c.offset
+                        ));
+                    }
+                }
+                expect = c.offset + c.size;
+                prev = slot;
+                prev_free = c.free;
+            }
+            if expect != seg_end {
+                return Err(format!(
+                    "segment at {seg_off} ends at {seg_end}, chunks at {expect}"
+                ));
+            }
+            covered += seg.size;
         }
         if covered != self.stats.reserved_bytes {
             return Err(format!(
-                "chunks cover {covered} B but reserved is {} B",
+                "segments cover {covered} B but reserved is {} B",
                 self.stats.reserved_bytes
             ));
         }
-        let seg_total: usize = self.segments.values().map(|&(_, s)| s).sum();
-        if seg_total != self.stats.reserved_bytes {
-            return Err(format!(
-                "segment map covers {seg_total} B but reserved is {} B",
-                self.stats.reserved_bytes
-            ));
-        }
-        // free sets mirror free chunks exactly
-        let mut free_count = 0usize;
-        for (&off, c) in &self.chunks {
-            let set = match c.pool {
-                Pool::Small => &self.free_small,
-                Pool::Large => &self.free_large,
-            };
-            if c.free {
-                free_count += 1;
-                if !set.contains(&(c.size, off)) {
-                    return Err(format!("free chunk at {off} missing from free set"));
-                }
-            } else if set.contains(&(c.size, off)) {
-                return Err(format!("allocated chunk at {off} present in free set"));
-            }
+        if slots.contains(&0) {
+            return Err("a chunk slot is neither linked nor vacant".to_string());
         }
         if free_count != self.free_small.len() + self.free_large.len() {
             return Err("free sets hold stale entries".to_string());
         }
-        // no two adjacent free chunks in the same segment (coalescing holds)
-        let entries: Vec<(usize, Chunk)> = self.chunks.iter().map(|(o, c)| (*o, *c)).collect();
-        for w in entries.windows(2) {
-            let (ao, a) = w[0];
-            let (bo, b) = w[1];
-            if a.free && b.free && a.segment == b.segment && ao + a.size == bo {
-                return Err(format!("uncoalesced free chunks at {ao} and {bo}"));
+        // live blocks point at distinct allocated chunks
+        for (id, &(slot, _)) in &self.live {
+            if slots.get(slot) != Some(&LINKED) || self.chunks[slot].free {
+                return Err(format!(
+                    "live block {id} points at non-allocated slot {slot}"
+                ));
             }
         }
-        // live blocks point at allocated chunks
-        for (id, &off) in &self.live {
-            match self.chunks.get(&off) {
-                Some(c) if !c.free => {}
-                _ => {
-                    return Err(format!(
-                        "live block {id} points at non-allocated chunk {off}"
-                    ))
-                }
-            }
+        if allocated != self.live.len() {
+            return Err(format!(
+                "{allocated} allocated chunks but {} live blocks",
+                self.live.len()
+            ));
         }
         Ok(())
     }
@@ -359,45 +465,49 @@ impl DeviceAllocator for CachingAllocator {
             Pool::Large
         };
         let mut cache_hit = true;
-        if self.find_free(pool, rounded).is_none() {
-            if let Err(e) = self.reserve_segment(pool, rounded) {
-                // PyTorch's OOM path: release all cached segments and retry
-                if self.empty_cache() == 0 {
-                    return Err(e);
+        // on a miss the fresh segment is the only fit: nothing in the pool
+        // was big enough, and releasing the cache only removes chunks
+        let key = match self.find_free(pool, rounded) {
+            Some(key) => key,
+            None => {
+                cache_hit = false;
+                match self.reserve_segment(pool, rounded) {
+                    Ok(key) => key,
+                    // PyTorch's OOM path: release all cached segments and
+                    // retry
+                    Err(e) if self.empty_cache() == 0 => return Err(e),
+                    Err(_) => self.reserve_segment(pool, rounded)?,
                 }
-                self.reserve_segment(pool, rounded)?;
             }
-            cache_hit = false;
-        }
-        let (chunk_size, offset) = self
-            .find_free(pool, rounded)
-            .expect("a free chunk must exist after reservation");
-        self.free_set(pool).remove(&(chunk_size, offset));
-        let chunk = self.chunks.get_mut(&offset).expect("chunk exists");
-        chunk.free = false;
-        let segment = chunk.segment;
+        };
+        let (chunk_size, offset, slot) = key;
+        self.free_set(pool).remove(&key);
+        self.chunks[slot].free = false;
         let alloc_size = if chunk_size - rounded >= Self::split_threshold(pool) {
+            let next = self.chunks[slot].next;
+            let rem = self.new_chunk(Chunk {
+                offset: offset + rounded,
+                size: chunk_size - rounded,
+                pool,
+                free: true,
+                prev: slot,
+                next,
+            });
+            let chunk = &mut self.chunks[slot];
             chunk.size = rounded;
-            let rem_off = offset + rounded;
-            let rem_size = chunk_size - rounded;
-            self.chunks.insert(
-                rem_off,
-                Chunk {
-                    size: rem_size,
-                    segment,
-                    pool,
-                    free: true,
-                },
-            );
-            self.free_set(pool).insert((rem_size, rem_off));
+            chunk.next = rem;
+            if next != NIL {
+                self.chunks[next].prev = rem;
+            }
+            self.free_set(pool)
+                .insert((chunk_size - rounded, offset + rounded, rem));
             rounded
         } else {
             chunk_size
         };
         let id = BlockId(self.next_id);
         self.next_id += 1;
-        self.live.insert(id, offset);
-        self.requested.insert(id, size);
+        self.live.insert(id, (slot, size));
         self.stats.on_malloc(alloc_size, cache_hit);
         Ok(Block {
             id,
@@ -408,44 +518,42 @@ impl DeviceAllocator for CachingAllocator {
     }
 
     fn free(&mut self, id: BlockId) -> Result<Block, AllocError> {
-        let offset = self.live.remove(&id).ok_or(AllocError::UnknownBlock(id))?;
-        let requested = self.requested.remove(&id).unwrap_or(0);
-        let chunk = *self.chunks.get(&offset).expect("live chunk exists");
-        self.stats.on_free(chunk.size);
-        // coalesce with the previous chunk if free and contiguous in the
-        // same segment
-        let mut new_off = offset;
-        let mut new_size = chunk.size;
-        if let Some((&prev_off, &prev)) = self.chunks.range(..offset).next_back() {
-            if prev.free && prev.segment == chunk.segment && prev_off + prev.size == offset {
-                self.free_set(prev.pool).remove(&(prev.size, prev_off));
-                self.chunks.remove(&offset);
-                new_off = prev_off;
-                new_size += prev.size;
-            }
+        let (slot, requested) = self.live.remove(&id).ok_or(AllocError::UnknownBlock(id))?;
+        let Chunk {
+            offset,
+            size,
+            pool,
+            prev,
+            ..
+        } = self.chunks[slot];
+        self.stats.on_free(size);
+        // coalesce with the neighbours in the segment that are free; the
+        // lower chunk of a merge survives
+        let mut head = slot;
+        let mut merged = size;
+        if prev != NIL && self.chunks[prev].free {
+            let p = self.chunks[prev];
+            self.free_set(pool).remove(&(p.size, p.offset, prev));
+            merged += p.size;
+            self.unlink(slot);
+            head = prev;
         }
-        // coalesce with the next chunk
-        let next_entry = self
-            .chunks
-            .range(new_off + 1..)
-            .next()
-            .map(|(o, c)| (*o, *c));
-        if let Some((next_off, next)) = next_entry {
-            if next.free && next.segment == chunk.segment && new_off + new_size == next_off {
-                self.free_set(next.pool).remove(&(next.size, next_off));
-                self.chunks.remove(&next_off);
-                new_size += next.size;
-            }
+        let next = self.chunks[head].next;
+        if next != NIL && self.chunks[next].free {
+            let n = self.chunks[next];
+            self.free_set(pool).remove(&(n.size, n.offset, next));
+            merged += n.size;
+            self.unlink(next);
         }
-        let merged = self.chunks.get_mut(&new_off).expect("merged chunk exists");
-        merged.free = true;
-        merged.size = new_size;
-        let pool = merged.pool;
-        self.free_set(pool).insert((new_size, new_off));
+        let chunk = &mut self.chunks[head];
+        chunk.free = true;
+        chunk.size = merged;
+        let key = (merged, chunk.offset, head);
+        self.free_set(pool).insert(key);
         Ok(Block {
             id,
             offset,
-            size: chunk.size,
+            size,
             requested,
         })
     }
@@ -458,11 +566,11 @@ impl DeviceAllocator for CachingAllocator {
         let mut out: Vec<Block> = self
             .live
             .iter()
-            .map(|(&id, &offset)| Block {
+            .map(|(&id, &(slot, requested))| Block {
                 id,
-                offset,
-                size: self.chunks[&offset].size,
-                requested: self.requested.get(&id).copied().unwrap_or(0),
+                offset: self.chunks[slot].offset,
+                size: self.chunks[slot].size,
+                requested,
             })
             .collect();
         out.sort_by_key(|b| b.offset);

@@ -11,8 +11,7 @@ use crate::alloc::{
 use crate::clock::SimClock;
 use crate::cost::CostModel;
 use crate::transfer::TransferModel;
-use pinpoint_trace::{BlockId, EventKind, MemEvent, MemoryKind, Trace, TraceSink};
-use std::collections::HashMap;
+use pinpoint_trace::{BlockId, BlockMap, EventKind, MemEvent, MemoryKind, Trace, TraceSink};
 use std::fmt;
 
 /// Which allocator policy a device uses.
@@ -109,7 +108,7 @@ pub struct SimDevice {
     clock: SimClock,
     alloc: Box<dyn DeviceAllocator>,
     sink: DeviceSink,
-    live: HashMap<BlockId, (usize, usize, MemoryKind)>, // size, offset, kind
+    live: BlockMap<(usize, usize, MemoryKind)>, // size, offset, kind
     kernel_seq: u64,
 }
 
@@ -162,7 +161,7 @@ impl SimDevice {
             clock: SimClock::new(),
             alloc,
             sink,
-            live: HashMap::new(),
+            live: BlockMap::default(),
             kernel_seq: 0,
         }
     }

@@ -4,7 +4,7 @@
 
 mod concrete;
 
-use crate::graph::{OpKind, StorageId, TensorId};
+use crate::graph::{OpKind, TensorId};
 use crate::program::Program;
 use pinpoint_device::alloc::AllocError;
 use pinpoint_device::SimDevice;
@@ -84,6 +84,14 @@ pub struct Executor {
     /// affects the trace or the numerics — kernels are bit-identical at
     /// every thread count.
     threads: usize,
+    /// Per-op workspace labels, `"{op}.ws"` (empty for ops without one),
+    /// and per-input staging labels, `"stage.{input}"`: built once, so
+    /// the iteration loop formats nothing.
+    ws_labels: Vec<String>,
+    stage_labels: Vec<String>,
+    /// Per-op operand scratch, reused across ops and iterations.
+    reads: Vec<BlockId>,
+    writes: Vec<BlockId>,
 }
 
 impl Executor {
@@ -141,6 +149,23 @@ impl Executor {
                 buffers[s] = Some(buf);
             }
         }
+        let graph = program.graph();
+        let ws_labels = graph
+            .ops()
+            .iter()
+            .map(|op| {
+                if op.workspace_bytes > 0 {
+                    format!("{}.ws", op.name)
+                } else {
+                    String::new()
+                }
+            })
+            .collect();
+        let stage_labels = program
+            .inputs()
+            .iter()
+            .map(|&t| format!("stage.{}", graph.tensor(t).name))
+            .collect();
         Ok(Executor {
             program,
             device,
@@ -152,6 +177,10 @@ impl Executor {
             loss_history: Vec::new(),
             seed,
             threads: 1,
+            ws_labels,
+            stage_labels,
+            reads: Vec::new(),
+            writes: Vec::new(),
         })
     }
 
@@ -198,16 +227,6 @@ impl Executor {
         self.buffers[s].clone()
     }
 
-    fn storage_of(&self, t: TensorId) -> StorageId {
-        self.program.graph().tensor(t).storage
-    }
-
-    fn ensure_buffer(&mut self, s: StorageId) {
-        if self.mode == ExecMode::Concrete && self.buffers[s.0].is_none() {
-            self.buffers[s.0] = Some(vec![0.0f32; self.storage_sizes[s.0] / 4]);
-        }
-    }
-
     /// Runs one training iteration.
     ///
     /// In concrete mode `batch` must be `Some` and its lengths must match
@@ -221,18 +240,36 @@ impl Executor {
     ///
     /// Panics in concrete mode when `batch` is missing or mis-sized.
     pub fn run_iteration(&mut self, batch: Option<&BatchData>) -> Result<IterStats, AllocError> {
-        let t_start = self.device.now_ns();
-        self.device.mark(format!("iter:{}", self.iter));
+        let _span = pinpoint_obs::tracer().span_with("exec.iteration", self.iter);
+        let Executor {
+            program,
+            device,
+            mode,
+            blocks,
+            buffers,
+            storage_sizes,
+            iter,
+            loss_history,
+            seed,
+            threads,
+            ws_labels,
+            stage_labels,
+            reads,
+            writes,
+        } = self;
+        let concrete = *mode == ExecMode::Concrete;
+        let graph = program.graph();
+        let t_start = device.now_ns();
+        device.mark(format!("iter:{iter}"));
         // stage inputs host→device
-        let inputs: Vec<TensorId> = self.program.inputs().to_vec();
-        for (idx, &t) in inputs.iter().enumerate() {
-            let s = self.storage_of(t);
-            let size = self.storage_sizes[s.0];
-            let name = self.program.graph().tensor(t).name.clone();
-            let id = self.device.malloc(size, MemoryKind::Input, Some(&name))?;
-            self.blocks[s.0] = Some(id);
-            self.device.h2d(size, id, &format!("stage.{name}"));
-            if self.mode == ExecMode::Concrete {
+        for (idx, &t) in program.inputs().iter().enumerate() {
+            let meta = graph.tensor(t);
+            let s = meta.storage;
+            let size = storage_sizes[s.0];
+            let id = device.malloc(size, MemoryKind::Input, Some(&meta.name))?;
+            blocks[s.0] = Some(id);
+            device.h2d(size, id, &stage_labels[idx]);
+            if concrete {
                 let batch = batch.expect("concrete execution needs batch data");
                 let data = match idx {
                     0 => &batch.input,
@@ -246,55 +283,52 @@ impl Executor {
                     data.len(),
                     size / 4
                 );
-                self.buffers[s.0] = Some(data.clone());
+                buffers[s.0] = Some(data.clone());
             }
         }
-        let loss_storage = self.storage_of(self.program.loss());
+        let loss_storage = graph.tensor(program.loss()).storage;
+        let liveness = program.liveness();
         let mut iter_loss = None;
         // replay the tape
-        let num_ops = self.program.graph().ops().len();
-        for j in 0..num_ops {
-            let op = self.program.graph().ops()[j].clone();
+        for (j, op) in graph.ops().iter().enumerate() {
             if matches!(op.kind, OpKind::View) {
                 continue;
             }
             // first-definition mallocs
             for &out in &op.outputs {
-                let s = self.storage_of(out);
-                if self.blocks[s.0].is_none() {
-                    let meta = self.program.graph().tensor(out);
+                let meta = graph.tensor(out);
+                let s = meta.storage.0;
+                if blocks[s].is_none() {
                     debug_assert!(!meta.persistent, "persistent storages pre-allocated");
-                    let name = meta.name.clone();
-                    let kind = meta.kind;
-                    let id = self
-                        .device
-                        .malloc(self.storage_sizes[s.0], kind, Some(&name))?;
-                    self.blocks[s.0] = Some(id);
-                    self.ensure_buffer(s);
+                    let id = device.malloc(storage_sizes[s], meta.kind, Some(&meta.name))?;
+                    blocks[s] = Some(id);
+                    if concrete && buffers[s].is_none() {
+                        buffers[s] = Some(vec![0.0f32; storage_sizes[s] / 4]);
+                    }
                 }
             }
             // transient workspace
             let ws = if op.workspace_bytes > 0 {
-                Some(self.device.malloc(
+                Some(device.malloc(
                     op.workspace_bytes,
                     MemoryKind::Workspace,
-                    Some(&format!("{}.ws", op.name)),
+                    Some(&ws_labels[j]),
                 )?)
             } else {
                 None
             };
             // operand event lists (dedup per block)
-            let mut reads: Vec<BlockId> = Vec::new();
+            reads.clear();
             for &t in &op.inputs {
-                let id = self.blocks[self.storage_of(t).0]
+                let id = blocks[graph.tensor(t).storage.0]
                     .unwrap_or_else(|| panic!("op {} reads unallocated {}", op.name, t.0));
                 if !reads.contains(&id) {
                     reads.push(id);
                 }
             }
-            let mut writes: Vec<BlockId> = Vec::new();
+            writes.clear();
             for &t in &op.outputs {
-                let id = self.blocks[self.storage_of(t).0].expect("output allocated above");
+                let id = blocks[graph.tensor(t).storage.0].expect("output allocated above");
                 if !writes.contains(&id) {
                     writes.push(id);
                 }
@@ -303,55 +337,48 @@ impl Executor {
                 reads.push(ws);
                 writes.push(ws);
             }
-            self.device
-                .launch_kernel(&op.name, op.flops, op.bytes, &reads, &writes);
+            device.launch_kernel(&op.name, op.flops, op.bytes, reads, writes);
             if let Some(ws) = ws {
-                self.device.free(ws)?;
+                device.free(ws)?;
             }
-            if self.mode == ExecMode::Concrete {
-                let op_seed = self
-                    .seed
-                    .wrapping_add(self.iter.wrapping_mul(1_000_003))
+            if concrete {
+                let op_seed = seed
+                    .wrapping_add(iter.wrapping_mul(1_000_003))
                     .wrapping_add(j as u64);
-                if let Some(loss) = concrete::dispatch(
-                    &op,
-                    self.program.graph(),
-                    &mut self.buffers,
-                    op_seed,
-                    self.iter + 1,
-                    self.threads,
-                ) {
+                if let Some(loss) =
+                    concrete::dispatch(op, graph, buffers, op_seed, *iter + 1, *threads)
+                {
                     iter_loss = Some(loss);
                 }
             }
             // liveness frees
-            for s in self.program.liveness().frees_after(j, loss_storage) {
-                if let Some(id) = self.blocks[s.0].take() {
-                    self.device.free(id)?;
+            for &s in liveness.frees_after(j) {
+                if let Some(id) = blocks[s.0].take() {
+                    device.free(id)?;
                 }
             }
         }
         // fetch the program output (the loss scalar, or the logits of a
         // forward-only program) and release it
-        if let Some(loss_block) = self.blocks[loss_storage.0].take() {
-            let bytes = self.storage_sizes[loss_storage.0];
-            self.device.d2h(bytes, loss_block, "fetch_output");
-            self.device.free(loss_block)?;
+        if let Some(loss_block) = blocks[loss_storage.0].take() {
+            let bytes = storage_sizes[loss_storage.0];
+            device.d2h(bytes, loss_block, "fetch_output");
+            device.free(loss_block)?;
         }
         // safety net: nothing non-persistent may survive the iteration
-        for (s, blk) in self.blocks.iter_mut().enumerate() {
-            if blk.is_some() && !self.program.liveness().persistent[s] {
+        for (s, blk) in blocks.iter_mut().enumerate() {
+            if blk.is_some() && !liveness.persistent[s] {
                 let id = blk.take().expect("checked above");
-                self.device.free(id)?;
+                device.free(id)?;
             }
         }
         if let Some(l) = iter_loss {
-            self.loss_history.push(l);
+            loss_history.push(l);
         }
-        self.iter += 1;
+        *iter += 1;
         Ok(IterStats {
             loss: iter_loss,
-            duration_ns: self.device.now_ns() - t_start,
+            duration_ns: device.now_ns() - t_start,
         })
     }
 

@@ -16,6 +16,10 @@ pub struct Liveness {
     pub last_use: Vec<Option<usize>>,
     /// Whether the storage survives across iterations.
     pub persistent: Vec<bool>,
+    /// The storages freed after each op, op by op: op `j`'s are
+    /// `frees[free_starts[j]..free_starts[j + 1]]`, in ascending order.
+    frees: Vec<StorageId>,
+    free_starts: Vec<usize>,
 }
 
 impl Liveness {
@@ -48,24 +52,39 @@ impl Liveness {
         }
         // the loss is read by the host after the final op: extend its life
         let loss_storage = graph.tensor(loss).storage;
-        if !graph.ops().is_empty() {
-            last_use[loss_storage.0] = Some(graph.ops().len() - 1);
+        let num_ops = graph.ops().len();
+        if num_ops > 0 {
+            last_use[loss_storage.0] = Some(num_ops - 1);
         }
+        // the non-persistent storages ordered by (last use, storage); the
+        // loss is freed after the host fetch instead
+        let mut by_op: Vec<(usize, StorageId)> = (0..n)
+            .filter(|&s| !persistent[s] && s != loss_storage.0)
+            .filter_map(|s| Some((last_use[s]?, StorageId(s))))
+            .collect();
+        by_op.sort_unstable();
+        let free_starts = (0..=num_ops)
+            .map(|j| by_op.partition_point(|&(op, _)| op < j))
+            .collect();
+        let frees = by_op.into_iter().map(|(_, s)| s).collect();
         Liveness {
             first_def,
             last_use,
             persistent,
+            frees,
+            free_starts,
         }
     }
 
-    /// Storages to free immediately after op `j` (non-persistent storages
-    /// whose last use is `j`), excluding `keep` (the loss storage, freed
-    /// after the host fetch).
-    pub fn frees_after(&self, j: usize, keep: StorageId) -> Vec<StorageId> {
-        (0..self.last_use.len())
-            .filter(|&s| !self.persistent[s] && s != keep.0 && self.last_use[s] == Some(j))
-            .map(StorageId)
-            .collect()
+    /// Storages to free immediately after op `j`: the non-persistent
+    /// storages whose last use is `j`, in ascending order. The loss
+    /// storage is never listed; it is freed after the host fetch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `j` is not an op index of the analyzed graph.
+    pub fn frees_after(&self, j: usize) -> &[StorageId] {
+        &self.frees[self.free_starts[j]..self.free_starts[j + 1]]
     }
 }
 
@@ -122,7 +141,7 @@ mod tests {
         let g = b.finish();
         let lv = Liveness::analyze(&g, &[x, y], loss);
         let last = g.ops().len() - 1;
-        let frees = lv.frees_after(last, g.tensor(loss).storage);
+        let frees = lv.frees_after(last);
         let sw = g.tensor(w).storage;
         let sl = g.tensor(loss).storage;
         assert!(!frees.contains(&sw), "weights are persistent");
@@ -130,6 +149,29 @@ mod tests {
         // labels are consumed by the loss op → freed after it
         let sy = g.tensor(y).storage;
         assert!(frees.contains(&sy));
+    }
+
+    #[test]
+    fn frees_after_lists_each_storage_once_at_its_last_use() {
+        let mut b = GraphBuilder::new();
+        let x = b.input("x", [4, 2]);
+        let y = b.labels("y", 4);
+        let w = b.param("w", [2, 2], InitSpec::Ones);
+        let h = b.matmul(x, w, false, false, "mm");
+        let r = b.relu(h, "r");
+        let (loss, _) = b.softmax_cross_entropy(r, y, "loss");
+        let g = b.finish();
+        let lv = Liveness::analyze(&g, &[x, y], loss);
+        let sl = g.tensor(loss).storage;
+        for j in 0..g.ops().len() {
+            let frees = lv.frees_after(j);
+            assert!(frees.windows(2).all(|w| w[0] < w[1]), "ascending");
+            let want: Vec<StorageId> = (0..g.num_storages())
+                .filter(|&s| !lv.persistent[s] && s != sl.0 && lv.last_use[s] == Some(j))
+                .map(StorageId)
+                .collect();
+            assert_eq!(frees, want.as_slice(), "op {j}");
+        }
     }
 
     #[test]

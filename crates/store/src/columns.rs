@@ -546,186 +546,198 @@ pub fn chunk_encoding_tags(payload: &[u8]) -> Result<[u8; 6], StoreError> {
 // v3 encoding: per-column cost rule
 // ---------------------------------------------------------------------
 
-fn plain_size(values: &[u64]) -> usize {
-    values.iter().map(|&v| varint_len(v)).sum()
+/// What each candidate encoding of one column costs in bytes, measured in
+/// one pass over the values.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ColumnCosts {
+    plain: usize,
+    rle: usize,
+    pack: usize,
+    /// Bit width of the widest value: the width bit-packing would use.
+    width: usize,
 }
 
-fn rle_size(values: &[u64]) -> usize {
-    let mut size = 0usize;
-    let mut i = 0usize;
-    while i < values.len() {
-        let v = values[i];
-        let mut run = 1usize;
-        while i + run < values.len() && values[i + run] == v {
-            run += 1;
+/// Costs `values` under the plain, RLE and bit-pack encodings at once.
+/// `plain_is_bytes` marks the meta column, whose plain form is one raw
+/// byte per value rather than varints.
+fn column_costs(values: &[u64], plain_is_bytes: bool) -> ColumnCosts {
+    let mut plain = 0usize;
+    let mut rle = 0usize;
+    let mut run = 0u64;
+    let mut all_bits = 0u64;
+    for (i, &v) in values.iter().enumerate() {
+        plain += varint_len(v);
+        all_bits |= v;
+        run += 1;
+        // a run ends where the next value differs, or at the end
+        if values.get(i + 1) != Some(&v) {
+            rle += varint_len(run) + varint_len(v);
+            run = 0;
         }
-        size += varint_len(run as u64) + varint_len(v);
-        i += run;
     }
-    size
+    let width = 64 - all_bits.leading_zeros() as usize;
+    ColumnCosts {
+        plain: if plain_is_bytes { values.len() } else { plain },
+        rle,
+        pack: 1 + (values.len() * width).div_ceil(8),
+        width,
+    }
+}
+
+/// The cheapest encoding and its size: exact encoded-size comparison, with
+/// ties broken toward the lowest tag so the choice — and thus the byte
+/// stream — is deterministic. `dod` is the delta-of-delta cost, offered
+/// only for the time column.
+fn cheapest(costs: &ColumnCosts, dod: Option<usize>) -> (u8, usize) {
+    [
+        (TAG_PLAIN, Some(costs.plain)),
+        (TAG_RLE, Some(costs.rle)),
+        (TAG_PACK, Some(costs.pack)),
+        (TAG_DOD, dod),
+    ]
+    .into_iter()
+    .filter_map(|(tag, size)| Some((tag, size?)))
+    .min_by_key(|&(_, size)| size)
+    .expect("plain is always a candidate")
 }
 
 fn write_rle(out: &mut Vec<u8>, values: &[u64]) {
-    let mut i = 0usize;
-    while i < values.len() {
-        let v = values[i];
-        let mut run = 1usize;
-        while i + run < values.len() && values[i + run] == v {
-            run += 1;
+    let mut run = 0u64;
+    for (i, &v) in values.iter().enumerate() {
+        run += 1;
+        if values.get(i + 1) != Some(&v) {
+            write_u64(out, run);
+            write_u64(out, v);
+            run = 0;
         }
-        write_u64(out, run as u64);
-        write_u64(out, v);
-        i += run;
     }
 }
 
-fn pack_width(values: &[u64]) -> usize {
-    values
-        .iter()
-        .map(|v| 64 - v.leading_zeros() as usize)
-        .max()
-        .unwrap_or(0)
-}
-
-fn pack_size(values: &[u64]) -> usize {
-    1 + (values.len() * pack_width(values)).div_ceil(8)
-}
-
-fn write_pack(out: &mut Vec<u8>, values: &[u64]) {
-    let width = pack_width(values);
+/// Bit-packs `values` at `width` bits each, LSB-first: the width byte,
+/// then `ceil(n * width / 8)` bytes, emitted a 64-bit word at a time.
+fn write_pack(out: &mut Vec<u8>, values: &[u64], width: usize) {
     out.push(width as u8);
     if width == 0 {
         return;
     }
-    let base = out.len();
-    out.resize(base + (values.len() * width).div_ceil(8), 0);
-    for (i, &v) in values.iter().enumerate() {
-        let bit = i * width;
-        let byte0 = base + bit / 8;
-        let shift = bit % 8;
-        let acc = u128::from(v) << shift;
-        for k in 0..(shift + width).div_ceil(8) {
-            out[byte0 + k] |= ((acc >> (8 * k)) & 0xff) as u8;
+    let mut acc = 0u64;
+    let mut bits = 0usize;
+    for &v in values {
+        acc |= v << bits;
+        bits += width;
+        if bits >= 64 {
+            out.extend_from_slice(&acc.to_le_bytes());
+            bits -= 64;
+            // the value's bits that did not fit in the full word
+            acc = if bits == 0 { 0 } else { v >> (width - bits) };
         }
     }
+    out.extend_from_slice(&acc.to_le_bytes()[..bits.div_ceil(8)]);
 }
 
-/// Encodes one logical value stream with the cheapest encoding (exact
-/// encoded-size comparison; ties break toward the lowest tag, keeping the
-/// choice — and thus the byte stream — deterministic).
-///
-/// `plain_is_bytes` marks the meta column, whose native form is one raw
-/// byte per value rather than varints. `dod` supplies the zigzagged
-/// second-difference stream for the time column when every second
-/// difference is representable (the delta-of-delta candidate is skipped
-/// otherwise).
-fn encode_values_best(values: &[u64], plain_is_bytes: bool, dod: Option<&[u64]>) -> (u8, Vec<u8>) {
-    let mut best_tag = TAG_PLAIN;
-    let mut best_size = if plain_is_bytes {
-        values.len()
-    } else {
-        plain_size(values)
-    };
-    if rle_size(values) < best_size {
-        best_tag = TAG_RLE;
-        best_size = rle_size(values);
-    }
-    if pack_size(values) < best_size {
-        best_tag = TAG_PACK;
-        best_size = pack_size(values);
-    }
-    if let Some(d) = dod {
-        if plain_size(d) < best_size {
-            best_tag = TAG_DOD;
-            best_size = plain_size(d);
+/// A chunk's six logical column streams — zigzag time deltas, meta bytes,
+/// zigzag block-id deltas, sizes, offsets, op labels of the events that
+/// have one — plus the time column's delta-of-delta stream and its plain
+/// cost, present when every second difference is representable.
+struct ChunkStreams {
+    cols: [Vec<u64>; 6],
+    dod: Option<(Vec<u64>, usize)>,
+}
+
+/// Builds a chunk's column streams in one pass over its events.
+fn chunk_streams(events: &[MemEvent]) -> ChunkStreams {
+    let n = events.len();
+    let mut cols: [Vec<u64>; 6] = std::array::from_fn(|c| {
+        if c == 5 {
+            Vec::new()
+        } else {
+            Vec::with_capacity(n)
         }
-    }
-    let mut out = Vec::with_capacity(best_size);
-    match best_tag {
-        TAG_PLAIN if plain_is_bytes => out.extend(values.iter().map(|&v| v as u8)),
-        TAG_PLAIN => {
-            for &v in values {
-                write_u64(&mut out, v);
+    });
+    let mut dod = Vec::with_capacity(n);
+    let mut dod_cost = 0usize;
+    let mut dod_ok = true;
+    let mut prev_time = 0i64;
+    let mut prev_delta = 0i64;
+    let mut prev_block = 0i64;
+    for e in events {
+        let d = e.time_ns as i64 - prev_time;
+        prev_time = e.time_ns as i64;
+        cols[0].push(zigzag(d));
+        if dod_ok {
+            match d.checked_sub(prev_delta) {
+                Some(x) => {
+                    let z = zigzag(x);
+                    dod_cost += varint_len(z);
+                    dod.push(z);
+                }
+                None => dod_ok = false,
             }
         }
-        TAG_RLE => write_rle(&mut out, values),
-        TAG_PACK => write_pack(&mut out, values),
-        _ => {
-            for &v in dod.expect("DOD chosen only when the stream exists") {
-                write_u64(&mut out, v);
-            }
+        prev_delta = d;
+        cols[1].push(u64::from(meta_byte(e)));
+        cols[2].push(zigzag(e.block.0 as i64 - prev_block));
+        prev_block = e.block.0 as i64;
+        cols[3].push(e.size as u64);
+        cols[4].push(e.offset as u64);
+        if let Some(op) = e.op_label {
+            cols[5].push(u64::from(op));
         }
     }
-    (best_tag, out)
+    ChunkStreams {
+        cols,
+        dod: dod_ok.then_some((dod, dod_cost)),
+    }
 }
 
 /// Encodes one chunk of events as a v3 payload: count, six encoding-tag
 /// bytes, then the six columns (each `byte_len:varint bytes`), every
 /// column carrying whichever encoding costs fewest bytes for this chunk.
-/// Returns the bytes and the chunk's index entry with the v3 zone-map
-/// fields populated (`offset` left at 0 for the writer to fill in).
+/// Each column is costed under every encoding in one pass, and only the
+/// chosen encoding is written. Returns the bytes and the chunk's index
+/// entry with the v3 zone-map fields populated (`offset` left at 0 for
+/// the writer to fill in).
 ///
 /// # Panics
 ///
 /// Panics if `events` is empty — the writer never flushes empty chunks.
 pub fn encode_chunk_v3(events: &[MemEvent]) -> (Vec<u8>, ChunkMeta) {
     let mut meta = crate::format::meta_from_events(events);
-    let n = events.len();
-    let mut time_vals = Vec::with_capacity(n);
-    let mut deltas = Vec::with_capacity(n);
-    let mut meta_vals = Vec::with_capacity(n);
-    let mut block_vals = Vec::with_capacity(n);
-    let mut size_vals = Vec::with_capacity(n);
-    let mut offset_vals = Vec::with_capacity(n);
-    let mut op_vals = Vec::new();
-    let mut prev_time = 0i64;
-    let mut prev_block = 0i64;
-    for e in events {
-        let d = e.time_ns as i64 - prev_time;
-        prev_time = e.time_ns as i64;
-        deltas.push(d);
-        time_vals.push(zigzag(d));
-        meta_vals.push(u64::from(meta_byte(e)));
-        block_vals.push(zigzag(e.block.0 as i64 - prev_block));
-        prev_block = e.block.0 as i64;
-        size_vals.push(e.size as u64);
-        offset_vals.push(e.offset as u64);
-        if let Some(op) = e.op_label {
-            op_vals.push(u64::from(op));
-        }
-    }
-    // second differences, eligible only when every one is representable
-    let mut dod = Vec::with_capacity(n);
-    let mut prev_d = 0i64;
-    let mut dod_ok = true;
-    for &d in &deltas {
-        match d.checked_sub(prev_d) {
-            Some(x) => dod.push(zigzag(x)),
-            None => {
-                dod_ok = false;
-                break;
+    let streams = chunk_streams(events);
+    let dod_cost = streams.dod.as_ref().map(|&(_, cost)| cost);
+    let choices: [(u8, usize, usize); 6] = std::array::from_fn(|c| {
+        let costs = column_costs(&streams.cols[c], c == 1);
+        let (tag, size) = cheapest(&costs, dod_cost.filter(|_| c == 0));
+        (tag, size, costs.width)
+    });
+    let n = events.len() as u64;
+    let total = varint_len(n)
+        + 6
+        + choices
+            .iter()
+            .map(|&(_, size, _)| varint_len(size as u64) + size)
+            .sum::<usize>();
+    let mut out = Vec::with_capacity(total);
+    write_u64(&mut out, n);
+    out.extend(choices.iter().map(|&(tag, _, _)| tag));
+    for (c, (values, &(tag, size, width))) in streams.cols.iter().zip(&choices).enumerate() {
+        write_u64(&mut out, size as u64);
+        match tag {
+            // the meta column's plain form is one raw byte per event
+            TAG_PLAIN if c == 1 => out.extend(values.iter().map(|&v| v as u8)),
+            TAG_PLAIN => values.iter().for_each(|&v| write_u64(&mut out, v)),
+            TAG_RLE => write_rle(&mut out, values),
+            TAG_PACK => write_pack(&mut out, values, width),
+            _ => {
+                let (dod, _) = streams
+                    .dod
+                    .as_ref()
+                    .expect("DOD chosen only when it exists");
+                dod.iter().for_each(|&v| write_u64(&mut out, v));
             }
         }
-        prev_d = d;
     }
-    let cols = [
-        encode_values_best(&time_vals, false, dod_ok.then_some(dod.as_slice())),
-        encode_values_best(&meta_vals, true, None),
-        encode_values_best(&block_vals, false, None),
-        encode_values_best(&size_vals, false, None),
-        encode_values_best(&offset_vals, false, None),
-        encode_values_best(&op_vals, false, None),
-    ];
-    let body: usize = cols.iter().map(|(_, b)| b.len() + 5).sum();
-    let mut out = Vec::with_capacity(body + 16);
-    write_u64(&mut out, n as u64);
-    for (tag, _) in &cols {
-        out.push(*tag);
-    }
-    for (_, bytes) in &cols {
-        write_u64(&mut out, bytes.len() as u64);
-        out.extend_from_slice(bytes);
-    }
+    debug_assert_eq!(out.len(), total, "every column costs what it writes");
     meta.byte_len = out.len() as u64;
     meta.crc32 = crc32(&out);
     (out, meta)
@@ -760,9 +772,11 @@ mod tests {
                 (1u64 << width) - 1
             };
             let values: Vec<u64> = (0..17).map(|i| max.wrapping_sub(i) & max).collect();
+            let costs = column_costs(&values, false);
+            assert_eq!(costs.width, width);
             let mut bytes = Vec::new();
-            write_pack(&mut bytes, &values);
-            assert_eq!(bytes.len(), pack_size(&values), "width {width}");
+            write_pack(&mut bytes, &values, costs.width);
+            assert_eq!(bytes.len(), costs.pack, "width {width}");
             let mut out = Vec::new();
             decode_u64_values(&bytes, (0, bytes.len()), TAG_PACK, values.len(), &mut out).unwrap();
             assert_eq!(out, values, "width {width}");
@@ -774,10 +788,104 @@ mod tests {
         let values = [5u64, 5, 5, 5, 9, 9, 1_000_000, 5];
         let mut bytes = Vec::new();
         write_rle(&mut bytes, &values);
-        assert_eq!(bytes.len(), rle_size(&values));
+        assert_eq!(bytes.len(), column_costs(&values, false).rle);
         let mut out = Vec::new();
         decode_u64_values(&bytes, (0, bytes.len()), TAG_RLE, values.len(), &mut out).unwrap();
         assert_eq!(out, values.to_vec());
+    }
+
+    /// Column shapes the cost rule must price exactly: constant, a small
+    /// domain, jittered timestamp deltas, full-width values, one value,
+    /// and none.
+    fn cost_shapes() -> Vec<(&'static str, Vec<u64>)> {
+        vec![
+            ("constant", vec![42; 300]),
+            (
+                "small domain",
+                (0..300).map(|i| (i * 7 % 5) as u64).collect(),
+            ),
+            (
+                "jittered time",
+                (0..300u64)
+                    .map(|i| zigzag(100_000 + ((i * 37) % 11) as i64 - 5))
+                    .collect(),
+            ),
+            (
+                "wide",
+                (0..300u64)
+                    .map(|i| u64::MAX - i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+                    .collect(),
+            ),
+            ("single", vec![1 << 40]),
+            ("empty", Vec::new()),
+        ]
+    }
+
+    #[test]
+    fn single_pass_costs_equal_written_lengths() {
+        for (shape, values) in cost_shapes() {
+            let costs = column_costs(&values, false);
+            let mut plain = Vec::new();
+            values.iter().for_each(|&v| write_u64(&mut plain, v));
+            let mut rle = Vec::new();
+            write_rle(&mut rle, &values);
+            let mut pack = Vec::new();
+            write_pack(&mut pack, &values, costs.width);
+            assert_eq!(plain.len(), costs.plain, "{shape}: plain");
+            assert_eq!(rle.len(), costs.rle, "{shape}: rle");
+            assert_eq!(pack.len(), costs.pack, "{shape}: pack");
+            assert_eq!(column_costs(&values, true).plain, values.len(), "{shape}");
+            // the chosen tag is the lowest-tag minimum
+            let sizes = [costs.plain, costs.rle, costs.pack];
+            let min = *sizes.iter().min().unwrap();
+            let tag = sizes.iter().position(|&s| s == min).unwrap() as u8;
+            assert_eq!(cheapest(&costs, None), (tag, min), "{shape}");
+        }
+    }
+
+    #[test]
+    fn chunk_columns_cost_what_they_write() {
+        let shapes: Vec<Vec<MemEvent>> = vec![
+            (0..300).map(|_| ev(9, 1, 64, Some(3))).collect(),
+            (0..300)
+                .map(|i| ev(i * 100_000 + (i * 37) % 11, i % 3, (i % 4) as usize, None))
+                .collect(),
+            (0..300)
+                .map(|i| {
+                    let wide = u64::MAX >> 2;
+                    ev(
+                        i * i * 31,
+                        wide - i,
+                        (wide - i * 977) as usize,
+                        Some(i as u32),
+                    )
+                })
+                .collect(),
+        ];
+        for (case, events) in shapes.iter().enumerate() {
+            let (payload, _) = encode_chunk_v3(events);
+            let streams = chunk_streams(events);
+            if let Some((dod, cost)) = &streams.dod {
+                let mut bytes = Vec::new();
+                dod.iter().for_each(|&v| write_u64(&mut bytes, v));
+                assert_eq!(bytes.len(), *cost, "case {case}: dod");
+            }
+            let mut pos = 0usize;
+            read_u64(&payload, &mut pos).unwrap();
+            let tags = chunk_encoding_tags(&payload).unwrap();
+            pos += 6;
+            for (c, values) in streams.cols.iter().enumerate() {
+                let len = read_u64(&payload, &mut pos).unwrap() as usize;
+                pos += len;
+                let costs = column_costs(values, c == 1);
+                let dod = streams.dod.as_ref().map(|d| d.1).filter(|_| c == 0);
+                let sizes = [Some(costs.plain), Some(costs.rle), Some(costs.pack), dod];
+                let min = sizes.iter().flatten().min().copied().unwrap();
+                let tag = sizes.iter().position(|&s| s == Some(min)).unwrap() as u8;
+                assert_eq!((tags[c], len), (tag, min), "case {case}, column {c}");
+            }
+            assert_eq!(pos, payload.len(), "case {case}");
+        }
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //!   `<path>.tmp` and atomically renames onto the destination only after a
 //!   successful [`TraceSink::finish`]. A crash, a deferred I/O error, or a
 //!   failed footer write never leaves a half-written `.ptrc` at the final
-//!   path; the temp file is removed on any finish error.
+//!   path. The temp file is removed on any finish error, and also when the
+//!   writer is dropped without finishing (a profile that failed first).
 //! - **Bounded retry with backoff** — transient write errors
 //!   (`WouldBlock`, `TimedOut`) are retried up to
 //!   [`RetryPolicy::max_attempts`] times with seeded, jittered exponential
@@ -142,9 +143,44 @@ pub struct StoreWriter<W: Write> {
     retry: RetryPolicy,
     rng: Rng64,
     sleeper: Box<dyn FnMut(u64) + Send>,
-    /// `(tmp, dest)`: rename tmp onto dest after a successful finish,
-    /// remove tmp on a failed one.
-    finalize: Option<(PathBuf, PathBuf)>,
+    /// The temp file a successful finish renames onto its destination.
+    finalize: Option<TempFile>,
+}
+
+/// A temp file that [`TempFile::commit`] renames onto its destination.
+/// Dropped uncommitted — after a failed finish, or with a writer that
+/// never finished — it removes the temp file.
+#[derive(Debug)]
+struct TempFile {
+    tmp: PathBuf,
+    dest: PathBuf,
+    committed: bool,
+}
+
+impl TempFile {
+    fn new(tmp: PathBuf, dest: PathBuf) -> Self {
+        TempFile {
+            tmp,
+            dest,
+            committed: false,
+        }
+    }
+
+    /// Renames the temp file onto the destination (removing the temp
+    /// file if the rename fails).
+    fn commit(mut self) -> io::Result<()> {
+        fs::rename(&self.tmp, &self.dest)?;
+        self.committed = true;
+        Ok(())
+    }
+}
+
+impl Drop for TempFile {
+    fn drop(&mut self) {
+        if !self.committed {
+            let _ = fs::remove_file(&self.tmp);
+        }
+    }
 }
 
 impl<W: Write> fmt::Debug for StoreWriter<W> {
@@ -175,8 +211,8 @@ impl StoreWriter<BufWriter<File>> {
     /// Creates a `.ptrc` file at `path` and a writer over it, with
     /// crash-safe semantics: bytes stream into `<path>.tmp`, which is
     /// atomically renamed onto `path` only when [`TraceSink::finish`]
-    /// succeeds. On any finish error the temp file is removed and `path`
-    /// is left untouched.
+    /// succeeds. On any finish error, or if the writer is dropped without
+    /// finishing, the temp file is removed and `path` is left untouched.
     ///
     /// # Errors
     ///
@@ -186,16 +222,10 @@ impl StoreWriter<BufWriter<File>> {
         let dest = path.as_ref().to_path_buf();
         let tmp = tmp_path(&dest);
         let out = BufWriter::new(File::create(&tmp)?);
-        match Self::new(out) {
-            Ok(mut w) => {
-                w.finalize = Some((tmp, dest));
-                Ok(w)
-            }
-            Err(e) => {
-                let _ = fs::remove_file(&tmp);
-                Err(e)
-            }
-        }
+        let temp = TempFile::new(tmp, dest);
+        let mut w = Self::new(out)?;
+        w.finalize = Some(temp);
+        Ok(w)
     }
 }
 
@@ -279,11 +309,11 @@ impl<W: Write> StoreWriter<W> {
 
     /// Arms crash-safe finalization on an already-constructed writer:
     /// after a successful finish, `tmp` is renamed onto `dest`; after a
-    /// failed one, `tmp` is removed. For file-backed writers wrapped in
-    /// shims (e.g. the fault harness); [`StoreWriter::create`] sets this
-    /// up automatically.
+    /// failed one, or when the writer is dropped unfinished, `tmp` is
+    /// removed. For file-backed writers wrapped in shims (e.g. the fault
+    /// harness); [`StoreWriter::create`] sets this up automatically.
     pub fn set_atomic_finalize(&mut self, tmp: PathBuf, dest: PathBuf) {
-        self.finalize = Some((tmp, dest));
+        self.finalize = Some(TempFile::new(tmp, dest));
     }
 
     /// The format version this writer emits.
@@ -321,12 +351,15 @@ impl<W: Write> StoreWriter<W> {
             self.pending.clear();
             return;
         }
-        let _flush_span = pinpoint_obs::tracer().span_with("store.flush", self.chunks.len() as u64);
+        let chunk = self.chunks.len() as u64;
+        let _flush_span = pinpoint_obs::tracer().span_with("store.flush", chunk);
+        let encode_span = pinpoint_obs::tracer().span_with("store.encode", chunk);
         let (bytes, mut meta) = if self.version >= 3 {
             encode_chunk_v3(&self.pending)
         } else {
             encode_chunk(&self.pending)
         };
+        drop(encode_span);
         let result = if self.version >= 2 {
             if bytes.len() > u32::MAX as usize {
                 Err(io::Error::new(
@@ -438,25 +471,10 @@ impl<W: Write> TraceSink for StoreWriter<W> {
         }
         let result = self.finish_inner();
         self.finished = true;
-        match result {
-            Ok(()) => {
-                if let Some((tmp, dest)) = self.finalize.take() {
-                    if let Err(e) = fs::rename(&tmp, &dest) {
-                        let _ = fs::remove_file(&tmp);
-                        return Err(e);
-                    }
-                }
-                Ok(())
-            }
-            Err(e) => {
-                // leave nothing half-written behind: the destination is
-                // untouched and the temp file is gone
-                if let Some((tmp, _)) = self.finalize.take() {
-                    let _ = fs::remove_file(&tmp);
-                }
-                Err(e)
-            }
-        }
+        // on an error, dropping the temp file leaves nothing half-written
+        // behind: the destination is untouched and the temp file is gone
+        let temp = self.finalize.take();
+        result.and_then(|()| temp.map_or(Ok(()), TempFile::commit))
     }
 }
 
@@ -804,6 +822,20 @@ mod tests {
         assert!(dest.exists());
         assert!(!tmp.exists(), "temp renamed away");
         let _ = fs::remove_file(&dest);
+    }
+
+    #[test]
+    fn dropping_an_unfinished_writer_removes_its_temp_file() {
+        let dir = std::env::temp_dir().join("pinpoint_writer_drop_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let dest = dir.join("dropped.ptrc");
+        let tmp = tmp_path(&dest);
+        let mut w = StoreWriter::create(&dest).unwrap();
+        w.record_event(event(1));
+        assert!(tmp.exists());
+        drop(w);
+        assert!(!tmp.exists(), "temp file removed");
+        assert!(!dest.exists(), "no destination");
     }
 
     #[test]

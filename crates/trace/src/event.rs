@@ -4,7 +4,9 @@
 //! block is observed through four behaviors: `malloc`, `free`, `read`,
 //! `write`. [`MemEvent`] is our record of one such behavior.
 
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Identity of a device memory block.
 ///
@@ -18,6 +20,37 @@ pub struct BlockId(pub u64);
 impl fmt::Display for BlockId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "blk{}", self.0)
+    }
+}
+
+/// A hash map keyed by [`BlockId`], for the per-event lookups of the
+/// instrumented device and its allocator.
+///
+/// Block ids are minted sequentially, so one multiply by an odd constant
+/// spreads them over the table: the low bits stay a permutation of the
+/// id's low bits, and the high bits mix. That is far cheaper than the
+/// default SipHash, which guards against keys crafted to collide. Ids an
+/// allocator mints cannot be crafted; keep the default hasher for ids
+/// read from a file.
+pub type BlockMap<V> = HashMap<BlockId, V, BuildHasherDefault<BlockIdHasher>>;
+
+/// The one-multiply hasher behind [`BlockMap`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct BlockIdHasher(u64);
+
+impl Hasher for BlockIdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0.rotate_left(8) ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 
@@ -166,6 +199,18 @@ pub struct MemEvent {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn block_map_finds_what_it_holds() {
+        let mut m: BlockMap<usize> = BlockMap::default();
+        for i in 0..1000u64 {
+            m.insert(BlockId(i * 3), i as usize);
+        }
+        assert_eq!(m.len(), 1000);
+        assert_eq!(m.get(&BlockId(2997)), Some(&999));
+        assert_eq!(m.get(&BlockId(1)), None);
+        assert_eq!(m.remove(&BlockId(0)), Some(0));
+    }
 
     #[test]
     fn access_classification() {

@@ -45,6 +45,6 @@ mod sink;
 #[allow(clippy::module_inception)]
 mod trace;
 
-pub use event::{BlockId, Category, EventKind, MemEvent, MemoryKind};
+pub use event::{BlockId, BlockIdHasher, BlockMap, Category, EventKind, MemEvent, MemoryKind};
 pub use sink::TraceSink;
 pub use trace::{BlockLifetime, Marker, PeakAcc, PeakUsage, Trace};

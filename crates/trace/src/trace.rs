@@ -1,7 +1,8 @@
 //! The trace container and per-block lifetime extraction.
 
 use crate::event::{BlockId, Category, EventKind, MemEvent, MemoryKind};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::fmt;
 
 /// A named point in time, used to mark iteration and epoch boundaries.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -34,11 +35,30 @@ pub struct Marker {
 /// assert_eq!(t.len(), 3);
 /// assert_eq!(t.lifetimes().len(), 1);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Clone, Default)]
 pub struct Trace {
     events: Vec<MemEvent>,
     markers: Vec<Marker>,
     labels: Vec<String>,
+    /// `labels` inverted, for interning. Derived from `labels`, so
+    /// equality and `Debug` leave it out.
+    label_index: HashMap<String, u32>,
+}
+
+impl PartialEq for Trace {
+    fn eq(&self, other: &Self) -> bool {
+        self.events == other.events && self.markers == other.markers && self.labels == other.labels
+    }
+}
+
+impl fmt::Debug for Trace {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Trace")
+            .field("events", &self.events)
+            .field("markers", &self.markers)
+            .field("labels", &self.labels)
+            .finish()
+    }
 }
 
 impl Trace {
@@ -49,13 +69,16 @@ impl Trace {
 
     /// Interns an op label, returning its index for use in events.
     ///
-    /// Repeated calls with the same label return the same index.
+    /// Repeated calls with the same label return the same index; new
+    /// labels take the next index, in first-seen order.
     pub fn intern_label(&mut self, label: &str) -> u32 {
-        if let Some(i) = self.labels.iter().position(|l| l == label) {
-            return i as u32;
+        if let Some(&i) = self.label_index.get(label) {
+            return i;
         }
+        let i = self.labels.len() as u32;
         self.labels.push(label.to_string());
-        (self.labels.len() - 1) as u32
+        self.label_index.insert(label.to_string(), i);
+        i
     }
 
     /// Resolves a label index to its string, if valid.

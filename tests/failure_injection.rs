@@ -1,11 +1,12 @@
 //! Failure-path integration tests: out-of-memory must surface as a typed
 //! error at a deterministic point, never as a panic or a corrupt trace.
 
-use pinpoint::core::{profile, ProfileConfig, ProfileError};
+use pinpoint::core::{profile, profile_into_sink, ProfileConfig, ProfileError};
 use pinpoint::data::DatasetSpec;
 use pinpoint::device::alloc::{AllocError, CachingAllocator, DeviceAllocator};
 use pinpoint::device::{AllocatorPolicy, DeviceConfig, SimDevice};
 use pinpoint::models::Architecture;
+use pinpoint::store::StoreWriter;
 use pinpoint::trace::MemoryKind;
 
 #[test]
@@ -98,4 +99,23 @@ fn tiny_devices_fail_fast_at_parameter_upload() {
         t0.elapsed().as_millis() < 2_000,
         "OOM during init must not run the full loop"
     );
+}
+
+#[test]
+fn a_profile_that_fails_leaves_neither_store_nor_temp_file() {
+    let dir = std::env::temp_dir().join(format!("pinpoint_failed_profile_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("x.ptrc");
+    // a 1 MiB device cannot hold even one 2 MiB small-pool segment
+    let mut cfg = ProfileConfig::mlp_case_study(5);
+    cfg.device.capacity_bytes = 1 << 20;
+    let writer = StoreWriter::create(&path).unwrap();
+    let err = profile_into_sink(&cfg, Box::new(writer)).unwrap_err();
+    assert!(
+        matches!(err, ProfileError::Device(AllocError::OutOfMemory { .. })),
+        "{err:?}"
+    );
+    assert!(!path.exists(), "no store for a failed profile");
+    assert!(!dir.join("x.ptrc.tmp").exists(), "temp file removed");
+    std::fs::remove_dir(&dir).unwrap();
 }

@@ -7,11 +7,11 @@
 
 use pinpoint::analysis::{report_json, OutlierCriteria};
 use pinpoint::core::report::TraceReport;
-use pinpoint::core::{profile, ProfileConfig};
+use pinpoint::core::{profile, profile_into_sink, ProfileConfig};
 use pinpoint::data::DatasetSpec;
 use pinpoint::models::{Architecture, ResNetDepth};
 use pinpoint::obs::tracer;
-use pinpoint::store::StoreReader;
+use pinpoint::store::{StoreReader, StoreWriter};
 use pinpoint::trace::json::{parse, Json};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -23,8 +23,9 @@ const CRITERIA: OutlierCriteria = OutlierCriteria {
     min_size_bytes: 600_000_000,
 };
 
-/// The in-process tests drive the process-global tracer; serialize them
-/// so the harness's concurrent test threads don't interleave spans.
+/// The in-process tests drive the process-global tracer, and making a
+/// fixture profiles and writes a store, which records spans; serialize
+/// them so the harness's concurrent test threads don't interleave spans.
 fn obs_lock() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
     LOCK.get_or_init(|| Mutex::new(()))
@@ -171,6 +172,64 @@ fn disabled_tracer_adds_nothing_to_the_warm_scan_path() {
     assert!(t.snapshot().is_empty());
 }
 
+/// Streams the MLP case study (5 iterations) into a `.ptrc` file.
+fn profile_mlp_into_store(tag: &str) {
+    let path = std::env::temp_dir().join(format!(
+        "pinpoint_obs_profile_{tag}_{}.ptrc",
+        std::process::id()
+    ));
+    let writer = StoreWriter::create(&path).unwrap();
+    profile_into_sink(&ProfileConfig::mlp_case_study(5), Box::new(writer)).unwrap();
+    std::fs::remove_file(&path).unwrap();
+}
+
+#[test]
+fn profiling_records_iteration_and_encode_spans() {
+    let _g = obs_lock();
+    let t = tracer();
+    t.clear();
+    t.set_enabled(true);
+    profile_mlp_into_store("traced");
+    let snap = t.snapshot();
+    t.set_enabled(false);
+    t.clear();
+
+    // one exec.iteration per iteration, carrying its index
+    let iterations: Vec<u64> = snap
+        .subtrees("exec.iteration")
+        .iter()
+        .map(|(_, tree)| tree[0].arg)
+        .collect();
+    assert_eq!(iterations, vec![0, 1, 2, 3, 4]);
+    // one store.encode under each store.flush, carrying its chunk index
+    let flushes = snap.subtrees("store.flush");
+    assert!(!flushes.is_empty());
+    for (_, tree) in &flushes {
+        let encodes: Vec<_> = tree.iter().filter(|r| r.name == "store.encode").collect();
+        assert_eq!(encodes.len(), 1, "{tree:?}");
+        assert_eq!(encodes[0].depth, tree[0].depth + 1, "directly nested");
+        assert_eq!(encodes[0].arg, tree[0].arg, "same chunk index");
+    }
+    let counts: BTreeMap<&str, u64> = snap
+        .totals_by_name()
+        .into_iter()
+        .map(|(name, count, _)| (name, count))
+        .collect();
+    assert_eq!(counts.get("store.encode"), Some(&(flushes.len() as u64)));
+
+    // disabled, the same profile records nothing and allocates no buffer
+    let records = t.total_records();
+    let buffers = t.buffer_allocs();
+    profile_mlp_into_store("untraced");
+    assert_eq!(
+        t.total_records(),
+        records,
+        "disabled tracer records nothing"
+    );
+    assert_eq!(t.buffer_allocs(), buffers);
+    assert!(t.snapshot().is_empty());
+}
+
 /// Rebuilds every span's `;`-joined ancestor path from a Chrome trace's
 /// events: grouped by `tid`, ordered by the exported open ticket, nested
 /// by the exported depth — no timestamp containment needed.
@@ -233,6 +292,8 @@ fn anchored(paths: &[String], anchor: &str) -> Vec<String> {
 
 #[test]
 fn trace_out_round_trips_span_hierarchy_at_any_thread_count() {
+    // profiling the fixture records spans: not while another test traces
+    let _g = obs_lock();
     let store = resnet18_store("chrome");
     let tool = bin("pinpoint-trace-tool");
     if !tool.exists() {
@@ -300,6 +361,7 @@ fn trace_out_round_trips_span_hierarchy_at_any_thread_count() {
 
 #[test]
 fn query_timing_reports_store_stages() {
+    let _g = obs_lock();
     let store = mlp_store("query");
     let tool = bin("pinpoint-trace-tool");
     if !tool.exists() {
