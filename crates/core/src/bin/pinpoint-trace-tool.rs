@@ -603,26 +603,35 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     if !std::path::Path::new(catalog).is_dir() {
         return Err(format!("--catalog {catalog} is not a directory"));
     }
+    // the library's defaults (the worker count follows `--threads`),
+    // overridden by the flags given; only the bind address differs
+    let d = pinpoint_serve::ServeConfig::default();
     let config = pinpoint_serve::ServeConfig {
         catalog_dir: catalog.into(),
         addr: flag_str(args, "--addr")
             .unwrap_or("127.0.0.1:7070")
             .to_string(),
-        cache_bytes: flag_value(args, "--cache-bytes").map_or(256 << 20, |v| v as u64),
-        result_cache_bytes: flag_value(args, "--result-cache-bytes").map_or(64 << 20, |v| v as u64),
-        workers: pinpoint_core::parallel::configured_threads(),
-        queue_cap: flag_value(args, "--queue").map_or(64, |v| v as usize),
-        keepalive_requests: flag_value(args, "--keepalive").map_or(128, |v| v as usize),
-        io_timeout_ms: flag_value(args, "--io-timeout-ms").map_or(10_000, |v| v as u64),
-        request_deadline_ms: flag_value(args, "--request-deadline-ms").map_or(30_000, |v| v as u64),
-        drain_deadline_ms: flag_value(args, "--drain-deadline-ms").map_or(5_000, |v| v as u64),
+        cache_bytes: flag_value(args, "--cache-bytes").map_or(d.cache_bytes, |v| v as u64),
+        result_cache_bytes: flag_value(args, "--result-cache-bytes")
+            .map_or(d.result_cache_bytes, |v| v as u64),
+        queue_cap: flag_value(args, "--queue").map_or(d.queue_cap, |v| v as usize),
+        keepalive_requests: flag_value(args, "--keepalive")
+            .map_or(d.keepalive_requests, |v| v as usize),
+        io_timeout_ms: flag_value(args, "--io-timeout-ms").map_or(d.io_timeout_ms, |v| v as u64),
+        request_deadline_ms: flag_value(args, "--request-deadline-ms")
+            .map_or(d.request_deadline_ms, |v| v as u64),
+        drain_deadline_ms: flag_value(args, "--drain-deadline-ms")
+            .map_or(d.drain_deadline_ms, |v| v as u64),
         breaker: pinpoint_serve::BreakerConfig {
-            threshold: flag_value(args, "--breaker-threshold").map_or(5, |v| v as u32),
-            cooldown: flag_value(args, "--breaker-cooldown").map_or(8, |v| v as u32),
-            seed: flag_value(args, "--breaker-seed").map_or(0, |v| v as u64),
+            threshold: flag_value(args, "--breaker-threshold")
+                .map_or(d.breaker.threshold, |v| v as u32),
+            cooldown: flag_value(args, "--breaker-cooldown")
+                .map_or(d.breaker.cooldown, |v| v as u32),
+            seed: flag_value(args, "--breaker-seed").map_or(d.breaker.seed, |v| v as u64),
         },
         shutdown_token: flag_str(args, "--shutdown-token").map(String::from),
         chaos_token: flag_str(args, "--chaos-token").map(String::from),
+        ..d
     };
     let workers = config.workers;
     let (io_ms, deadline_ms) = (config.io_timeout_ms, config.request_deadline_ms);

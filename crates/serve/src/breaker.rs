@@ -69,17 +69,6 @@ pub enum BreakerState {
     HalfOpen,
 }
 
-impl BreakerState {
-    /// Lowercase name for JSON rendering.
-    pub fn name(&self) -> &'static str {
-        match self {
-            BreakerState::Closed => "closed",
-            BreakerState::Open => "open",
-            BreakerState::HalfOpen => "half_open",
-        }
-    }
-}
-
 /// What [`BreakerSet::admit`] decided for one request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Admission {
@@ -162,19 +151,6 @@ pub fn cooldown_rejections(config: &BreakerConfig, store: &str, trip: u32) -> u3
 pub struct BreakerSet {
     config: BreakerConfig,
     stores: Mutex<HashMap<String, StoreBreaker>>,
-}
-
-/// One store's externally visible breaker state.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BreakerStatus {
-    /// Store name.
-    pub store: String,
-    /// Current state.
-    pub state: BreakerState,
-    /// Consecutive trips since last close.
-    pub trips: u32,
-    /// Rejections left before the probe (open state only).
-    pub rejections_left: u32,
 }
 
 impl BreakerSet {
@@ -280,23 +256,6 @@ impl BreakerSet {
         }
     }
 
-    /// Every store the set has seen, with its current state (sorted by
-    /// name for deterministic rendering).
-    pub fn snapshot(&self) -> Vec<BreakerStatus> {
-        let stores = self.stores.lock().expect("breaker lock poisoned");
-        let mut out: Vec<BreakerStatus> = stores
-            .iter()
-            .map(|(name, b)| BreakerStatus {
-                store: name.clone(),
-                state: b.state,
-                trips: b.trips,
-                rejections_left: b.rejections_left,
-            })
-            .collect();
-        out.sort_by(|a, b| a.store.cmp(&b.store));
-        out
-    }
-
     /// `(open, half_open)` store counts, for `/metrics` gauges.
     pub fn open_counts(&self) -> (u64, u64) {
         let stores = self.stores.lock().expect("breaker lock poisoned");
@@ -372,8 +331,14 @@ mod tests {
         // successful probe closes and fully resets
         assert_eq!(set.record("s", true), Some(BreakerEvent::Closed));
         assert_eq!(set.admit("s").0, Admission::Allow);
-        assert_eq!(set.snapshot()[0].state, BreakerState::Closed);
-        assert_eq!(set.snapshot()[0].trips, 0);
+        assert_eq!(set.stores.lock().unwrap()["s"].state, BreakerState::Closed);
+        assert_eq!(set.open_counts(), (0, 0));
+        // the trip count restarted: the next streak is trip 1 again
+        set.record("s", false);
+        assert_eq!(
+            set.record("s", false),
+            Some(BreakerEvent::Tripped { trip: 1 })
+        );
     }
 
     #[test]
@@ -393,7 +358,7 @@ mod tests {
             set.record("s", false);
         }
         assert_eq!(set.admit("s").0, Admission::Allow);
-        assert!(set.snapshot().is_empty());
+        assert!(set.stores.lock().unwrap().is_empty());
     }
 
     #[test]

@@ -1,142 +1,237 @@
-//! The sharded decoded-chunk cache: the daemon's working set.
+//! The daemon's caches: one sharded, byte-budgeted LRU type, [`Cache`],
+//! instantiated twice.
 //!
-//! Queries and reports over the same store keep touching the same chunks,
-//! and decoding a chunk (CRC verify + four adaptive column decodes) is the
-//! dominant per-request cost once the footer has pruned the candidate
-//! set. The cache keeps decoded [`ColumnBatch`]es keyed by
-//! `(store id, chunk ordinal)` behind `Arc`s, so any number of concurrent
-//! requests share one decode.
+//! - **The chunk tier** (`Cache<usize, Arc<ColumnBatch>>`, 8 shards):
+//!   decoded chunks keyed by chunk ordinal. Decoding a chunk (CRC verify
+//!   plus four adaptive column decodes) is the dominant per-request cost
+//!   once the footer has pruned the candidate set, so concurrent requests
+//!   share one decode through the `Arc`. [`Cache::get_or_decode`] runs
+//!   the decode outside the shard lock and never caches an error: a
+//!   corrupt chunk fails on every fetch, so salvage accounting is the same
+//!   whether or not its neighbors are cached.
+//! - **The result tier** (`Cache<String, CachedResult>`, 1 shard): fully
+//!   rendered `query`/`report` bodies keyed by the request's normalized
+//!   params. A repeated question costs one hash probe and a vectored
+//!   write of the shared body — no fold, no render, no copy.
 //!
-//! Sharding: keys hash onto `N` independent shards, each its own mutex,
-//! so concurrent requests for different chunks rarely contend on the same
-//! lock. The global byte budget is split evenly across shards and each
-//! shard evicts its own least-recently-used entries when its slice
-//! overflows — eviction never needs a cross-shard lock. Recency is a
-//! per-shard monotonic tick stamped on each hit.
+//! **One key.** Every entry is keyed by `(store id, K)`, where the id is
+//! the one the catalog mints per (store, generation). A store replaced on
+//! disk gets a fresh id, so a lookup can never reach a previous file's
+//! entries, and the catalog's stale id is all [`Cache::invalidate_store`]
+//! needs to drop them from both tiers. A request still holding the
+//! superseded id neither hits nor disturbs the current id's entries.
 //!
-//! Correctness note: the cache stores *successful* decodes only. A
-//! corrupt chunk fails decode on every fetch, so salvage accounting in
-//! the request layer sees the same error whether or not its neighbors
-//! are cached — responses stay byte-identical to a cold, cache-free scan.
+//! **One budget rule.** A budget of 0 disables the cache. Otherwise each
+//! shard owns its share of the budget and evicts its own least recently
+//! used entries when the share overflows, so eviction never takes a
+//! cross-shard lock; the entry just inserted is never evicted, so one
+//! entry may exceed the budget. Keys hash onto the shards (one shard is
+//! picked without hashing); recency is a per-shard clock, and the
+//! counters live in the shard, updated under its lock.
 
 use pinpoint_store::{ColumnBatch, StoreError};
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex};
 
-/// Cache lookup counters, cumulative since startup.
+/// One cache's counters, cumulative since startup, plus its occupancy.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups answered from a cached batch.
+    /// Lookups answered from the cache.
     pub hits: u64,
-    /// Lookups that ran the decode closure.
+    /// Lookups that found nothing.
     pub misses: u64,
     /// Entries evicted to stay under the byte budget.
     pub evictions: u64,
-    /// Decoded bytes currently resident across all shards.
+    /// Entries dropped because the catalog superseded their store id.
+    pub invalidations: u64,
+    /// Bytes currently resident.
     pub bytes: u64,
-    /// Entries currently resident across all shards.
+    /// Entries currently resident.
     pub entries: u64,
 }
 
+/// One rendered `query`/`report` answer: the body, shared with every
+/// response that serves it, and its salvage accounting.
+#[derive(Debug, Clone)]
+pub struct CachedResult {
+    /// The rendered JSON body.
+    pub body: Arc<[u8]>,
+    /// `X-Pinpoint-Chunks-Skipped` salvage accounting for the response.
+    pub chunks_skipped: u64,
+    /// `X-Pinpoint-Events-Lost` salvage accounting for the response.
+    pub events_lost: u64,
+}
+
+/// The strong `ETag` for a response: generation fingerprint + FNV-1a of
+/// the normalized params, both in fixed-width hex. Two requests get the
+/// same tag iff they normalize to the same params against the same
+/// on-disk bytes — the exact condition under which the daemon would
+/// serve byte-identical bodies — and a tag survives a daemon restart.
+pub fn etag(generation: u64, params: &str) -> String {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in params.as_bytes() {
+        h ^= u64::from(*b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    format!("\"g{generation:016x}-{h:016x}\"")
+}
+
+/// Whether an `If-None-Match` header value matches `etag` (`*` or any
+/// listed tag; we only ever emit strong tags, so comparison is literal).
+pub fn if_none_match(header: &str, etag: &str) -> bool {
+    header.split(',').any(|t| {
+        let t = t.trim();
+        t == "*" || t == etag
+    })
+}
+
 #[derive(Debug)]
-struct Entry {
-    batch: Arc<ColumnBatch>,
+struct Entry<V> {
+    value: V,
     bytes: u64,
     last_used: u64,
 }
 
-#[derive(Debug, Default)]
-struct Shard {
-    map: HashMap<(u64, usize), Entry>,
-    bytes: u64,
-    tick: u64,
-}
-
-impl Shard {
-    fn touch(&mut self, key: (u64, usize)) -> Option<Arc<ColumnBatch>> {
-        self.tick += 1;
-        let tick = self.tick;
-        self.map.get_mut(&key).map(|e| {
-            e.last_used = tick;
-            Arc::clone(&e.batch)
-        })
-    }
-
-    /// Inserts `batch`, evicting least-recently-used entries as needed to
-    /// keep this shard under `budget`. Returns the number of evictions.
-    fn insert(&mut self, key: (u64, usize), batch: Arc<ColumnBatch>, budget: u64) -> u64 {
-        self.tick += 1;
-        let bytes = batch.heap_bytes() as u64;
-        if let Some(old) = self.map.insert(
-            key,
-            Entry {
-                batch,
-                bytes,
-                last_used: self.tick,
-            },
-        ) {
-            self.bytes -= old.bytes;
-        }
-        self.bytes += bytes;
-        let mut evicted = 0;
-        while self.bytes > budget && self.map.len() > 1 {
-            let oldest = self
-                .map
-                .iter()
-                .filter(|(k, _)| **k != key)
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| *k);
-            match oldest {
-                Some(k) => {
-                    let e = self.map.remove(&k).expect("oldest key present");
-                    self.bytes -= e.bytes;
-                    evicted += 1;
-                }
-                None => break,
-            }
-        }
-        evicted
-    }
-}
-
-/// A sharded LRU cache of decoded chunks under a global byte budget.
 #[derive(Debug)]
-pub struct ChunkCache {
-    shards: Vec<Mutex<Shard>>,
-    shard_budget: u64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
+struct Shard<K, V> {
+    map: HashMap<(u64, K), Entry<V>>,
+    /// LRU clock, advanced by every lookup and insert.
+    tick: u64,
+    /// This shard's counters (`entries` is read off `map` instead).
+    stats: CacheStats,
 }
 
-impl ChunkCache {
-    /// Creates a cache with the given total byte budget across
-    /// `shards` independent LRU shards (clamped to at least 1 each).
+/// A sharded LRU cache under a byte budget, keyed by `(store id, K)`.
+#[derive(Debug)]
+pub struct Cache<K, V> {
+    shards: Vec<Mutex<Shard<K, V>>>,
+    /// Each shard's share of the budget; 0 disables the cache.
+    shard_budget: u64,
+}
+
+impl<K: Hash + Eq + Clone, V: Clone> Cache<K, V> {
+    /// A cache of `budget_bytes` in total over `shards` shards (at least
+    /// one).
     pub fn new(budget_bytes: u64, shards: usize) -> Self {
         let shards = shards.max(1);
-        ChunkCache {
-            shard_budget: (budget_bytes / shards as u64).max(1),
-            shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+        Cache {
+            shard_budget: budget_bytes.div_ceil(shards as u64),
+            shards: (0..shards)
+                .map(|_| {
+                    Mutex::new(Shard {
+                        map: HashMap::new(),
+                        tick: 0,
+                        stats: CacheStats::default(),
+                    })
+                })
+                .collect(),
         }
     }
 
-    fn shard_for(&self, key: (u64, usize)) -> &Mutex<Shard> {
-        // Fibonacci hashing over the mixed key; any deterministic spread
-        // works, the shard choice never affects results.
-        let mixed = key
-            .0
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(key.1 as u64)
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        &self.shards[(mixed >> 32) as usize % self.shards.len()]
+    fn shard(&self, key: &(u64, K)) -> &Mutex<Shard<K, V>> {
+        if self.shards.len() == 1 {
+            return &self.shards[0];
+        }
+        // any deterministic spread works: the shard never affects an answer
+        let mut h = DefaultHasher::new();
+        key.hash(&mut h);
+        &self.shards[(h.finish() % self.shards.len() as u64) as usize]
     }
 
-    /// Returns the cached batch for `(store_id, chunk)`, or runs `decode`
-    /// and caches its result. Decode errors are returned and never cached.
+    /// The value cached under `key`, marked most recently used.
+    pub fn get(&self, key: &(u64, K)) -> Option<V> {
+        let mut guard = self.shard(key).lock().expect("cache shard poisoned");
+        let s = &mut *guard;
+        s.tick += 1;
+        match s.map.get_mut(key) {
+            Some(e) => {
+                e.last_used = s.tick;
+                s.stats.hits += 1;
+                Some(e.value.clone())
+            }
+            None => {
+                s.stats.misses += 1;
+                None
+            }
+        }
+    }
+
+    /// Caches `value`, costing `bytes` against the budget, then evicts
+    /// least recently used entries of its shard until the shard is back
+    /// under its share. A no-op when the cache is disabled.
+    pub fn insert(&self, key: (u64, K), value: V, bytes: u64) {
+        if self.shard_budget == 0 {
+            return;
+        }
+        let mut guard = self.shard(&key).lock().expect("cache shard poisoned");
+        let s = &mut *guard;
+        s.tick += 1;
+        let tick = s.tick;
+        let entry = Entry {
+            value,
+            bytes,
+            last_used: tick,
+        };
+        if let Some(old) = s.map.insert(key, entry) {
+            s.stats.bytes -= old.bytes;
+        }
+        s.stats.bytes += bytes;
+        while s.stats.bytes > self.shard_budget {
+            // the entry just inserted is the only one stamped `tick`
+            let oldest = s
+                .map
+                .iter()
+                .filter(|(_, e)| e.last_used != tick)
+                .min_by_key(|(_, e)| e.last_used)
+                .map(|(k, _)| k.clone());
+            let Some(oldest) = oldest else { break };
+            let e = s.map.remove(&oldest).expect("oldest key present");
+            s.stats.bytes -= e.bytes;
+            s.stats.evictions += 1;
+        }
+    }
+
+    /// Drops every entry of store id `store` (the catalog superseded it:
+    /// the file changed or vanished), counting each as an invalidation.
+    pub fn invalidate_store(&self, store: u64) {
+        for shard in &self.shards {
+            let mut guard = shard.lock().expect("cache shard poisoned");
+            let s = &mut *guard;
+            let stats = &mut s.stats;
+            s.map.retain(|(id, _), e| {
+                if *id != store {
+                    return true;
+                }
+                stats.bytes -= e.bytes;
+                stats.invalidations += 1;
+                false
+            });
+        }
+    }
+
+    /// The counters summed over the shards (each locked in turn, so the
+    /// totals may straddle in-flight lookups).
+    pub fn stats(&self) -> CacheStats {
+        let mut total = CacheStats::default();
+        for shard in &self.shards {
+            let s = shard.lock().expect("cache shard poisoned");
+            total.hits += s.stats.hits;
+            total.misses += s.stats.misses;
+            total.evictions += s.stats.evictions;
+            total.invalidations += s.stats.invalidations;
+            total.bytes += s.stats.bytes;
+            total.entries += s.map.len() as u64;
+        }
+        total
+    }
+}
+
+impl Cache<usize, Arc<ColumnBatch>> {
+    /// Returns chunk `chunk` of store id `store`, running `decode` and
+    /// caching its result on a miss. Decode errors are returned and never
+    /// cached.
     ///
     /// The decode closure runs *outside* the shard lock, so a slow decode
     /// blocks neither hits on other chunks of the same shard nor
@@ -148,65 +243,21 @@ impl ChunkCache {
     /// Whatever `decode` returns.
     pub fn get_or_decode<F>(
         &self,
-        store_id: u64,
+        store: u64,
         chunk: usize,
         decode: F,
     ) -> Result<Arc<ColumnBatch>, StoreError>
     where
         F: FnOnce() -> Result<ColumnBatch, StoreError>,
     {
-        let key = (store_id, chunk);
-        let shard = self.shard_for(key);
-        if let Some(batch) = shard.lock().expect("cache shard poisoned").touch(key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+        let key = (store, chunk);
+        if let Some(batch) = self.get(&key) {
             return Ok(batch);
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
         let batch = Arc::new(decode()?);
-        let evicted = shard.lock().expect("cache shard poisoned").insert(
-            key,
-            Arc::clone(&batch),
-            self.shard_budget,
-        );
-        if evicted > 0 {
-            self.evictions.fetch_add(evicted, Ordering::Relaxed);
-        }
+        let bytes = batch.heap_bytes() as u64;
+        self.insert(key, Arc::clone(&batch), bytes);
         Ok(batch)
-    }
-
-    /// Drops every cached chunk of the given store (e.g. when the catalog
-    /// reopens it after a file change).
-    pub fn invalidate_store(&self, store_id: u64) {
-        for shard in &self.shards {
-            let mut s = shard.lock().expect("cache shard poisoned");
-            let keys: Vec<_> = s
-                .map
-                .keys()
-                .filter(|(id, _)| *id == store_id)
-                .copied()
-                .collect();
-            for k in keys {
-                let e = s.map.remove(&k).expect("key present");
-                s.bytes -= e.bytes;
-            }
-        }
-    }
-
-    /// A consistent-enough snapshot of the counters (each shard is locked
-    /// in turn; totals may straddle in-flight lookups).
-    pub fn stats(&self) -> CacheStats {
-        let mut st = CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            ..CacheStats::default()
-        };
-        for shard in &self.shards {
-            let s = shard.lock().expect("cache shard poisoned");
-            st.bytes += s.bytes;
-            st.entries += s.map.len() as u64;
-        }
-        st
     }
 }
 
@@ -235,10 +286,22 @@ mod tests {
         StoreReader::from_bytes(bytes).unwrap()
     }
 
+    fn result(body: &str) -> CachedResult {
+        CachedResult {
+            body: Arc::from(body.as_bytes()),
+            chunks_skipped: 0,
+            events_lost: 0,
+        }
+    }
+
+    fn key(store: u64, params: &str) -> (u64, String) {
+        (store, params.to_string())
+    }
+
     #[test]
-    fn hit_after_miss_shares_the_batch() {
+    fn a_chunk_hit_shares_the_decoded_batch() {
         let r = fixture();
-        let cache = ChunkCache::new(1 << 20, 4);
+        let cache = Cache::new(1 << 20, 4);
         let a = cache.get_or_decode(1, 0, || r.decode_chunk(0)).unwrap();
         let b = cache
             .get_or_decode(1, 0, || panic!("must not re-decode"))
@@ -246,13 +309,25 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b));
         let st = cache.stats();
         assert_eq!((st.hits, st.misses, st.entries), (1, 1, 1));
-        assert!(st.bytes > 0);
+        assert_eq!(st.bytes, a.heap_bytes() as u64);
     }
 
     #[test]
-    fn errors_are_not_cached() {
+    fn a_result_hit_shares_the_body() {
+        let cache = Cache::new(1 << 20, 1);
+        assert!(cache.get(&key(7, "q1")).is_none());
+        let r = result("{\"x\":1}");
+        cache.insert(key(7, "q1"), r.clone(), 100);
+        let hit = cache.get(&key(7, "q1")).expect("hit");
+        assert!(Arc::ptr_eq(&hit.body, &r.body), "body must be shared");
+        let st = cache.stats();
+        assert_eq!((st.hits, st.misses, st.entries, st.bytes), (1, 1, 1, 100));
+    }
+
+    #[test]
+    fn decode_errors_are_not_cached() {
         let r = fixture();
-        let cache = ChunkCache::new(1 << 20, 2);
+        let cache = Cache::new(1 << 20, 2);
         let err = cache.get_or_decode(1, 3, || {
             Err::<ColumnBatch, _>(StoreError::Truncated("chunk payload"))
         });
@@ -266,16 +341,32 @@ mod tests {
 
     #[test]
     fn lru_eviction_respects_the_byte_budget() {
+        // one shard so recency order is total; the budget fits two entries
+        let cache = Cache::new(250, 1);
+        cache.insert(key(1, "a"), result("a"), 100);
+        cache.insert(key(1, "b"), result("b"), 100);
+        assert!(cache.get(&key(1, "a")).is_some(), "a is now hot");
+        cache.insert(key(1, "c"), result("c"), 100);
+        let st = cache.stats();
+        assert_eq!((st.evictions, st.entries, st.bytes), (1, 2, 200));
+        assert!(
+            cache.get(&key(1, "b")).is_none(),
+            "b was least recently used"
+        );
+        assert!(cache.get(&key(1, "a")).is_some());
+        assert!(cache.get(&key(1, "c")).is_some());
+    }
+
+    #[test]
+    fn chunk_eviction_keeps_the_hot_chunk() {
         let r = fixture();
-        // one shard so recency order is total; budget fits ~2 batches
         let unit = r.decode_chunk(0).unwrap().heap_bytes() as u64;
         let budget = unit * 2 + unit / 2;
-        let cache = ChunkCache::new(budget, 1);
+        let cache = Cache::new(budget, 1);
         cache.get_or_decode(1, 0, || r.decode_chunk(0)).unwrap();
         cache.get_or_decode(1, 1, || r.decode_chunk(1)).unwrap();
         cache.get_or_decode(1, 0, || panic!("0 still hot")).unwrap();
         cache.get_or_decode(1, 2, || r.decode_chunk(2)).unwrap();
-        // chunk 1 was least recently used and must be gone
         let st = cache.stats();
         assert!(st.evictions >= 1, "{st:?}");
         assert!(st.bytes <= budget, "{st:?}");
@@ -291,18 +382,80 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_store_clears_only_that_store() {
-        let r = fixture();
-        let cache = ChunkCache::new(1 << 20, 4);
-        for c in 0..6 {
-            cache.get_or_decode(7, c, || r.decode_chunk(c)).unwrap();
-            cache.get_or_decode(8, c, || r.decode_chunk(c)).unwrap();
-        }
-        cache.invalidate_store(7);
+    fn the_entry_just_inserted_survives_even_over_budget() {
+        let cache = Cache::new(100, 1);
+        cache.insert(key(1, "small"), result("s"), 60);
+        cache.insert(key(1, "huge"), result("h"), 500);
         let st = cache.stats();
-        assert_eq!(st.entries, 6, "{st:?}");
-        cache
+        assert_eq!((st.evictions, st.entries, st.bytes), (1, 1, 500));
+        assert!(cache.get(&key(1, "huge")).is_some());
+    }
+
+    #[test]
+    fn zero_budget_stores_nothing() {
+        let results = Cache::new(0, 1);
+        results.insert(key(1, "q"), result("x"), 10);
+        assert!(results.get(&key(1, "q")).is_none());
+        let st = results.stats();
+        assert_eq!((st.entries, st.bytes, st.misses), (0, 0, 1));
+
+        let r = fixture();
+        let chunks = Cache::new(0, 8);
+        chunks.get_or_decode(1, 0, || r.decode_chunk(0)).unwrap();
+        chunks.get_or_decode(1, 0, || r.decode_chunk(0)).unwrap();
+        let st = chunks.stats();
+        assert_eq!((st.entries, st.bytes, st.hits, st.misses), (0, 0, 0, 2));
+    }
+
+    #[test]
+    fn invalidate_store_drops_only_that_id_and_frees_its_bytes() {
+        let r = fixture();
+        let chunks = Cache::new(1 << 20, 4);
+        for c in 0..6 {
+            chunks.get_or_decode(7, c, || r.decode_chunk(c)).unwrap();
+            chunks.get_or_decode(8, c, || r.decode_chunk(c)).unwrap();
+        }
+        let before = chunks.stats();
+        chunks.invalidate_store(7);
+        let st = chunks.stats();
+        assert_eq!((st.entries, st.invalidations), (6, 6), "{st:?}");
+        assert_eq!(st.bytes, before.bytes / 2, "{st:?}");
+        chunks
             .get_or_decode(8, 0, || panic!("store 8 untouched"))
             .unwrap();
+
+        let results = Cache::new(1 << 20, 1);
+        results.insert(key(1, "q"), result("x"), 10);
+        results.insert(key(2, "q"), result("y"), 20);
+        results.invalidate_store(1);
+        assert!(results.get(&key(1, "q")).is_none());
+        assert!(results.get(&key(2, "q")).is_some());
+        let st = results.stats();
+        assert_eq!((st.invalidations, st.entries, st.bytes), (1, 1, 20));
+    }
+
+    #[test]
+    fn a_superseded_id_neither_hits_nor_evicts_the_current_entry() {
+        // store generation 1 had id 1; the catalog reopened it as id 2
+        let results = Cache::new(1 << 20, 1);
+        results.insert(key(2, "q"), result("new"), 10);
+        // a request still holding the old entry looks up under id 1
+        assert!(results.get(&key(1, "q")).is_none());
+        let st = results.stats();
+        assert_eq!((st.entries, st.invalidations), (1, 0), "{st:?}");
+        assert!(results.get(&key(2, "q")).is_some(), "no thrash");
+    }
+
+    #[test]
+    fn etag_is_strong_and_distinct_per_generation_and_params() {
+        let a = etag(1, "q1");
+        assert!(a.starts_with('"') && a.ends_with('"'), "{a}");
+        assert_ne!(a, etag(2, "q1"));
+        assert_ne!(a, etag(1, "q2"));
+        assert_eq!(a, etag(1, "q1"));
+        assert!(if_none_match(&a.clone(), &a));
+        assert!(if_none_match("*", &a));
+        assert!(if_none_match(&format!("\"zz\", {a}"), &a));
+        assert!(!if_none_match("\"zz\"", &a));
     }
 }

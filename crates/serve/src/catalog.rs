@@ -4,20 +4,20 @@
 //! a damaged store still answers (with exact loss accounting in the
 //! response) instead of turning every request into a 500 — and stay open
 //! behind `Arc`s. Each opened store gets a process-unique id, the
-//! cache-key namespace for its chunks.
+//! key namespace of both cache tiers.
 //!
 //! **Generation tracking.** Every lookup re-validates the on-disk file
 //! against the open entry's *generation fingerprint* (file length +
 //! mtime). A `.ptrc` replaced in place — `convert` upgrading v2→v3, a
 //! profiler overwriting a trace — is detected on the next access: the
-//! store is reopened, the new entry gets a fresh cache id, and the
-//! superseded id is reported to the caller ([`Resolved::stale_id`]) so
-//! both cache tiers can drop the dead entries. A deleted file likewise
-//! evicts the open entry (`CatalogError::NotFound` carries the stale id)
-//! instead of serving answers from a reader whose file is gone. The
-//! generation fingerprint is also the result cache's validity token and
-//! the `ETag` ingredient, so "same fingerprint" and "may serve cached
-//! bytes" are one condition.
+//! store is reopened, the new entry gets a fresh id, and the superseded
+//! id is reported to the caller ([`Resolved::stale_id`]) so both cache
+//! tiers can drop the dead entries. A deleted file likewise evicts the
+//! open entry (`CatalogError::NotFound` carries the stale id) instead of
+//! serving answers from a reader whose file is gone. One id per (store,
+//! generation) is what lets the caches key on the id alone: "same
+//! fingerprint" and "may serve cached bytes" are one condition. The
+//! fingerprint itself is the `ETag` ingredient.
 //!
 //! Names are the file stem (`resnet18` for `resnet18.ptrc`) and are
 //! validated before touching the filesystem: one path component, no
@@ -35,10 +35,11 @@ use std::sync::{Arc, RwLock};
 pub struct StoreEntry {
     /// Catalog name (file stem).
     pub name: String,
-    /// Process-unique id, namespacing this store's chunks in the cache.
+    /// Process-unique id, minted once per (store, generation): the key
+    /// namespace of this store's entries in both cache tiers.
     pub id: u64,
     /// Generation fingerprint (file length + mtime) of the bytes behind
-    /// [`StoreEntry::reader`]; the result-cache validity token.
+    /// [`StoreEntry::reader`]; the `ETag` ingredient.
     pub generation: u64,
     /// The reader, open under [`ReadPolicy::Salvage`].
     pub reader: StoreReader,
@@ -108,11 +109,6 @@ impl Catalog {
             open: RwLock::new(HashMap::new()),
             next_id: AtomicU64::new(1),
         }
-    }
-
-    /// The catalog directory.
-    pub fn root(&self) -> &std::path::Path {
-        &self.root
     }
 
     /// Store names currently on disk (file stems of `*.ptrc`), sorted.

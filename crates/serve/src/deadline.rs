@@ -37,11 +37,6 @@ impl Deadline {
         Deadline { at_ns }
     }
 
-    /// A deadline that never fires.
-    pub fn unbounded() -> Self {
-        Deadline { at_ns: u64::MAX }
-    }
-
     /// The earlier of this deadline and an absolute clamp point — how a
     /// drain window caps every in-flight request.
     #[must_use]
@@ -93,7 +88,6 @@ mod tests {
         assert_eq!(d.at_ns(), u64::MAX);
         assert!(!d.exceeded());
         assert!(!d.cancel_token().is_cancelled());
-        assert_eq!(Deadline::unbounded(), d);
     }
 
     #[test]
@@ -101,6 +95,6 @@ mod tests {
         let d = Deadline::after(1_000, 10);
         assert_eq!(d.clamped_to(5_000).at_ns(), 5_000);
         assert_eq!(d.clamped_to(u64::MAX), d);
-        assert_eq!(Deadline::unbounded().clamped_to(7).at_ns(), 7);
+        assert_eq!(Deadline::after(1_000, 0).clamped_to(7).at_ns(), 7);
     }
 }

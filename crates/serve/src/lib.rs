@@ -11,42 +11,42 @@
 //! long-running process that keeps hot chunks decoded and shares them
 //! across requests. That is this crate:
 //!
-//! - **HTTP/1.1 over `std::net`** ([`http`]) — hand-rolled
+//! - **HTTP/1.1 over `std::net`** (`http`) — hand-rolled
 //!   request/response framing, because the build is hermetic (no
 //!   crates.io); bounded head/body sizes, persistent connections
 //!   (`Connection: keep-alive` honored, bounded requests per
 //!   connection), per-connection reusable buffers, vectored writes.
-//! - **A name-addressed store catalog** ([`catalog`]) — a directory of
+//! - **A name-addressed store catalog** (`catalog`) — a directory of
 //!   `.ptrc` files, opened lazily under
 //!   [`ReadPolicy::Salvage`](pinpoint_store::ReadPolicy) so damaged
 //!   stores answer with exact loss accounting instead of erroring. Every
 //!   access re-validates a generation fingerprint (file length + mtime):
-//!   a store replaced or deleted on disk is reopened or evicted, and
-//!   both cache tiers drop its entries.
-//! - **A sharded decoded-chunk cache** ([`cache`]) — `Arc`'d
-//!   [`ColumnBatch`](pinpoint_store::ColumnBatch)es keyed by
-//!   `(store, chunk)`, LRU-evicted under a global byte budget; the unit
-//!   of sharing between concurrent requests.
-//! - **A generation-aware result cache** ([`result_cache`]) — fully
-//!   *rendered* `query`/`report` bodies keyed by `(store, normalized
-//!   params)` and validated against the store's generation, served
-//!   zero-copy as `Arc`-shared response bodies; the same key derives
-//!   strong `ETag`s, so `If-None-Match` → `304 Not Modified` conditional
-//!   answers are exactly as fresh as the cache.
-//! - **Admission control** ([`server`]) — a bounded connection queue
+//!   a store replaced or deleted on disk is reopened under a fresh id or
+//!   evicted, and both cache tiers drop the superseded id's entries.
+//! - **One cache type, two tiers** (`cache`) — a sharded LRU under a
+//!   byte budget, keyed by the catalog's per-generation store id. The
+//!   chunk tier keeps `Arc`'d
+//!   [`ColumnBatch`](pinpoint_store::ColumnBatch)es, the unit of sharing
+//!   between concurrent requests; the result tier keeps fully *rendered*
+//!   `query`/`report` bodies keyed by normalized params, served zero-copy
+//!   as `Arc`-shared response bodies. A strong `ETag` derived from the
+//!   generation and the params makes `If-None-Match` → `304 Not
+//!   Modified` conditional answers exactly as fresh as the cache.
+//! - **Admission control** (`server`) — a bounded connection queue
 //!   drained by a fixed worker pool; connections beyond capacity are
 //!   refused at the door with a 503 whose `Retry-After` is derived
 //!   deterministically from queue depth and drain width, so overload
 //!   degrades to fast refusals, never hangs.
-//! - **Resilience** ([`deadline`], [`breaker`], [`server`]) — every
+//! - **Resilience** (`deadline`, `breaker`, `server`) — every
 //!   request carries a deadline budget that becomes a cooperative
 //!   [`CancelToken`](pinpoint_store::CancelToken) inside the chunk
 //!   fold (doomed scans answer a deterministic `503 Retry-After`);
 //!   handler panics are contained to stable `500`s by an unwind guard
 //!   and dead workers are respawned by a watchdog; each store has a
-//!   deterministic count-based circuit breaker; and `POST /shutdown`
-//!   runs a graceful drain under a bounded drain deadline, observable
-//!   through `GET /healthz`.
+//!   deterministic count-based circuit breaker ([`BreakerConfig`],
+//!   [`cooldown_rejections`]); and `POST /shutdown` runs a graceful
+//!   drain under a bounded drain deadline, observable through
+//!   `GET /healthz`.
 //!
 //! Endpoints: `GET /stores`, `GET /stores/{name}/info`,
 //! `POST /stores/{name}/query`, `POST /stores/{name}/report`,
@@ -62,24 +62,22 @@
 //! came from the daemon (any worker count, any cache state, fresh or
 //! reused connection, result-cache hit or miss) or from
 //! `pinpoint-trace-tool` run offline on the same store.
+//!
+//! The public surface is what callers use: [`start`] a daemon from a
+//! [`ServeConfig`] and hold its [`ServerHandle`].
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod breaker;
-pub mod cache;
-pub mod catalog;
-pub mod deadline;
-pub mod http;
-pub mod metrics;
-pub mod result_cache;
-pub mod server;
+mod breaker;
+mod cache;
+mod catalog;
+mod deadline;
+mod http;
+mod metrics;
+mod server;
 
-pub use breaker::{BreakerConfig, BreakerSet, BreakerState};
-pub use cache::{CacheStats, ChunkCache};
-pub use catalog::{Catalog, CatalogError, Resolved, StoreEntry};
-pub use deadline::Deadline;
-pub use result_cache::{ResultCache, ResultCacheStats};
+pub use breaker::{cooldown_rejections, BreakerConfig};
 pub use server::{start, ServeConfig, ServerHandle};
 
 #[cfg(test)]

@@ -13,7 +13,6 @@
 //! scanned flat keys keep working unchanged.
 
 use crate::cache::CacheStats;
-use crate::result_cache::ResultCacheStats;
 use pinpoint_obs::{Counter, Histogram, Registry};
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -112,11 +111,6 @@ impl Metrics {
         }
     }
 
-    /// The backing registry (snapshots for tests and tooling).
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
-
     /// Records one finished request's latency against its endpoint
     /// histogram.
     pub fn record_latency(&self, endpoint: Endpoint, ns: u64) {
@@ -127,15 +121,16 @@ impl Metrics {
         }
     }
 
-    /// Renders every counter plus both caches' stats as one flat JSON
-    /// object (pre-existing keys byte-compatible), then the appended
+    /// Renders every counter plus both cache tiers' stats (`cache` the
+    /// chunk tier, `results` the result tier) as one flat JSON object
+    /// (pre-existing keys byte-compatible), then the appended
     /// per-endpoint `latency` histograms. `breaker_open` /
     /// `breaker_half_open` are instantaneous gauges from the breaker
     /// set; `draining` reflects the daemon's lifecycle phase.
     pub fn to_json(
         &self,
         cache: &CacheStats,
-        results: &ResultCacheStats,
+        results: &CacheStats,
         queue_depth: usize,
         breaker_open: u64,
         breaker_half_open: u64,
@@ -248,7 +243,7 @@ mod tests {
         m.count_status(503);
         let s = m.to_json(
             &CacheStats::default(),
-            &ResultCacheStats::default(),
+            &CacheStats::default(),
             2,
             1,
             0,
@@ -274,7 +269,7 @@ mod tests {
         m.record_latency(Endpoint::Report, 2_000);
         let s = m.to_json(
             &CacheStats::default(),
-            &ResultCacheStats::default(),
+            &CacheStats::default(),
             0,
             0,
             0,
@@ -301,7 +296,7 @@ mod tests {
         m.record_latency(Endpoint::Other, 5);
         let s = m.to_json(
             &CacheStats::default(),
-            &ResultCacheStats::default(),
+            &CacheStats::default(),
             0,
             2,
             1,

@@ -52,23 +52,22 @@
 //! Every store-reading endpoint folds per-chunk results in file order, so
 //! a response is byte-identical to the offline CLI on the same store —
 //! at any worker count, any per-request fan-out, any cache state, and
-//! whether the connection is fresh or reused. Rendered `query`/`report`
-//! bodies are additionally memoized in a generation-aware
-//! [`ResultCache`], which also backs `ETag` / `If-None-Match` → `304`
-//! conditional answers (see [`crate::result_cache`]).
+//! whether the connection is fresh or reused. `query` and `report` share
+//! one answer path: a strong `ETag` (`If-None-Match` → `304`), then the
+//! result tier of the [`Cache`], then a fold over the chunk tier and a
+//! render whose body the result tier keeps.
 
 use crate::breaker::{Admission, BreakerConfig, BreakerEvent, BreakerSet};
-use crate::cache::ChunkCache;
+use crate::cache::{etag, if_none_match, Cache, CachedResult};
 use crate::catalog::{Catalog, CatalogError, StoreEntry};
 use crate::deadline::Deadline;
 use crate::http::{error_body, read_request, ConnBuffers, ReadOutcome, Request, Response};
 use crate::metrics::{Endpoint, Metrics};
-use crate::result_cache::{etag, if_none_match, CachedResult, ResultCache};
 use pinpoint_analysis::{OutlierCriteria, RenderScratch, TraceReport};
 use pinpoint_obs::{tracer, SpanGuard, NO_ARG};
 use pinpoint_store::{
-    parse_category, parse_kind, Batch, CancelToken, ChunkMeta, ChunkSource, DecodeScratch,
-    Predicate, ReadPolicy, StoreError,
+    parse_category, parse_kind, Batch, CancelToken, ChunkMeta, ChunkSource, ColumnBatch,
+    DecodeScratch, Predicate, ReadPolicy, StoreError,
 };
 use pinpoint_trace::json::{self, Json};
 use std::collections::VecDeque;
@@ -162,8 +161,10 @@ impl Default for ServeConfig {
 #[derive(Debug)]
 struct Shared {
     catalog: Catalog,
-    cache: ChunkCache,
-    results: ResultCache,
+    /// Decoded chunks, keyed by (store id, chunk ordinal).
+    chunks: Cache<usize, Arc<ColumnBatch>>,
+    /// Rendered `query`/`report` answers, keyed by (store id, params).
+    results: Cache<String, CachedResult>,
     metrics: Metrics,
     breakers: BreakerSet,
     /// Connections waiting for a worker: the stream, its enqueue
@@ -293,8 +294,8 @@ pub fn start(config: ServeConfig) -> io::Result<ServerHandle> {
     tracer().set_enabled(true);
     let shared = Arc::new(Shared {
         catalog: Catalog::new(&config.catalog_dir),
-        cache: ChunkCache::new(config.cache_bytes, 8),
-        results: ResultCache::new(config.result_cache_bytes),
+        chunks: Cache::new(config.cache_bytes, 8),
+        results: Cache::new(config.result_cache_bytes, 1),
         metrics: Metrics::default(),
         breakers: BreakerSet::new(config.breaker),
         queue: Mutex::new(VecDeque::new()),
@@ -702,8 +703,7 @@ fn note_breaker_event(shared: &Shared, event: BreakerEvent) {
 /// Resolves a store through the catalog and runs `f` on it, gated by
 /// the store's circuit breaker. When the catalog reports that the
 /// on-disk file changed (reopen) or vanished (eviction), the superseded
-/// entry's chunks and rendered results are dropped from both cache
-/// tiers before answering.
+/// id is dropped from both cache tiers before answering.
 ///
 /// Breaker accounting: a `500` answer, an unopenable store, or a panic
 /// inside `f` is a hard failure; a `503` (deadline) is neutral; any
@@ -727,11 +727,7 @@ fn with_store(
     }
     let response = match shared.catalog.get(name) {
         Ok(resolved) => {
-            if let Some(stale) = resolved.stale_id {
-                shared.cache.invalidate_store(stale);
-                shared.results.invalidate_store(name);
-                shared.metrics.store_reopens.inc();
-            }
+            drop_superseded(shared, resolved.stale_id);
             match catch_unwind(AssertUnwindSafe(|| f(shared, &resolved.entry))) {
                 Ok(resp) => resp,
                 Err(payload) => {
@@ -745,11 +741,7 @@ fn with_store(
             }
         }
         Err(CatalogError::NotFound { stale_id }) => {
-            if let Some(stale) = stale_id {
-                shared.cache.invalidate_store(stale);
-                shared.results.invalidate_store(name);
-                shared.metrics.store_reopens.inc();
-            }
+            drop_superseded(shared, stale_id);
             return Response::new(404).with_json_body(error_body("store not found"));
         }
         Err(CatalogError::Open(e)) => {
@@ -767,6 +759,16 @@ fn with_store(
         }
     }
     response
+}
+
+/// Drops a store id the catalog superseded (its file changed or
+/// vanished) from both cache tiers, counting a reopen.
+fn drop_superseded(shared: &Shared, stale_id: Option<u64>) {
+    if let Some(stale) = stale_id {
+        shared.chunks.invalidate_store(stale);
+        shared.results.invalidate_store(stale);
+        shared.metrics.store_reopens.inc();
+    }
 }
 
 fn handle_stores(shared: &Shared) -> Response {
@@ -788,7 +790,7 @@ fn handle_metrics(shared: &Shared) -> Response {
     // dynamic body: must never be ETag'd, conditionally answered, or
     // replayed from the result cache
     Response::json(shared.metrics.to_json(
-        &shared.cache.stats(),
+        &shared.chunks.stats(),
         &shared.results.stats(),
         depth,
         open,
@@ -1031,7 +1033,7 @@ fn predicate_from_body(body: Option<&Json>, entry: &StoreEntry) -> Result<Predic
 /// cache hits serves the chunks.
 struct CachedSource<'a> {
     entry: &'a StoreEntry,
-    cache: &'a ChunkCache,
+    cache: &'a Cache<usize, Arc<ColumnBatch>>,
     cancel: CancelToken,
 }
 
@@ -1053,26 +1055,13 @@ impl ChunkSource for CachedSource<'_> {
     }
 }
 
-/// Builds the 200 response for a cached (or just-rendered) result:
-/// `Arc`-shared body, strong `ETag`, salvage-accounting headers.
-fn ok_with_result(r: &CachedResult) -> Response {
+/// The 200 response for a cached or just-rendered result: `Arc`-shared
+/// body, strong `ETag`, salvage-accounting headers.
+fn ok_with_result(r: &CachedResult, tag: String) -> Response {
     Response::json_shared(Arc::clone(&r.body))
-        .with_header("ETag", r.etag.clone())
+        .with_header("ETag", tag)
         .with_header("X-Pinpoint-Chunks-Skipped", r.chunks_skipped.to_string())
         .with_header("X-Pinpoint-Events-Lost", r.events_lost.to_string())
-}
-
-/// Answers a conditional request: when the client's `If-None-Match`
-/// covers the response's `ETag`, a body-less `304 Not Modified` replaces
-/// the 200 — valid even before anything is cached, because the strong
-/// tag is a pure function of `(generation, params)`.
-fn not_modified(shared: &Shared, req: &Request, tag: &str) -> Option<Response> {
-    let inm = req.header("if-none-match")?;
-    if !if_none_match(inm, tag) {
-        return None;
-    }
-    shared.metrics.not_modified.inc();
-    Some(Response::new(304).with_header("ETag", tag.to_string()))
 }
 
 /// Per-request stage stopwatch backing both the `X-Pinpoint-Timing`
@@ -1126,6 +1115,70 @@ impl StageTimer {
     }
 }
 
+/// The one answer path of `query` and `report`, given the normalized
+/// `params` the handler parsed its body into: a body-less `304` when the
+/// client's `If-None-Match` covers the strong `ETag`, else a result-tier
+/// hit, else — budget permitting — `fold` over the chunk tier, `render`,
+/// and keep the rendered body in the result tier. `what` names the
+/// endpoint in a `500` body.
+#[allow(clippy::too_many_arguments)]
+fn answer<T>(
+    shared: &Shared,
+    entry: &StoreEntry,
+    req: &Request,
+    deadline: Deadline,
+    mut timer: StageTimer,
+    params: String,
+    what: &str,
+    fold: impl FnOnce(&CachedSource<'_>) -> Result<T, StoreError>,
+    render: impl FnOnce(T) -> CachedResult,
+) -> Response {
+    timer.stage("serve.parse");
+    let tag = etag(entry.generation, &params);
+    // the strong tag is a pure function of (generation, params), so a
+    // matching one is answered even before anything is cached
+    if req
+        .header("if-none-match")
+        .is_some_and(|inm| if_none_match(inm, &tag))
+    {
+        shared.metrics.not_modified.inc();
+        timer.stage("serve.lookup");
+        return Response::new(304)
+            .with_header("ETag", tag)
+            .with_header("X-Pinpoint-Timing", timer.header_value());
+    }
+    let key = (entry.id, params);
+    if let Some(hit) = shared.results.get(&key) {
+        timer.stage("serve.lookup");
+        return ok_with_result(&hit, tag).with_header("X-Pinpoint-Timing", timer.header_value());
+    }
+    timer.stage("serve.lookup");
+    // checkpoint before the fold: don't start work that cannot finish
+    if deadline.exceeded() {
+        return deadline_response(shared, deadline);
+    }
+    let source = CachedSource {
+        entry,
+        cache: &shared.chunks,
+        cancel: deadline.cancel_token(),
+    };
+    match fold(&source) {
+        Ok(folded) => {
+            timer.stage("serve.fold");
+            let result = render(folded);
+            timer.stage("serve.render");
+            let resp =
+                ok_with_result(&result, tag).with_header("X-Pinpoint-Timing", timer.header_value());
+            // body and params, plus an allowance for the map entry
+            let bytes = (result.body.len() + key.1.len() + 64) as u64;
+            shared.results.insert(key, result, bytes);
+            resp
+        }
+        Err(StoreError::Cancelled) => deadline_response(shared, deadline),
+        Err(e) => Response::new(500).with_json_body(error_body(&format!("{what} failed: {e}"))),
+    }
+}
+
 fn handle_query(
     shared: &Shared,
     entry: &StoreEntry,
@@ -1134,7 +1187,7 @@ fn handle_query(
     deadline: Deadline,
 ) -> Response {
     shared.metrics.queries.inc();
-    let mut timer = StageTimer::start();
+    let timer = StageTimer::start();
     let body = match parse_body(req) {
         Ok(b) => b,
         Err(resp) => return resp,
@@ -1150,47 +1203,22 @@ fn handle_query(
     // canonical cache key: requests that differ only in body spelling
     // (field order, whitespace, label name vs id) collapse to one entry
     let params = format!("query|{pred:?}|max={max}");
-    timer.stage("serve.parse");
-    let tag = etag(entry.generation, &params);
-    if let Some(resp) = not_modified(shared, req, &tag) {
-        timer.stage("serve.lookup");
-        return resp.with_header("X-Pinpoint-Timing", timer.header_value());
-    }
-    if let Some(hit) = shared.results.get(&entry.name, &params, entry.generation) {
-        timer.stage("serve.lookup");
-        return ok_with_result(&hit).with_header("X-Pinpoint-Timing", timer.header_value());
-    }
-    timer.stage("serve.lookup");
-    // checkpoint before the fold: don't start work that cannot finish
-    if deadline.exceeded() {
-        return deadline_response(shared, deadline);
-    }
-    let source = CachedSource {
-        entry,
-        cache: &shared.cache,
-        cancel: deadline.cancel_token(),
-    };
     // one thread per request: the worker pool runs requests in parallel
-    match pinpoint_store::query(&source, &pred, 1) {
-        Ok(q) => {
-            timer.stage("serve.fold");
-            let result = CachedResult {
-                body: Arc::from(render.query(&q, max).as_bytes()),
-                etag: tag,
-                chunks_skipped: q.stats.chunks_skipped as u64,
-                events_lost: q.stats.events_lost,
-            };
-            timer.stage("serve.render");
-            let resp =
-                ok_with_result(&result).with_header("X-Pinpoint-Timing", timer.header_value());
-            shared
-                .results
-                .insert(&entry.name, &params, entry.generation, result);
-            resp
-        }
-        Err(StoreError::Cancelled) => deadline_response(shared, deadline),
-        Err(e) => Response::new(500).with_json_body(error_body(&format!("query failed: {e}"))),
-    }
+    answer(
+        shared,
+        entry,
+        req,
+        deadline,
+        timer,
+        params,
+        "query",
+        |source| pinpoint_store::query(source, &pred, 1),
+        |q| CachedResult {
+            body: Arc::from(render.query(&q, max).as_bytes()),
+            chunks_skipped: q.stats.chunks_skipped as u64,
+            events_lost: q.stats.events_lost,
+        },
+    )
 }
 
 fn handle_report(
@@ -1201,7 +1229,7 @@ fn handle_report(
     deadline: Deadline,
 ) -> Response {
     shared.metrics.reports.inc();
-    let mut timer = StageTimer::start();
+    let timer = StageTimer::start();
     let body = match parse_body(req) {
         Ok(b) => b,
         Err(resp) => return resp,
@@ -1229,46 +1257,21 @@ fn handle_report(
         "report|ati={}|size={}|max={max}",
         criteria.min_ati_ns, criteria.min_size_bytes
     );
-    timer.stage("serve.parse");
-    let tag = etag(entry.generation, &params);
-    if let Some(resp) = not_modified(shared, req, &tag) {
-        timer.stage("serve.lookup");
-        return resp.with_header("X-Pinpoint-Timing", timer.header_value());
-    }
-    if let Some(hit) = shared.results.get(&entry.name, &params, entry.generation) {
-        timer.stage("serve.lookup");
-        return ok_with_result(&hit).with_header("X-Pinpoint-Timing", timer.header_value());
-    }
-    timer.stage("serve.lookup");
-    if deadline.exceeded() {
-        return deadline_response(shared, deadline);
-    }
-    let source = CachedSource {
+    answer(
+        shared,
         entry,
-        cache: &shared.cache,
-        cancel: deadline.cancel_token(),
-    };
-    // one thread per request, as for queries
-    match TraceReport::from_store(&source, criteria, 1) {
-        Ok(d) => {
-            timer.stage("serve.fold");
-            let result = CachedResult {
-                body: Arc::from(render.report(&d, max).as_bytes()),
-                etag: tag,
-                chunks_skipped: d.stats.chunks_skipped as u64,
-                events_lost: d.stats.events_lost,
-            };
-            timer.stage("serve.render");
-            let resp =
-                ok_with_result(&result).with_header("X-Pinpoint-Timing", timer.header_value());
-            shared
-                .results
-                .insert(&entry.name, &params, entry.generation, result);
-            resp
-        }
-        Err(StoreError::Cancelled) => deadline_response(shared, deadline),
-        Err(e) => Response::new(500).with_json_body(error_body(&format!("report failed: {e}"))),
-    }
+        req,
+        deadline,
+        timer,
+        params,
+        "report",
+        |source| TraceReport::from_store(source, criteria, 1),
+        |d| CachedResult {
+            body: Arc::from(render.report(&d, max).as_bytes()),
+            chunks_skipped: d.stats.chunks_skipped as u64,
+            events_lost: d.stats.events_lost,
+        },
+    )
 }
 
 #[cfg(test)]

@@ -16,98 +16,17 @@
 //! - every run shuts down cleanly (token drain or direct shutdown by
 //!   seed parity) and no run leaks a thread.
 
+mod serve_client;
+
 use pinpoint::analysis::query_json;
 use pinpoint::core::{profile, ProfileConfig};
 use pinpoint::serve::{start, ServeConfig};
 use pinpoint::store::{write_store_chunked, Predicate, ReadPolicy, StoreReader};
 use pinpoint::tensor::rng::Rng64;
 use pinpoint::trace::EventKind;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use serve_client::{chaos, get, metric, post, quiet_chaos_panics, roundtrip};
 use std::path::PathBuf;
 use std::time::Duration;
-
-/// Chaos panics are deliberate; keep the test output readable while
-/// still reporting any *unexpected* panic through the default hook.
-fn quiet_chaos_panics() {
-    use std::sync::Once;
-    static ONCE: Once = Once::new();
-    ONCE.call_once(|| {
-        let default = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let msg = info
-                .payload()
-                .downcast_ref::<&str>()
-                .copied()
-                .or_else(|| info.payload().downcast_ref::<String>().map(String::as_str))
-                .unwrap_or("");
-            if !msg.starts_with("chaos:") {
-                default(info);
-            }
-        }));
-    });
-}
-
-fn roundtrip(addr: SocketAddr, request: &[u8]) -> (u16, String, String) {
-    let mut s = TcpStream::connect(addr).unwrap();
-    s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-    s.write_all(request).unwrap();
-    let mut buf = Vec::new();
-    s.read_to_end(&mut buf).unwrap();
-    let text = String::from_utf8(buf).unwrap();
-    let (head, body) = text.split_once("\r\n\r\n").expect("full response");
-    let status: u16 = head
-        .split_ascii_whitespace()
-        .nth(1)
-        .unwrap()
-        .parse()
-        .unwrap();
-    (status, head.to_string(), body.to_string())
-}
-
-fn get(addr: SocketAddr, path: &str) -> (u16, String, String) {
-    roundtrip(
-        addr,
-        format!("GET {path} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n").as_bytes(),
-    )
-}
-
-fn post(addr: SocketAddr, path: &str, body: &str) -> (u16, String, String) {
-    roundtrip(
-        addr,
-        format!(
-            "POST {path} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\
-             Content-Length: {}\r\n\r\n{body}",
-            body.len()
-        )
-        .as_bytes(),
-    )
-}
-
-fn chaos(addr: SocketAddr, mode: &str) -> (u16, String, String) {
-    roundtrip(
-        addr,
-        format!(
-            "POST /debug/chaos HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\
-             X-Pinpoint-Token: chaos\r\nContent-Length: {}\r\n\r\n{{\"mode\":\"{mode}\"}}",
-            mode.len() + 11
-        )
-        .as_bytes(),
-    )
-}
-
-fn metric(body: &str, key: &str) -> u64 {
-    let pat = format!("\"{key}\":");
-    let at = body
-        .find(&pat)
-        .unwrap_or_else(|| panic!("no {key} in {body}"));
-    body[at + pat.len()..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .unwrap()
-}
 
 /// A canned query: the HTTP body plus the offline-computed truth for
 /// both the pristine and the corrupted store.

@@ -5,122 +5,17 @@
 //! observability, stop paths that wake a blocked accept, and
 //! slow-loris defense via the I/O timeout.
 
-use pinpoint::core::{profile, ProfileConfig};
-use pinpoint::serve::breaker::cooldown_rejections;
-use pinpoint::serve::{start, BreakerConfig, ServeConfig};
-use pinpoint::store::write_store_file;
+mod serve_client;
+
+use pinpoint::serve::{cooldown_rejections, start, BreakerConfig, ServeConfig};
+use serve_client::{
+    chaos, get, header, metric, mlp_store, post, post_with, quiet_chaos_panics, read_one_response,
+    tmp_catalog,
+};
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::path::PathBuf;
+use std::net::TcpStream;
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::Duration;
-
-/// Keeps `cargo test` output readable: chaos panics (`panic` / `kill`
-/// injection) are deliberate, so their reports are swallowed; every
-/// other panic still reaches the default hook.
-fn quiet_chaos_panics() {
-    use std::sync::Once;
-    static ONCE: Once = Once::new();
-    ONCE.call_once(|| {
-        let default = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let msg = info
-                .payload()
-                .downcast_ref::<&str>()
-                .copied()
-                .or_else(|| info.payload().downcast_ref::<String>().map(String::as_str))
-                .unwrap_or("");
-            if !msg.starts_with("chaos:") {
-                default(info);
-            }
-        }));
-    });
-}
-
-fn tmp_catalog(tag: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("pinpoint-resilience-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-fn mlp_store(dir: &std::path::Path, name: &str) -> PathBuf {
-    let report = profile(&ProfileConfig::mlp_case_study(3)).unwrap();
-    let path = dir.join(format!("{name}.ptrc"));
-    write_store_file(&report.trace, &path).unwrap();
-    path
-}
-
-fn roundtrip(addr: SocketAddr, request: &str) -> (u16, String, String) {
-    let mut s = TcpStream::connect(addr).unwrap();
-    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    s.write_all(request.as_bytes()).unwrap();
-    let mut buf = Vec::new();
-    s.read_to_end(&mut buf).unwrap();
-    let text = String::from_utf8(buf).unwrap();
-    let (head, body) = text.split_once("\r\n\r\n").expect("full response");
-    let status: u16 = head
-        .split_ascii_whitespace()
-        .nth(1)
-        .unwrap()
-        .parse()
-        .unwrap();
-    (status, head.to_string(), body.to_string())
-}
-
-fn get(addr: SocketAddr, path: &str) -> (u16, String, String) {
-    roundtrip(
-        addr,
-        &format!("GET {path} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"),
-    )
-}
-
-fn post(addr: SocketAddr, path: &str, body: &str) -> (u16, String, String) {
-    post_with(addr, path, body, "")
-}
-
-/// POST with extra raw header lines (each ending in `\r\n`).
-fn post_with(addr: SocketAddr, path: &str, body: &str, extra: &str) -> (u16, String, String) {
-    roundtrip(
-        addr,
-        &format!(
-            "POST {path} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n{extra}\
-             Content-Length: {}\r\n\r\n{body}",
-            body.len()
-        ),
-    )
-}
-
-fn header<'a>(head: &'a str, name: &str) -> &'a str {
-    head.lines()
-        .find_map(|l| l.strip_prefix(&format!("{name}: ")))
-        .unwrap_or_else(|| panic!("missing header {name} in:\n{head}"))
-        .trim()
-}
-
-/// First occurrence of a flat `/metrics` counter.
-fn metric(body: &str, key: &str) -> u64 {
-    let pat = format!("\"{key}\":");
-    let at = body
-        .find(&pat)
-        .unwrap_or_else(|| panic!("no {key} in {body}"));
-    body[at + pat.len()..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .unwrap()
-}
-
-fn chaos(addr: SocketAddr, mode: &str) -> (u16, String, String) {
-    post_with(
-        addr,
-        "/debug/chaos",
-        &format!("{{\"mode\":\"{mode}\"}}"),
-        "X-Pinpoint-Token: chaos\r\n",
-    )
-}
 
 /// A stalled handler is cut loose by its request deadline: the answer
 /// is a deterministic `503` + `Retry-After: 1`, and the cut is visible
@@ -494,34 +389,4 @@ fn slowloris_clients_are_cut_by_the_io_timeout() {
     assert_eq!(metric(&m, "conn_timeouts"), 1, "{m}");
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Reads one `Content-Length`-framed response off a kept-alive stream
-/// without waiting for EOF.
-fn read_one_response(s: &mut TcpStream) -> (u16, String, String) {
-    let mut buf = Vec::new();
-    let mut chunk = [0u8; 4096];
-    let head_end = loop {
-        if let Some(p) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
-            break p;
-        }
-        let n = s.read(&mut chunk).unwrap();
-        assert!(n > 0, "EOF before response head");
-        buf.extend_from_slice(&chunk[..n]);
-    };
-    let head = String::from_utf8(buf[..head_end].to_vec()).unwrap();
-    let len: usize = header(&head, "Content-Length").parse().unwrap();
-    while buf.len() < head_end + 4 + len {
-        let n = s.read(&mut chunk).unwrap();
-        assert!(n > 0, "EOF before response body");
-        buf.extend_from_slice(&chunk[..n]);
-    }
-    let body = String::from_utf8(buf[head_end + 4..head_end + 4 + len].to_vec()).unwrap();
-    let status: u16 = head
-        .split_ascii_whitespace()
-        .nth(1)
-        .unwrap()
-        .parse()
-        .unwrap();
-    (status, head, body)
 }

@@ -6,10 +6,15 @@
 //! generation invalidation, conditional `304`s), fresh-connection
 //! latency, and the `pinpoint-trace-tool serve` subcommand end to end.
 
+mod serve_client;
+
 use pinpoint::core::{profile, ProfileConfig};
 use pinpoint::serve::{start, ServeConfig};
 use pinpoint::store::{write_store_file, Predicate, ReadPolicy, StoreReader};
 use pinpoint::trace::EventKind;
+use serve_client::{
+    get, header, metric, mlp_store, post, post_with, read_one_response, roundtrip, tmp_catalog,
+};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
@@ -25,103 +30,8 @@ fn bin(name: &str) -> PathBuf {
     p.join(name)
 }
 
-fn tmp_catalog(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("pinpoint-smoke-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-/// A small but real trace: the paper's Fig. 1 MLP case study.
-fn mlp_store(dir: &std::path::Path, name: &str) -> PathBuf {
-    let report = profile(&ProfileConfig::mlp_case_study(3)).unwrap();
-    let path = dir.join(format!("{name}.ptrc"));
-    write_store_file(&report.trace, &path).unwrap();
-    path
-}
-
-/// One request/response round trip over a fresh connection. The request
-/// must carry `Connection: close` (the helpers below do) so reading to
-/// EOF terminates.
-fn roundtrip(addr: SocketAddr, request: &str) -> (u16, String, String) {
-    let mut s = TcpStream::connect(addr).unwrap();
-    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    s.write_all(request.as_bytes()).unwrap();
-    let mut buf = Vec::new();
-    s.read_to_end(&mut buf).unwrap();
-    let text = String::from_utf8(buf).unwrap();
-    let (head, body) = text.split_once("\r\n\r\n").expect("full response");
-    let status: u16 = head
-        .split_ascii_whitespace()
-        .nth(1)
-        .unwrap()
-        .parse()
-        .unwrap();
-    (status, head.to_string(), body.to_string())
-}
-
-fn get(addr: SocketAddr, path: &str) -> (u16, String, String) {
-    roundtrip(
-        addr,
-        &format!("GET {path} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"),
-    )
-}
-
-fn post(addr: SocketAddr, path: &str, body: &str) -> (u16, String, String) {
-    post_with(addr, path, body, "")
-}
-
-/// POST with extra raw header lines (each ending in `\r\n`).
-fn post_with(addr: SocketAddr, path: &str, body: &str, extra: &str) -> (u16, String, String) {
-    roundtrip(
-        addr,
-        &format!(
-            "POST {path} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n{extra}\
-             Content-Length: {}\r\n\r\n{body}",
-            body.len()
-        ),
-    )
-}
-
 fn header_u64(head: &str, name: &str) -> u64 {
     header(head, name).parse().unwrap()
-}
-
-fn header<'a>(head: &'a str, name: &str) -> &'a str {
-    head.lines()
-        .find_map(|l| l.strip_prefix(&format!("{name}: ")))
-        .unwrap_or_else(|| panic!("missing header {name} in:\n{head}"))
-        .trim()
-}
-
-/// Reads one `Content-Length`-framed response off a kept-alive stream
-/// without waiting for EOF.
-fn read_one_response(s: &mut TcpStream) -> (u16, String, String) {
-    let mut buf = Vec::new();
-    let mut chunk = [0u8; 4096];
-    let head_end = loop {
-        if let Some(p) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
-            break p;
-        }
-        let n = s.read(&mut chunk).unwrap();
-        assert!(n > 0, "EOF before response head");
-        buf.extend_from_slice(&chunk[..n]);
-    };
-    let head = String::from_utf8(buf[..head_end].to_vec()).unwrap();
-    let len: usize = header(&head, "Content-Length").parse().unwrap();
-    while buf.len() < head_end + 4 + len {
-        let n = s.read(&mut chunk).unwrap();
-        assert!(n > 0, "EOF before response body");
-        buf.extend_from_slice(&chunk[..n]);
-    }
-    let body = String::from_utf8(buf[head_end + 4..head_end + 4 + len].to_vec()).unwrap();
-    let status: u16 = head
-        .split_ascii_whitespace()
-        .nth(1)
-        .unwrap()
-        .parse()
-        .unwrap();
-    (status, head, body)
 }
 
 /// The daemon's query and report responses are the same bytes as the
@@ -375,6 +285,15 @@ fn replaced_store_serves_fresh_bytes_and_invalidates_caches() {
 
     let (_, _, metrics) = get(addr, "/metrics");
     assert!(metrics.contains("\"store_reopens\":1"), "{metrics}");
+    // the superseded generation's cached answer was dropped, and the new
+    // generation's answer is cached and served
+    assert!(metric(&metrics, "result_invalidations") >= 1, "{metrics}");
+    let hits = metric(&metrics, "result_hits");
+    let (status, _, again) = post(addr, "/stores/mlp/query", q);
+    assert_eq!(status, 200);
+    assert_eq!(again, new_body);
+    let (_, _, metrics) = get(addr, "/metrics");
+    assert_eq!(metric(&metrics, "result_hits"), hits + 1, "{metrics}");
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -647,6 +566,15 @@ fn cli_serve_round_trip() {
         .unwrap_or_else(|| panic!("no address in banner: {banner:?}"))
         .parse()
         .unwrap();
+    // no timeout flags given: the CLI runs on the library's defaults
+    let defaults = ServeConfig::default();
+    assert!(
+        banner.contains(&format!(
+            "io-timeout {}ms, request-deadline {}ms",
+            defaults.io_timeout_ms, defaults.request_deadline_ms
+        )),
+        "{banner:?}"
+    );
 
     let (status, _, body) = get(addr, "/stores");
     assert_eq!(status, 200);
@@ -681,8 +609,8 @@ fn cli_serve_round_trip() {
     assert_eq!(status, 403);
     let (status, _, _) = roundtrip(
         addr,
-        "POST /shutdown HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\
-         X-Pinpoint-Token: tok\r\nContent-Length: 0\r\n\r\n",
+        b"POST /shutdown HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\
+          X-Pinpoint-Token: tok\r\nContent-Length: 0\r\n\r\n",
     );
     assert_eq!(status, 204);
     let status = child.wait().unwrap();
@@ -717,8 +645,8 @@ fn observability_endpoints_are_never_cached() {
     // a conditional request must get fresh bytes, whatever tag it sends
     let (status, head, body) = roundtrip(
         addr,
-        "GET /metrics HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\
-         If-None-Match: \"0-0\"\r\n\r\n",
+        b"GET /metrics HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\
+          If-None-Match: \"0-0\"\r\n\r\n",
     );
     assert_eq!(status, 200, "conditional GET /metrics must never 304");
     assert_eq!(header(&head, "Cache-Control"), "no-store");
@@ -890,26 +818,21 @@ fn counters_stay_exact_under_concurrent_load() {
 
     let (status, _, body) = get(addr, "/metrics");
     assert_eq!(status, 200);
-    let metric = |key: &str| -> u64 {
-        let tag = format!("\"{key}\":");
-        let rest = &body[body.find(&tag).expect("metric present") + tag.len()..];
-        rest[..rest.find([',', '}']).unwrap()].parse().unwrap()
-    };
     let total = clients * per_client;
     let queries = (0..clients)
         .flat_map(|c| (0..per_client).map(move |i| (c + i) % 3))
         .filter(|&r| r == 0)
         .count();
     // warm-up + load + this /metrics request, each over its own connection
-    assert_eq!(metric("accepted"), total as u64 + 2);
-    assert_eq!(metric("shed"), 0);
-    assert_eq!(metric("queries"), queries as u64);
-    assert_eq!(metric("reports"), (total - queries) as u64 + 1);
+    assert_eq!(metric(&body, "accepted"), total as u64 + 2);
+    assert_eq!(metric(&body, "shed"), 0);
+    assert_eq!(metric(&body, "queries"), queries as u64);
+    assert_eq!(metric(&body, "reports"), (total - queries) as u64 + 1);
     // every finished response (the in-flight /metrics one is not yet
     // tallied when its own body renders)
-    assert_eq!(metric("ok"), total as u64 + 1);
-    assert_eq!(metric("client_error"), 0);
-    assert_eq!(metric("server_error"), 0);
+    assert_eq!(metric(&body, "ok"), total as u64 + 1);
+    assert_eq!(metric(&body, "client_error"), 0);
+    assert_eq!(metric(&body, "server_error"), 0);
 
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
