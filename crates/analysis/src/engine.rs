@@ -12,10 +12,15 @@
 //! The paper's passes ship as three ready-made folds — [`AtiFold`],
 //! [`PeakFold`] and [`GanttFold`] — and the public `from_trace` passes
 //! ([`AtiDataset::from_trace`], [`crate::gantt_rects`]) are wrappers over
-//! them. A [`TraceReport`](crate::TraceReport) runs all three as one fold
-//! whose accumulator holds each one's, so a report still decodes each
-//! chunk once and builds each event once. The breakdown row and the
-//! outliers need no fold of their own:
+//! them. The ATI and Gantt folds share one accumulator, [`BlockAcc`]: a
+//! table of per-block state found through a slot index (no hashing while
+//! ids come in sequence, as allocators mint them), plus each chunk's
+//! accesses as one run in event order. A merge touches only the later
+//! chunk's blocks, and the records finish in order without a full sort.
+//! A [`TraceReport`](crate::TraceReport) runs all three passes as one
+//! fold over one block table and the peak's accumulator, so a report
+//! decodes each chunk once, builds each event once, and looks its block
+//! up once. The breakdown row and the outliers need no fold of their own:
 //! [`BreakdownRow::from_peak`](crate::BreakdownRow::from_peak) and
 //! [`sift`](crate::sift) derive them from the peak and the ATIs.
 //!
@@ -29,7 +34,6 @@ use pinpoint_store::{
     scan, ChunkSource, ColumnBatch, EventSource, Predicate, QueryStats, StoreError,
 };
 use pinpoint_trace::{BlockId, EventKind, MemEvent, MemoryKind, PeakAcc, PeakUsage, Trace};
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// One analysis pass expressed as a chunk-parallel fold.
@@ -205,40 +209,360 @@ pub fn run_trace<F: EventFold>(fold: &F, trace: &Trace, threads: usize) -> (F::O
 // The paper's passes as folds.
 // ---------------------------------------------------------------------------
 
-/// Per-block state the ATI fold keeps — O(1) per live block, not every
-/// access (this is what bounds the fold's memory on a store scan).
-#[derive(Debug, Clone, Copy)]
-struct AtiBlockState {
-    /// Size/kind fallback from the block's first event of any kind
-    /// (mirrors `Trace::lifetimes()` entry initialization).
-    fallback_size: usize,
-    fallback_kind: MemoryKind,
-    /// Last malloc's (size, kind); overrides the fallback.
-    malloc_meta: Option<(usize, MemoryKind)>,
-    /// First access in this accumulator's span (bridge target on merge).
-    first_access: Option<(u64, EventKind)>,
-    /// Most recent access (the open end of the next interval).
-    last_access: Option<(u64, EventKind)>,
+/// The meta column's 2-bit kind code: malloc = 0, free = 1, and the two
+/// accesses above.
+fn is_access(meta: u8) -> bool {
+    meta & 0b11 > 1
 }
 
-/// An interval observed before the block's final size/kind are known;
-/// completed into an [`AtiRecord`] at `finish`.
+/// Ids `p << PAGE_BITS ..= (p << PAGE_BITS) | (PAGE - 1)` share page `p`
+/// of the slot index.
+const PAGE_BITS: u32 = 8;
+/// Slots per page of the slot index.
+const PAGE: usize = 1 << PAGE_BITS;
+/// An empty directory entry, or an empty slot in a page.
+const NONE: u32 = u32::MAX;
+/// Words (`u32`) the slot index may hold beyond [`WORDS_PER_BLOCK`] per
+/// indexed block: room for the first few pages.
+const SLACK_WORDS: u64 = 4 * PAGE as u64;
+/// Words the slot index may hold per indexed block. Past this bound the
+/// index is a keyed hash map, so crafted ids cannot force a large index.
+const WORDS_PER_BLOCK: u64 = 8;
+
+/// Where a [`BlockAcc`] finds a block's entry.
+#[derive(Debug)]
+enum BlockIndex {
+    /// Allocators mint ids in sequence, so a block's slot is found by two
+    /// array loads, without hashing: `dir[id >> PAGE_BITS]` names a page,
+    /// whose word `id % PAGE` is the slot. Only touched pages exist, so
+    /// persistent low ids plus a window of fresh high ones cost a few
+    /// pages, not one word per id in between.
+    Slots {
+        dir: Vec<u32>,
+        pages: Vec<[u32; PAGE]>,
+    },
+    /// std's keyed hash map, once an id falls past the slot bound: an
+    /// unkeyed hash would let crafted ids collide into one bucket.
+    Hashed(HashMap<BlockId, usize>),
+}
+
+impl BlockIndex {
+    fn get(&self, block: BlockId) -> Option<usize> {
+        match self {
+            BlockIndex::Slots { dir, pages } => {
+                let page = *dir.get(usize::try_from(block.0 >> PAGE_BITS).ok()?)?;
+                // a NONE page number lies past the end of `pages`
+                let slot = *pages.get(page as usize)?.get(block.0 as usize % PAGE)?;
+                (slot != NONE).then_some(slot as usize)
+            }
+            BlockIndex::Hashed(map) => map.get(&block).copied(),
+        }
+    }
+
+    /// Indexes `block` at `slot` of `held` blocks, or returns false when
+    /// that would take the slot index past its bound.
+    fn insert(&mut self, block: BlockId, slot: usize, held: usize) -> bool {
+        match self {
+            BlockIndex::Slots { dir, pages } => {
+                let p = block.0 >> PAGE_BITS;
+                let page = dir.get(p as usize).copied().unwrap_or(NONE);
+                let dir_words = (p + 1).max(dir.len() as u64);
+                let pages_after = pages.len() as u64 + u64::from(page == NONE);
+                let words = dir_words + pages_after * PAGE as u64;
+                if slot >= NONE as usize || words > SLACK_WORDS + WORDS_PER_BLOCK * held as u64 {
+                    return false;
+                }
+                // within the bound, so the directory stays small
+                let p = p as usize;
+                if p >= dir.len() {
+                    dir.resize(p + 1, NONE);
+                }
+                if page == NONE {
+                    dir[p] = pages.len() as u32;
+                    pages.push([NONE; PAGE]);
+                }
+                pages[dir[p] as usize][block.0 as usize % PAGE] = slot as u32;
+            }
+            BlockIndex::Hashed(map) => {
+                map.insert(block, slot);
+            }
+        }
+        true
+    }
+}
+
+/// Everything the ATI and Gantt passes keep about one block, mirroring
+/// one `Trace::lifetimes()` entry without its access list.
 #[derive(Debug, Clone, Copy)]
-struct PendingAti {
+struct BlockState {
     block: BlockId,
-    interval_ns: u64,
-    end_time_ns: u64,
-    closing_kind: EventKind,
+    /// (time, size, offset, kind) of the last malloc, or of the block's
+    /// first event while it has had no malloc.
+    time_ns: u64,
+    size: usize,
+    offset: usize,
+    mem_kind: MemoryKind,
+    /// Whether the geometry above is a malloc's.
+    mallocd: bool,
+    /// Last free's time.
+    free_time_ns: Option<u64>,
+    /// `(run, position)` of the placeholder the block's first access left
+    /// in the runs: a merge fills it with the bridge from the earlier
+    /// side's last access.
+    first_access: Option<(u32, u32)>,
+    /// Time of the most recent access (the open end of the next interval).
+    last_access_ns: Option<u64>,
 }
 
-/// Accumulator of [`AtiFold`]: per-block scalar state plus the intervals
-/// closed so far, in per-block chronological order. The block map is
-/// hashed (std's keyed hasher, so crafted ids cannot collide it into one
-/// bucket); no output order depends on its iteration order.
-#[derive(Debug, Default)]
-pub struct AtiAcc {
-    blocks: HashMap<BlockId, AtiBlockState>,
-    pending: Vec<PendingAti>,
+/// A placeholder's `(run, position)`, as [`BlockState::first_access`]
+/// keeps it.
+fn placeholder_at(run: usize, pos: usize) -> (u32, u32) {
+    let fits = |i: usize| u32::try_from(i).expect("runs and runs' lengths stay below 2^32");
+    (fits(run), fits(pos))
+}
+
+impl BlockState {
+    fn new(e: &MemEvent) -> Self {
+        BlockState {
+            block: e.block,
+            time_ns: e.time_ns,
+            size: e.size,
+            offset: e.offset,
+            mem_kind: e.mem_kind,
+            mallocd: false,
+            free_time_ns: None,
+            first_access: None,
+            last_access_ns: None,
+        }
+    }
+}
+
+/// One access, at its event position in its run: the interval it closes,
+/// or, for the block's first access in the accumulator, a placeholder that
+/// stays open until a merge bridges it (or for good, at the block's first
+/// access in the trace).
+#[derive(Debug, Clone, Copy)]
+struct Interval {
+    block: BlockId,
+    end_time_ns: u64,
+    interval_ns: u64,
+    closing_kind: EventKind,
+    closed: bool,
+}
+
+/// The accumulator of [`AtiFold`] and [`GanttFold`], and of a report:
+/// one table of per-block state, in first-touch order, and the accesses
+/// as one run per chunk, in event order.
+///
+/// * A block's entry is found through a paged slot index (ids are minted
+///   in sequence); an id past the index's bound, which is a small multiple
+///   of the blocks held, moves the accumulator to a keyed hash map, so
+///   neither crafted ids nor a long trace can drive a large allocation.
+/// * A merge touches only the later side's blocks: it fills each one's
+///   placeholder with the bridge from the earlier side's last access and
+///   appends the later runs, so the running list is never copied.
+/// * The runs are in event order, which in a time-ordered trace is
+///   `(end_time_ns, block)` order up to accesses of one instant, so
+///   [`AtiFold::finish`] sorts only within each instant.
+#[derive(Debug)]
+pub struct BlockAcc {
+    blocks: Vec<BlockState>,
+    index: BlockIndex,
+    /// One run per chunk; the last one takes pushed accesses.
+    runs: Vec<Vec<Interval>>,
+    /// Closed intervals across the runs.
+    intervals: usize,
+    /// Time of the last event seen (lifetime end of never-freed blocks).
+    end_time_ns: Option<u64>,
+}
+
+impl Default for BlockAcc {
+    fn default() -> Self {
+        BlockAcc {
+            blocks: Vec::new(),
+            index: BlockIndex::Slots {
+                dir: Vec::new(),
+                pages: Vec::new(),
+            },
+            runs: vec![Vec::new()],
+            intervals: 0,
+            end_time_ns: None,
+        }
+    }
+}
+
+impl BlockAcc {
+    /// Appends `st` as a new block, indexes it, and returns its slot.
+    fn insert(&mut self, st: BlockState) -> usize {
+        let slot = self.blocks.len();
+        self.blocks.push(st);
+        if !self.index.insert(st.block, slot, self.blocks.len()) {
+            let slots = self.blocks.iter().enumerate().map(|(i, b)| (b.block, i));
+            self.index = BlockIndex::Hashed(slots.collect());
+        }
+        slot
+    }
+
+    pub(crate) fn push(&mut self, e: &MemEvent) {
+        self.end_time_ns = Some(e.time_ns);
+        let slot = match self.index.get(e.block) {
+            Some(slot) => slot,
+            None => self.insert(BlockState::new(e)),
+        };
+        let st = &mut self.blocks[slot];
+        match e.kind {
+            EventKind::Malloc => {
+                (st.time_ns, st.size, st.offset) = (e.time_ns, e.size, e.offset);
+                st.mem_kind = e.mem_kind;
+                st.mallocd = true;
+            }
+            EventKind::Free => st.free_time_ns = Some(e.time_ns),
+            EventKind::Read | EventKind::Write => {
+                let r = self.runs.len() - 1;
+                let run = &mut self.runs[r];
+                let mut iv = Interval {
+                    block: e.block,
+                    end_time_ns: e.time_ns,
+                    interval_ns: 0,
+                    closing_kind: e.kind,
+                    closed: false,
+                };
+                match st.last_access_ns {
+                    Some(prev) => {
+                        iv.interval_ns = e.time_ns - prev;
+                        iv.closed = true;
+                        self.intervals += 1;
+                    }
+                    None => st.first_access = Some(placeholder_at(r, run.len())),
+                }
+                run.push(iv);
+                st.last_access_ns = Some(e.time_ns);
+            }
+        }
+    }
+
+    /// Sizes the current run exactly for a decoded chunk's accesses: a
+    /// run left to double can cross the allocator's mmap threshold, which
+    /// costs more than the fold.
+    pub(crate) fn reserve_run(&mut self, batch: &ColumnBatch) {
+        let accesses = batch.meta().iter().filter(|&&m| is_access(m)).count();
+        let run = self.runs.last_mut().expect("an accumulator has a run");
+        run.reserve_exact(accesses);
+    }
+
+    fn push_batch(&mut self, batch: &ColumnBatch) {
+        self.reserve_run(batch);
+        for i in 0..batch.len() {
+            self.push(&batch.event(i));
+        }
+    }
+
+    /// Appends `b`, whose events all follow this accumulator's.
+    pub(crate) fn merge(mut self, b: BlockAcc) -> BlockAcc {
+        let BlockAcc {
+            blocks,
+            mut runs,
+            intervals,
+            end_time_ns,
+            ..
+        } = b;
+        // b's run r becomes run base + r here
+        let base = self.runs.len();
+        let rebase = |at: Option<(u32, u32)>| {
+            at.map(|(r, pos)| placeholder_at(base + r as usize, pos as usize))
+        };
+        self.intervals += intervals;
+        for sb in blocks {
+            let Some(slot) = self.index.get(sb.block) else {
+                self.insert(BlockState {
+                    first_access: rebase(sb.first_access),
+                    ..sb
+                });
+                continue;
+            };
+            let sa = &mut self.blocks[slot];
+            // bridge a's last access to b's first, in b's placeholder
+            if let (Some(ta), Some((r, pos))) = (sa.last_access_ns, sb.first_access) {
+                let iv = &mut runs[r as usize][pos as usize];
+                iv.interval_ns = iv.end_time_ns - ta;
+                iv.closed = true;
+                self.intervals += 1;
+            }
+            if sb.mallocd {
+                (sa.time_ns, sa.size, sa.offset) = (sb.time_ns, sb.size, sb.offset);
+                sa.mem_kind = sb.mem_kind;
+                sa.mallocd = true;
+            }
+            sa.free_time_ns = sb.free_time_ns.or(sa.free_time_ns);
+            if sa.first_access.is_none() {
+                sa.first_access = rebase(sb.first_access);
+            }
+            if sb.last_access_ns.is_some() {
+                sa.last_access_ns = sb.last_access_ns;
+            }
+        }
+        self.runs.append(&mut runs);
+        self.end_time_ns = end_time_ns.or(self.end_time_ns);
+        self
+    }
+
+    /// The ATI records: the closed intervals, completed with each block's
+    /// final size and kind, in `(end_time_ns, block)` order, a block's own
+    /// records in event order (what a stable sort of the event-ordered
+    /// runs by that key gives).
+    pub(crate) fn ati(&self) -> AtiDataset {
+        let mut records = Vec::with_capacity(self.intervals);
+        for iv in self.runs.iter().flatten().filter(|iv| iv.closed) {
+            let slot = self
+                .index
+                .get(iv.block)
+                .expect("an accessed block has an entry");
+            let st = &self.blocks[slot];
+            records.push(AtiRecord {
+                block: iv.block,
+                size: st.size,
+                mem_kind: st.mem_kind,
+                interval_ns: iv.interval_ns,
+                end_time_ns: iv.end_time_ns,
+                closing_kind: iv.closing_kind,
+            });
+        }
+        if records.is_sorted_by_key(|r| r.end_time_ns) {
+            // event order is time order: only one instant's accesses can
+            // be out of block order
+            for instant in records.chunk_by_mut(|a, b| a.end_time_ns == b.end_time_ns) {
+                if !instant.is_sorted_by_key(|r| r.block) {
+                    instant.sort_by_key(|r| r.block);
+                }
+            }
+        } else {
+            records.sort_by_key(|r| (r.end_time_ns, r.block));
+        }
+        AtiDataset::from_records(records)
+    }
+
+    /// One rectangle per block whose lifetime intersects
+    /// `[t_start, t_end]`.
+    pub(crate) fn gantt(&self, t_start: u64, t_end: u64) -> Vec<GanttRect> {
+        let end = self.end_time_ns.unwrap_or(0);
+        let mut rects: Vec<GanttRect> = self
+            .blocks
+            .iter()
+            .map(|st| GanttRect {
+                block: st.block,
+                t0_ns: st.time_ns,
+                t1_ns: st.free_time_ns.unwrap_or(end),
+                offset: st.offset,
+                size: st.size,
+                mem_kind: st.mem_kind,
+            })
+            .filter(|r| r.t1_ns >= t_start && r.t0_ns <= t_end)
+            .collect();
+        // the block breaks (t0_ns, offset) ties; blocks are unique, so the
+        // key is total and an unstable sort is deterministic
+        rects.sort_unstable_by_key(|r| (r.t0_ns, r.offset, r.block));
+        rects
+    }
 }
 
 /// Access-time-interval extraction as a fold; [`AtiDataset::from_trace`]
@@ -247,7 +571,7 @@ pub struct AtiAcc {
 pub struct AtiFold;
 
 impl EventFold for AtiFold {
-    type Acc = AtiAcc;
+    type Acc = BlockAcc;
     type Output = AtiDataset;
 
     /// Everything: accesses close intervals, mallocs set size/kind, and
@@ -256,99 +580,23 @@ impl EventFold for AtiFold {
     fn predicate(&self) -> Predicate {
         Predicate::any()
     }
-    fn new_acc(&self) -> AtiAcc {
-        AtiAcc::default()
+    fn new_acc(&self) -> BlockAcc {
+        BlockAcc::default()
     }
-    fn push(&self, acc: &mut AtiAcc, e: &MemEvent) {
-        let st = acc.blocks.entry(e.block).or_insert(AtiBlockState {
-            fallback_size: e.size,
-            fallback_kind: e.mem_kind,
-            malloc_meta: None,
-            first_access: None,
-            last_access: None,
-        });
-        match e.kind {
-            EventKind::Malloc => st.malloc_meta = Some((e.size, e.mem_kind)),
-            EventKind::Free => {}
-            EventKind::Read | EventKind::Write => {
-                if let Some((prev, _)) = st.last_access {
-                    acc.pending.push(PendingAti {
-                        block: e.block,
-                        interval_ns: e.time_ns - prev,
-                        end_time_ns: e.time_ns,
-                        closing_kind: e.kind,
-                    });
-                }
-                if st.first_access.is_none() {
-                    st.first_access = Some((e.time_ns, e.kind));
-                }
-                st.last_access = Some((e.time_ns, e.kind));
-            }
-        }
+    fn push(&self, acc: &mut BlockAcc, e: &MemEvent) {
+        acc.push(e);
     }
-    fn merge(&self, mut a: AtiAcc, b: AtiAcc) -> AtiAcc {
-        let AtiAcc {
-            blocks: b_blocks,
-            pending: b_pending,
-        } = b;
-        for (block, sb) in b_blocks {
-            match a.blocks.entry(block) {
-                Entry::Vacant(v) => {
-                    v.insert(sb);
-                }
-                Entry::Occupied(mut o) => {
-                    let sa = o.get_mut();
-                    // Bridge the interval spanning the two accumulators'
-                    // event spans: A's last access → B's first.
-                    if let (Some((ta, _)), Some((tb, kb))) = (sa.last_access, sb.first_access) {
-                        a.pending.push(PendingAti {
-                            block,
-                            interval_ns: tb - ta,
-                            end_time_ns: tb,
-                            closing_kind: kb,
-                        });
-                    }
-                    sa.malloc_meta = sb.malloc_meta.or(sa.malloc_meta);
-                    if sa.first_access.is_none() {
-                        sa.first_access = sb.first_access;
-                    }
-                    if sb.last_access.is_some() {
-                        sa.last_access = sb.last_access;
-                    }
-                }
-            }
-        }
-        // A's intervals, then the bridges (closed by B's first accesses,
-        // at most one per block, in map order), then B's: per-block
-        // chronological order is preserved, which the final stable
-        // (end_time_ns, block) sort relies on to give every chunking the
-        // same record order.
-        a.pending.extend(b_pending);
-        a
+    fn merge(&self, a: BlockAcc, b: BlockAcc) -> BlockAcc {
+        a.merge(b)
     }
-    /// Completes pending intervals with each block's final size/kind and
-    /// orders the records by closing time, then block.
-    fn finish(&self, acc: AtiAcc) -> AtiDataset {
-        let mut records: Vec<AtiRecord> = acc
-            .pending
-            .iter()
-            .map(|p| {
-                let st = &acc.blocks[&p.block];
-                let (size, mem_kind) = st
-                    .malloc_meta
-                    .unwrap_or((st.fallback_size, st.fallback_kind));
-                AtiRecord {
-                    block: p.block,
-                    size,
-                    mem_kind,
-                    interval_ns: p.interval_ns,
-                    end_time_ns: p.end_time_ns,
-                    closing_kind: p.closing_kind,
-                }
-            })
-            .collect();
-        records.sort_by_key(|r| (r.end_time_ns, r.block));
-        AtiDataset::from_records(records)
+    /// Completes the closed intervals with each block's final size/kind,
+    /// ordered by closing time, then block.
+    fn finish(&self, acc: BlockAcc) -> AtiDataset {
+        acc.ati()
+    }
+    /// Every event matches, so none is tested.
+    fn push_batch(&self, acc: &mut BlockAcc, batch: &ColumnBatch, _: &Predicate) {
+        acc.push_batch(batch);
     }
 }
 
@@ -380,13 +628,12 @@ impl EventFold for PeakFold {
     fn finish(&self, acc: PeakAcc) -> PeakUsage {
         acc.finish()
     }
-    /// The meta column's 2-bit kind code (malloc = 0, free = 1) rules out
-    /// accesses with one byte test, so in access-heavy traces — the
-    /// paper's regime — the vast majority of events are skipped without
-    /// ever being materialized.
+    /// The meta column's 2-bit kind code rules out accesses with one byte
+    /// test, so in access-heavy traces — the paper's regime — the vast
+    /// majority of events are skipped without ever being materialized.
     fn push_batch(&self, acc: &mut PeakAcc, batch: &ColumnBatch, pred: &Predicate) {
         for (i, &m) in batch.meta().iter().enumerate() {
-            if m & 0b11 > 1 {
+            if is_access(m) {
                 continue;
             }
             let e = batch.event(i);
@@ -395,27 +642,6 @@ impl EventFold for PeakFold {
             }
         }
     }
-}
-
-/// Per-block state of the Gantt fold, mirroring one
-/// `Trace::lifetimes()` entry without the access list.
-#[derive(Debug, Clone, Copy)]
-struct GanttBlockState {
-    /// (time, size, offset, kind) of the block's first event of any kind.
-    first: (u64, usize, usize, MemoryKind),
-    /// Last malloc's (time, size, offset, kind); overrides `first`.
-    malloc: Option<(u64, usize, usize, MemoryKind)>,
-    /// Last free's time.
-    free_time_ns: Option<u64>,
-}
-
-/// Accumulator of [`GanttFold`]. The block map is hashed like
-/// [`AtiAcc`]'s; `finish` sorts by an explicit key.
-#[derive(Debug, Default)]
-pub struct GanttAcc {
-    blocks: HashMap<BlockId, GanttBlockState>,
-    /// Time of the last event seen (lifetime end of never-freed blocks).
-    end_time_ns: Option<u64>,
 }
 
 /// Gantt-rectangle extraction as a fold, restricted to lifetimes
@@ -430,7 +656,7 @@ pub struct GanttFold {
 }
 
 impl EventFold for GanttFold {
-    type Acc = GanttAcc;
+    type Acc = BlockAcc;
     type Output = Vec<GanttRect>;
 
     /// Everything: never-freed blocks extend to the trace's last event of
@@ -439,60 +665,21 @@ impl EventFold for GanttFold {
     fn predicate(&self) -> Predicate {
         Predicate::any()
     }
-    fn new_acc(&self) -> GanttAcc {
-        GanttAcc::default()
+    fn new_acc(&self) -> BlockAcc {
+        BlockAcc::default()
     }
-    fn push(&self, acc: &mut GanttAcc, e: &MemEvent) {
-        acc.end_time_ns = Some(e.time_ns);
-        let st = acc.blocks.entry(e.block).or_insert(GanttBlockState {
-            first: (e.time_ns, e.size, e.offset, e.mem_kind),
-            malloc: None,
-            free_time_ns: None,
-        });
-        match e.kind {
-            EventKind::Malloc => st.malloc = Some((e.time_ns, e.size, e.offset, e.mem_kind)),
-            EventKind::Free => st.free_time_ns = Some(e.time_ns),
-            EventKind::Read | EventKind::Write => {}
-        }
+    fn push(&self, acc: &mut BlockAcc, e: &MemEvent) {
+        acc.push(e);
     }
-    fn merge(&self, mut a: GanttAcc, b: GanttAcc) -> GanttAcc {
-        for (block, sb) in b.blocks {
-            match a.blocks.entry(block) {
-                Entry::Vacant(v) => {
-                    v.insert(sb);
-                }
-                Entry::Occupied(mut o) => {
-                    let sa = o.get_mut();
-                    sa.malloc = sb.malloc.or(sa.malloc);
-                    sa.free_time_ns = sb.free_time_ns.or(sa.free_time_ns);
-                }
-            }
-        }
-        a.end_time_ns = b.end_time_ns.or(a.end_time_ns);
-        a
+    fn merge(&self, a: BlockAcc, b: BlockAcc) -> BlockAcc {
+        a.merge(b)
     }
-    fn finish(&self, acc: GanttAcc) -> Vec<GanttRect> {
-        let end = acc.end_time_ns.unwrap_or(0);
-        let mut rects: Vec<GanttRect> = acc
-            .blocks
-            .iter()
-            .map(|(block, st)| {
-                let (t0_ns, size, offset, mem_kind) = st.malloc.unwrap_or(st.first);
-                GanttRect {
-                    block: *block,
-                    t0_ns,
-                    t1_ns: st.free_time_ns.unwrap_or(end),
-                    offset,
-                    size,
-                    mem_kind,
-                }
-            })
-            .filter(|r| r.t1_ns >= self.t_start && r.t0_ns <= self.t_end)
-            .collect();
-        // the block breaks (t0_ns, offset) ties; blocks are unique, so the
-        // key is total and an unstable sort is deterministic
-        rects.sort_unstable_by_key(|r| (r.t0_ns, r.offset, r.block));
-        rects
+    fn finish(&self, acc: BlockAcc) -> Vec<GanttRect> {
+        acc.gantt(self.t_start, self.t_end)
+    }
+    /// Every event matches, so none is tested.
+    fn push_batch(&self, acc: &mut BlockAcc, batch: &ColumnBatch, _: &Predicate) {
+        acc.push_batch(batch);
     }
 }
 
@@ -682,6 +869,96 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn block_merge_is_associative_at_every_split() {
+        let t = mixed_trace();
+        let fold = |events: &[MemEvent]| {
+            let mut acc = BlockAcc::default();
+            events.iter().for_each(|e| acc.push(e));
+            acc
+        };
+        let whole = fold(t.events());
+        let (ati, gantt) = (whole.ati(), whole.gantt(0, u64::MAX));
+        let n = t.len();
+        for i in 0..=n {
+            for j in i..=n {
+                let (a, b, c) = (&t.events()[..i], &t.events()[i..j], &t.events()[j..]);
+                let left = fold(a).merge(fold(b)).merge(fold(c));
+                let right = fold(a).merge(fold(b).merge(fold(c)));
+                for (side, acc) in [("left", left), ("right", right)] {
+                    assert_eq!(acc.ati(), ati, "{side}, splits at {i} and {j}");
+                    assert_eq!(acc.gantt(0, u64::MAX), gantt, "{side}, {i}, {j}");
+                }
+            }
+        }
+    }
+
+    /// One 4096-event chunk shaped like a late chunk of a long training
+    /// profile: 100 persistent blocks with the lowest ids, then a window
+    /// of fresh blocks near id 15 000, each malloc'd, written, read
+    /// beside a persistent block, and freed.
+    fn long_trace_chunk() -> Vec<MemEvent> {
+        let mut events = Vec::with_capacity(DEFAULT_CHUNK_EVENTS);
+        let ev = |events: &mut Vec<MemEvent>, kind, block: u64| {
+            events.push(MemEvent {
+                time_ns: events.len() as u64,
+                kind,
+                block: BlockId(block),
+                size: 512,
+                offset: block as usize * 512,
+                mem_kind: MemoryKind::Activation,
+                op_label: None,
+            });
+        };
+        for id in 0..100 {
+            ev(&mut events, EventKind::Write, id);
+        }
+        let mut fresh = 15_000;
+        while events.len() + 5 <= DEFAULT_CHUNK_EVENTS {
+            ev(&mut events, EventKind::Malloc, fresh);
+            ev(&mut events, EventKind::Write, fresh);
+            ev(&mut events, EventKind::Read, fresh % 100);
+            ev(&mut events, EventKind::Read, fresh);
+            ev(&mut events, EventKind::Free, fresh);
+            fresh += 1;
+        }
+        events
+    }
+
+    fn on_slots(acc: &BlockAcc) -> bool {
+        matches!(acc.index, BlockIndex::Slots { .. })
+    }
+
+    #[test]
+    fn a_long_traces_chunk_stays_on_the_slot_index() {
+        let events = long_trace_chunk();
+        let (lo, hi) = (events[0].block.0, events.last().unwrap().block.0);
+        assert!(hi - lo > 15_000, "the chunk spans ids {lo}..={hi}");
+        let fold = |events: &[MemEvent]| {
+            let mut acc = BlockAcc::default();
+            events.iter().for_each(|e| acc.push(e));
+            acc
+        };
+        let acc = fold(&events);
+        assert!(on_slots(&acc), "{} blocks went hashed", acc.blocks.len());
+        // merged with the next chunk of the same shape, it stays there too
+        let merged = fold(&events[..100]).merge(fold(&events[100..]));
+        assert!(on_slots(&merged));
+        assert_eq!(merged.ati(), acc.ati());
+        assert_eq!(merged.gantt(0, u64::MAX), acc.gantt(0, u64::MAX));
+
+        // an id past the bound moves the accumulator to the hash map
+        // mid-chunk, with the same results
+        let mut far = events.clone();
+        far[2000].block = BlockId(1 << 40);
+        let mut t = Trace::new();
+        far.iter().for_each(|e| t.push(e.clone()));
+        let acc = fold(&far);
+        assert!(!on_slots(&acc));
+        assert_eq!(acc.ati(), AtiDataset::from_trace(&t));
+        assert_eq!(acc.gantt(0, u64::MAX), gantt_rects(&t, 0, u64::MAX));
     }
 
     #[test]

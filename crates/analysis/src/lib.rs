@@ -77,9 +77,7 @@ pub use breakdown::{occupancy_timeline, BreakdownRow, OccupancyPoint};
 pub use cdf::EmpiricalCdf;
 pub use contention::{check_contention, thin_to_feasible, ContentionReport, ScheduledSwap};
 pub use diff::{diff_traces, Delta, TraceDiff};
-pub use engine::{
-    run, run_trace, AtiAcc, AtiFold, EventFold, FusedStats, GanttAcc, GanttFold, PeakFold,
-};
+pub use engine::{run, run_trace, AtiFold, BlockAcc, EventFold, FusedStats, GanttFold, PeakFold};
 pub use gantt::{
     fragmentation_at, gantt_rects, worst_fragmentation, FragmentationSnapshot, GanttRect,
 };

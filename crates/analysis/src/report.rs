@@ -2,11 +2,12 @@
 //! **one** decode of a trace via the fold engine, plus the canonical
 //! JSON renderings shared by the CLI and the `pinpoint-serve` daemon.
 //!
-//! A report is one fold, whose accumulator holds the ATI, peak and Gantt
-//! folds' accumulators: each chunk is decoded once, each event is built
-//! once and pushed into all three, and the other two results are derived
-//! from theirs — the breakdown row from the peak, the outliers by sifting
-//! the ATIs. [`TraceReport::from_trace`] and [`TraceReport::from_store`]
+//! A report is one fold, whose accumulator holds one block table
+//! ([`BlockAcc`]) for the ATI and Gantt passes and the peak sweep's
+//! accumulator: each chunk is decoded once, each event is built once and
+//! its block looked up once, and the other two results are derived from
+//! theirs — the breakdown row from the peak, the outliers by sifting the
+//! ATIs. [`TraceReport::from_trace`] and [`TraceReport::from_store`]
 //! run the same scan, over an in-memory trace's chunks or a store's, so a
 //! report of a trace equals the report of its default-chunked store, scan
 //! accounting included.
@@ -23,7 +24,7 @@
 use crate::ati::AtiDataset;
 use crate::breakdown::BreakdownRow;
 use crate::cdf::nearest_rank;
-use crate::engine::{run, run_trace, AtiAcc, AtiFold, EventFold, FusedStats, GanttAcc, GanttFold};
+use crate::engine::{run, run_trace, BlockAcc, EventFold, FusedStats};
 use crate::gantt::GanttRect;
 use crate::outlier::{sift, OutlierCriteria, OutlierReport};
 use pinpoint_store::{ChunkSource, ColumnBatch, Predicate, QueryResult, StoreError};
@@ -52,25 +53,19 @@ pub struct TraceReport {
     pub stats: FusedStats,
 }
 
-/// The Gantt window of a report: every block lifetime.
-const WHOLE_TRACE: GanttFold = GanttFold {
-    t_start: 0,
-    t_end: u64::MAX,
-};
-
-/// The fold behind [`TraceReport`]: [`AtiFold`], the peak sweep and a
-/// whole-trace [`GanttFold`] in one accumulator. Its predicate matches
-/// every event, since the ATI and Gantt passes need them all;
-/// [`PeakAcc::push`] ignores accesses itself.
+/// The fold behind [`TraceReport`]: the ATI and Gantt passes over one
+/// [`BlockAcc`], and the peak sweep. Its predicate matches every event,
+/// since the ATI and Gantt passes need them all; [`PeakAcc::push`]
+/// ignores accesses itself.
 #[derive(Debug)]
 pub(crate) struct ReportFold;
 
-/// Accumulator of [`ReportFold`]: one part per fold.
+/// Accumulator of [`ReportFold`]: one block table for the ATI and Gantt
+/// passes, so each event costs one block lookup, and the peak's.
 #[derive(Debug, Default)]
 pub(crate) struct ReportAcc {
-    ati: AtiAcc,
+    blocks: BlockAcc,
     peak: PeakAcc,
-    gantt: GanttAcc,
 }
 
 impl EventFold for ReportFold {
@@ -84,27 +79,28 @@ impl EventFold for ReportFold {
         ReportAcc::default()
     }
     fn push(&self, acc: &mut ReportAcc, e: &MemEvent) {
-        AtiFold.push(&mut acc.ati, e);
+        acc.blocks.push(e);
         acc.peak.push(e);
-        WHOLE_TRACE.push(&mut acc.gantt, e);
     }
     fn merge(&self, a: ReportAcc, b: ReportAcc) -> ReportAcc {
         ReportAcc {
-            ati: AtiFold.merge(a.ati, b.ati),
+            blocks: a.blocks.merge(b.blocks),
             peak: a.peak.merge(b.peak),
-            gantt: WHOLE_TRACE.merge(a.gantt, b.gantt),
         }
     }
+    /// The ATI records and the whole trace's Gantt rectangles both come
+    /// from the one block table.
     fn finish(&self, acc: ReportAcc) -> Self::Output {
         (
-            AtiFold.finish(acc.ati),
+            acc.blocks.ati(),
             acc.peak.finish(),
-            WHOLE_TRACE.finish(acc.gantt),
+            acc.blocks.gantt(0, u64::MAX),
         )
     }
-    /// Every event matches, so each is built once and pushed into all
-    /// three parts with no per-event predicate test.
+    /// Every event matches, so each is built once and pushed into both
+    /// parts with no per-event predicate test.
     fn push_batch(&self, acc: &mut ReportAcc, batch: &ColumnBatch, _: &Predicate) {
+        acc.blocks.reserve_run(batch);
         for i in 0..batch.len() {
             self.push(acc, &batch.event(i));
         }

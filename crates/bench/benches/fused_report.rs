@@ -23,12 +23,16 @@
 //! This bench also carries the observability overhead guard: the hot
 //! paths are instrumented with `pinpoint-obs` spans, and with the
 //! tracer **disabled** (the default) each span site must cost one
-//! relaxed atomic load — asserted three ways: no span records and no
-//! span buffers appear during the measured runs, a repeated (warm)
-//! fused scan performs zero decode-buffer reallocations, and the
-//! measured fused time stays within 5% of the recorded
-//! `BENCH_report.json` baseline (plus a small absolute timer-noise
-//! slack, since 5% of a few ms sits near scheduler jitter).
+//! relaxed atomic load — asserted two ways: no span records and no
+//! span buffers appear during the measured runs, and a repeated (warm)
+//! fused scan performs zero decode-buffer reallocations.
+//!
+//! The fold's work is guarded by a count rather than a timing: a warm
+//! `TraceReport::from_store` at one thread (which runs on the calling
+//! thread) may make at most [`MAX_WARM_REPORT_ALLOCS`] heap allocations,
+//! counted by a thread-local counting global allocator. The count repeats
+//! exactly from run to run and needs no recorded baseline, so the guard
+//! fires on a clean checkout and cannot flap; it lands in the JSON.
 
 use pinpoint_analysis::{
     run, sift, AtiDataset, AtiFold, BreakdownRow, EventFold, GanttFold, GanttRect, OutlierCriteria,
@@ -43,7 +47,64 @@ use pinpoint_models::{Architecture, ResNetDepth};
 use pinpoint_obs::tracer;
 use pinpoint_store::{write_store_chunked, write_store_chunked_v2, StoreReader};
 use pinpoint_trace::{PeakUsage, Trace};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::time::Instant;
+
+/// Rounds of the interleaved v3-vs-v2 timing. A fused report of this
+/// bench's store takes about half a millisecond, so on a busy two-CPU
+/// host the median of a few rounds swings past the 1.25x bound.
+const PAIRED_ROUNDS: usize = 101;
+
+/// The most heap allocations (reallocations included) one warm
+/// single-thread report of this bench's store may make: the count when
+/// the bound was set (99), plus about 10%. It is the same at both scales,
+/// whose batch sizes change block sizes but not the events.
+const MAX_WARM_REPORT_ALLOCS: u64 = 109;
+
+thread_local! {
+    /// Allocations made by this thread while counting, if counting.
+    static ALLOCS: Cell<Option<u64>> = const { Cell::new(None) };
+}
+
+/// The system allocator, counting each thread's allocations while that
+/// thread runs [`allocs_during`].
+struct CountingAlloc;
+
+fn count_one() {
+    // `try_with`: the thread-local may already be gone while a thread
+    // exits, and the allocator must not panic then
+    let _ = ALLOCS.try_with(|c| c.set(c.get().map(|n| n + 1)));
+}
+
+// SAFETY: forwards every call unchanged to the system allocator.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc_zeroed(layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static COUNTING: CountingAlloc = CountingAlloc;
+
+/// Allocations `f` makes on this thread.
+fn allocs_during<R>(f: impl FnOnce() -> R) -> u64 {
+    ALLOCS.with(|c| c.set(Some(0)));
+    std::hint::black_box(f());
+    ALLOCS.with(|c| c.replace(None)).unwrap_or(0)
+}
 
 const CRITERIA: OutlierCriteria = OutlierCriteria {
     min_ati_ns: 800_000_000,
@@ -179,27 +240,6 @@ fn bench(c: &mut Criterion) {
         .num_chunks();
     assert!(chunks > 1, "trace must span several chunks, got {chunks}");
 
-    // recorded fused_ns baseline per thread count from the previous run
-    // (BENCH_report.json, which is gitignored, so only a local earlier
-    // run leaves one); absent or unparseable skips the overhead guard —
-    // a fresh checkout's first run records it instead
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_report.json");
-    let baseline: Vec<(u64, u64)> = std::fs::read_to_string(out)
-        .ok()
-        .and_then(|s| pinpoint_trace::json::parse(&s).ok())
-        .and_then(|j| {
-            Some(
-                j.get("runs")?
-                    .as_arr()?
-                    .iter()
-                    .filter_map(|r| {
-                        Some((r.get("threads")?.as_u64()?, r.get("fused_ns")?.as_u64()?))
-                    })
-                    .collect(),
-            )
-        })
-        .unwrap_or_default();
-
     // the span sites on the scan/decode/fold hot paths must be inert
     // while the tracer is disabled (the default): record the counters
     // now, assert below that the measured runs moved neither
@@ -226,6 +266,25 @@ fn bench(c: &mut Criterion) {
             "warm fused scan must perform zero decode-buffer reallocations"
         );
     }
+
+    // fold-work guard: a warm single-thread report's allocation count
+    let warm_report_allocs = {
+        let r = StoreReader::from_bytes(bytes.clone()).expect("open");
+        let report = || TraceReport::from_store(&r, CRITERIA, 1).expect("run");
+        report();
+        let n = allocs_during(report);
+        assert_eq!(n, allocs_during(report), "the count must repeat");
+        n
+    };
+    println!(
+        "fused_report: warm report at 1 thread: {warm_report_allocs} allocations \
+         (bound {MAX_WARM_REPORT_ALLOCS})"
+    );
+    assert!(
+        warm_report_allocs <= MAX_WARM_REPORT_ALLOCS,
+        "a warm report made {warm_report_allocs} heap allocations, \
+         over the bound {MAX_WARM_REPORT_ALLOCS}"
+    );
 
     let mut per_thread = Vec::new();
     for threads in [1usize, 4] {
@@ -255,7 +314,7 @@ fn bench(c: &mut Criterion) {
             assert_eq!(r.ati.len(), seq.ati.len());
         });
         let (fused_ns, fused_v2_ns) = paired_median_ns(
-            runs,
+            PAIRED_ROUNDS,
             || {
                 let (r, ..) = fused_report(&bytes, threads);
                 assert_eq!(r.ati.len(), fused.ati.len());
@@ -275,17 +334,6 @@ fn bench(c: &mut Criterion) {
             "v3 fused report regressed past v2 at threads={threads}: \
              v3 {fused_ns} ns vs v2 {fused_v2_ns} ns"
         );
-        // tracing-disabled overhead guard: within 5% of the recorded
-        // baseline plus 250us absolute slack — 5% of a few-ms run sits
-        // near scheduler jitter, so the relative bound alone would flap
-        if let Some(&(_, base_ns)) = baseline.iter().find(|(t, _)| *t == threads as u64) {
-            let bound = base_ns as u128 + (base_ns as u128) / 20 + 250_000;
-            assert!(
-                fused_ns <= bound,
-                "fused run with tracing disabled regressed past the recorded \
-                 baseline at threads={threads}: {fused_ns} ns vs {base_ns} ns (+5% +250us)"
-            );
-        }
         let speedup = seq_ns as f64 / fused_ns as f64;
         let v3_speedup = fused_v2_ns as f64 / fused_ns as f64;
         println!(
@@ -319,11 +367,13 @@ fn bench(c: &mut Criterion) {
     let json = format!(
         "{{\"bench\":\"fused_report\",\"events\":{events},\"chunks\":{chunks},\
          \"passes\":5,\"v2_store_bytes\":{},\"v3_store_bytes\":{},\
+         \"warm_report_allocs\":{warm_report_allocs},\"max_warm_report_allocs\":{MAX_WARM_REPORT_ALLOCS},\
          \"runs\":[{}],\"bit_identical\":true}}\n",
         v2_bytes.len(),
         bytes.len(),
         per_thread.join(",")
     );
+    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_report.json");
     if let Err(e) = std::fs::write(out, json) {
         eprintln!("could not write {out}: {e}");
     }

@@ -84,6 +84,14 @@ use std::time::Duration;
 /// Request span trees replayed by `GET /debug/spans`.
 const DEBUG_SPAN_REQUESTS: usize = 16;
 
+/// Low bits of a `serve.request` span's arg: the request id. The bits
+/// above hold the daemon's instance number, since the tracer is
+/// process-wide and each daemon numbers its requests from 0.
+const REQUEST_ID_BITS: u32 = 40;
+
+/// Daemons started in this process so far: the next one's instance.
+static INSTANCES: AtomicU64 = AtomicU64::new(0);
+
 /// Per-thread span ring capacity while the daemon runs (each record is
 /// ~56 B, so a worker's ring tops out around 3.5 MB).
 const SERVE_SPAN_CAPACITY: usize = 65_536;
@@ -182,6 +190,9 @@ struct Shared {
     /// Pre-drain connections still queued or in flight — the drain
     /// finishes (phase → stopping) when this reaches zero.
     pre_pending: AtomicU64,
+    /// This daemon's process-unique number, stamped on every
+    /// `serve.request` span above its request id.
+    instance: u64,
     /// Monotone request ids, stamped on every `serve.request` span.
     req_seq: AtomicU64,
     /// Where a self-connection reaches the listener (see [`wake_addr`]).
@@ -303,6 +314,7 @@ pub fn start(config: ServeConfig) -> io::Result<ServerHandle> {
         phase: AtomicU8::new(PHASE_RUNNING),
         drain_start_ns: AtomicU64::new(0),
         pre_pending: AtomicU64::new(0),
+        instance: INSTANCES.fetch_add(1, Ordering::Relaxed),
         req_seq: AtomicU64::new(0),
         wake_addr: wake_addr(addr),
         config: config.clone(),
@@ -572,7 +584,8 @@ fn handle_connection(
                     shared.metrics.keepalive_requests.inc();
                 }
                 let seq = shared.req_seq.fetch_add(1, Ordering::Relaxed);
-                req_span = Some(tracer().span_with("serve.request", seq));
+                let id = (shared.instance << REQUEST_ID_BITS) | (seq % (1 << REQUEST_ID_BITS));
+                req_span = Some(tracer().span_with("serve.request", id));
                 if let Some((start, dur)) = queue_wait.take() {
                     tracer().record_at("serve.queue", start, dur, NO_ARG);
                 }
@@ -668,7 +681,7 @@ fn route(shared: &Shared, req: &Request, ctx: &mut WorkerCtx, deadline: Deadline
         ("GET", ["stores"]) => handle_stores(shared),
         ("GET", ["metrics"]) => handle_metrics(shared),
         ("GET", ["healthz"]) => handle_healthz(shared),
-        ("GET", ["debug", "spans"]) => handle_debug_spans(),
+        ("GET", ["debug", "spans"]) => handle_debug_spans(shared),
         ("POST", ["debug", "chaos"]) => handle_chaos(shared, req, ctx, deadline),
         ("POST", ["shutdown"]) => handle_shutdown(shared, req),
         ("GET", ["stores", name, "info"]) => with_store(shared, name, handle_info),
@@ -824,12 +837,14 @@ fn handle_healthz(shared: &Shared) -> Response {
     resp.with_header("Cache-Control", "no-store")
 }
 
-/// Replays the last [`DEBUG_SPAN_REQUESTS`] completed request span trees
-/// from the tracer's ring buffers, oldest first. The in-flight request
+/// Replays this daemon's last [`DEBUG_SPAN_REQUESTS`] completed request
+/// span trees from the tracer's ring buffers, oldest first. Requests of
+/// other daemons in the process are left out. The in-flight request
 /// serving this endpoint is still open, so it never lists itself.
-fn handle_debug_spans() -> Response {
+fn handle_debug_spans(shared: &Shared) -> Response {
     let snap = tracer().snapshot();
     let mut trees = snap.subtrees("serve.request");
+    trees.retain(|(_, tree)| tree[0].arg >> REQUEST_ID_BITS == shared.instance);
     trees.sort_by_key(|(_, tree)| tree[0].start_ns);
     let skip = trees.len().saturating_sub(DEBUG_SPAN_REQUESTS);
     let mut s = String::from("{\"requests\":[");
@@ -838,10 +853,11 @@ fn handle_debug_spans() -> Response {
             s.push(',');
         }
         let root = tree[0];
+        let id = root.arg % (1 << REQUEST_ID_BITS);
         let _ = write!(
             s,
-            "{{\"id\":{},\"track\":{},\"start_ns\":{},\"dur_ns\":{},\"spans\":[",
-            root.arg, track, root.start_ns, root.dur_ns
+            "{{\"id\":{id},\"track\":{track},\"start_ns\":{},\"dur_ns\":{},\"spans\":[",
+            root.start_ns, root.dur_ns
         );
         for (j, rec) in tree.iter().enumerate() {
             if j > 0 {
@@ -855,8 +871,10 @@ fn handle_debug_spans() -> Response {
                 rec.start_ns,
                 rec.dur_ns
             );
-            if rec.arg != NO_ARG {
-                let _ = write!(s, ",\"arg\":{}", rec.arg);
+            // the root's arg is the request id, without the instance
+            let arg = if j == 0 { id } else { rec.arg };
+            if arg != NO_ARG {
+                let _ = write!(s, ",\"arg\":{arg}");
             }
             s.push('}');
         }

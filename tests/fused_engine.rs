@@ -9,8 +9,8 @@
 mod oracle;
 
 use pinpoint::analysis::{
-    gantt_rects, run, run_trace, sift, AtiDataset, AtiRecord, BreakdownRow, GanttRect,
-    OutlierCriteria, OutlierReport, PeakFold, TraceReport,
+    gantt_rects, run, run_trace, sift, AtiDataset, AtiFold, AtiRecord, BreakdownRow, GanttFold,
+    GanttRect, OutlierCriteria, OutlierReport, PeakFold, TraceReport,
 };
 use pinpoint::store::{write_store_chunked, StoreReader, DEFAULT_CHUNK_EVENTS};
 use pinpoint::tensor::rng::Rng64;
@@ -18,15 +18,27 @@ use pinpoint::trace::{
     BlockId, Category, EventKind, Marker, MemEvent, MemoryKind, PeakUsage, Trace,
 };
 
+/// Block ids from here up lie past the fold's slot index bound for any
+/// trace this small, so a chunk that meets one leaves the index for a
+/// hash map.
+const FAR_ID: u64 = 1 << 40;
+
 /// Generates a pseudo-random trace: arbitrary event mixes, shared and
 /// fresh blocks, op labels, markers (mirrors `store_roundtrip.rs`).
-/// About a third of the traces use sparse block ids that differ only in
-/// their high bits, and about a third use coarse times, offsets and
-/// sizes, so that Gantt `(t0_ns, offset)` ties across blocks occur, and
-/// the live total reaches its peak again with another category split.
+/// Each of four modes is drawn for about a third of the traces:
+/// * sparse block ids that differ only in their high bits;
+/// * coarse times, offsets and sizes, so that Gantt `(t0_ns, offset)`
+///   ties across blocks occur, and the live total reaches its peak again
+///   with another category split;
+/// * small ids mixed with rare ids past the slot bound, so a chunk leaves
+///   the slot index mid-chunk and merges with chunks that stayed on it;
+/// * two time-ordered streams over disjoint blocks, interleaved, so global
+///   time goes backwards while each block's own events stay in order.
 fn arbitrary_trace(rng: &mut Rng64, events: usize) -> Trace {
     let sparse_ids = rng.gen_range_usize(0, 3) == 0;
     let coarse = rng.gen_range_usize(0, 3) == 0;
+    let far_ids = rng.gen_range_usize(0, 3) == 0;
+    let two_clocks = rng.gen_range_usize(0, 3) == 0;
     let mut t = Trace::new();
     let n_labels = rng.gen_range_usize(0, 8);
     for i in 0..n_labels {
@@ -48,22 +60,36 @@ fn arbitrary_trace(rng: &mut Rng64, events: usize) -> Trace {
         MemoryKind::Workspace,
         MemoryKind::Other,
     ];
-    let mut time = 0u64;
+    // one clock per stream; a single stream unless `two_clocks`
+    let mut clocks = [0u64; 2];
     for _ in 0..events {
-        time += if coarse {
+        let stream = usize::from(two_clocks && rng.gen_bool());
+        clocks[stream] += if coarse {
             rng.gen_below(2)
         } else {
             let dt_bits = rng.gen_range_usize(1, 30);
             rng.gen_below(1 << dt_bits)
         };
+        let time = clocks[stream];
         let op_label = if n_labels > 0 && rng.gen_bool() {
             Some(rng.gen_range_usize(0, n_labels) as u32)
         } else {
             None
         };
-        // few distinct blocks, so intervals and re-mallocs actually happen
-        let id = rng.gen_below(12);
-        let block = BlockId(if sparse_ids { id << 40 } else { id });
+        // few distinct blocks, so intervals and re-mallocs actually happen;
+        // with two clocks, even ids belong to stream 0 and odd to stream 1
+        let id = if two_clocks {
+            2 * rng.gen_below(6) + stream as u64
+        } else {
+            rng.gen_below(12)
+        };
+        let block = BlockId(if sparse_ids {
+            id << 40
+        } else if far_ids && rng.gen_range_usize(0, 40) == 0 {
+            FAR_ID + id
+        } else {
+            id
+        });
         let size = if coarse {
             rng.gen_below(4) << 12
         } else {
@@ -96,6 +122,25 @@ fn arbitrary_trace(rng: &mut Rng64, events: usize) -> Trace {
     t
 }
 
+/// Whether, cut into chunks of `chunk` events, the trace has both a chunk
+/// that meets a far id after a small one (it leaves the slot index
+/// mid-chunk) and a chunk with small ids only (it stays on the index).
+fn leaves_the_index_mid_chunk(t: &Trace, chunk: usize) -> bool {
+    let (mut left, mut stayed) = (false, false);
+    for c in t.events().chunks(chunk) {
+        let first_far = c.iter().position(|e| e.block.0 >= FAR_ID);
+        left |= first_far.is_some_and(|i| i > 0);
+        stayed |= first_far.is_none();
+    }
+    left && stayed
+}
+
+/// Neighbouring events whose time goes backwards.
+fn backward_steps(t: &Trace) -> usize {
+    let e = t.events();
+    e.windows(2).filter(|w| w[1].time_ns < w[0].time_ns).count()
+}
+
 fn store_of(t: &Trace, chunk: usize) -> StoreReader {
     let mut bytes = Vec::new();
     write_store_chunked(t, &mut bytes, chunk).unwrap();
@@ -118,7 +163,8 @@ fn oracle(t: &Trace, criteria: OutlierCriteria) -> Oracle {
         sorted_intervals: oracle::sorted_intervals(&ati),
         peak: oracle::peak(t),
         breakdown: oracle::breakdown("trace", t),
-        gantt: oracle::gantt(t, 0, t.end_time_ns()),
+        // a report's Gantt window is the whole trace
+        gantt: oracle::gantt(t, 0, u64::MAX),
         outliers: oracle::outliers(&ati, criteria),
         ati,
     }
@@ -175,6 +221,7 @@ fn fused_five_passes_match_standalone_on_arbitrary_traces() {
     };
     let mut rng = Rng64::seed_from_u64(0xf05e_d0e5);
     let (mut gantt_ties, mut tied_peaks) = (0, 0);
+    let (mut mid_chunk_exits, mut backward) = (0, 0);
     for case in 0..20 {
         let events = rng.gen_range_usize(0, 500);
         let chunk = rng.gen_range_usize(1, 64);
@@ -186,6 +233,8 @@ fn fused_five_passes_match_standalone_on_arbitrary_traces() {
             .filter(|w| (w[0].t0_ns, w[0].offset) == (w[1].t0_ns, w[1].offset))
             .count();
         tied_peaks += peak_ties(&t, &want.peak);
+        mid_chunk_exits += usize::from(leaves_the_index_mid_chunk(&t, 7));
+        backward += backward_steps(&t);
 
         // the public in-memory passes, each a wrapper over its fold
         let tag = format!("case {case}, from_trace");
@@ -197,24 +246,43 @@ fn fused_five_passes_match_standalone_on_arbitrary_traces() {
             want.breakdown,
             "{tag}"
         );
-        assert_eq!(gantt_rects(&t, 0, t.end_time_ns()), want.gantt, "{tag}");
+        assert_eq!(gantt_rects(&t, 0, u64::MAX), want.gantt, "{tag}");
         assert_eq!(sift(&ati, criteria), want.outliers, "{tag}");
-        let (t0, t1) = (t.end_time_ns() / 3, t.end_time_ns() / 2);
-        assert_eq!(gantt_rects(&t, t0, t1), oracle::gantt(&t, t0, t1), "{tag}");
+        for (t0, t1) in [
+            (0, t.end_time_ns()),
+            (t.end_time_ns() / 3, t.end_time_ns() / 2),
+        ] {
+            assert_eq!(gantt_rects(&t, t0, t1), oracle::gantt(&t, t0, t1), "{tag}");
+        }
 
-        let r = store_of(&t, chunk);
         for threads in [1, 4] {
-            // the report's three folds over both sources, the breakdown
-            // and the outliers derived from their outputs
-            let tag = format!("case {case}, chunk {chunk}, threads {threads}, report");
+            // the report's folds over both sources, the breakdown and the
+            // outliers derived from their outputs
+            let tag = format!("case {case}, threads {threads}, report");
             let d = TraceReport::from_trace(&t, criteria, threads);
             assert_report_matches(&d, &want, t.len(), &format!("{tag} from_trace"));
-            let d = TraceReport::from_store(&r, criteria, threads).unwrap();
-            assert_report_matches(&d, &want, t.len(), &format!("{tag} from_store"));
+            for chunk in [chunk, 1, 7, DEFAULT_CHUNK_EVENTS] {
+                let tag = format!("{tag} from_store, chunk {chunk}");
+                let r = store_of(&t, chunk);
+                let d = TraceReport::from_store(&r, criteria, threads).unwrap();
+                assert_report_matches(&d, &want, t.len(), &tag);
+                let (ati, _) = run(&AtiFold, &r, threads).unwrap();
+                assert_ati_matches(&ati, &want, &tag);
+                let whole = GanttFold {
+                    t_start: 0,
+                    t_end: u64::MAX,
+                };
+                assert_eq!(run(&whole, &r, threads).unwrap().0, want.gantt, "{tag}");
+            }
         }
     }
     assert!(gantt_ties > 0, "no Gantt (t0_ns, offset) tie was generated");
     assert!(tied_peaks > 0, "no peak was reached twice with two splits");
+    assert!(
+        mid_chunk_exits > 0,
+        "no chunk left the slot index mid-chunk"
+    );
+    assert!(backward > 0, "no trace went backwards in time");
 }
 
 #[test]

@@ -1,19 +1,22 @@
-//! Golden outputs of the producing half of the pipeline (executor →
-//! caching allocator → trace sink → `.ptrc` encoder).
+//! Golden outputs of the pipeline: the producing half (executor →
+//! caching allocator → trace sink → `.ptrc` encoder) and the report the
+//! analysing half (decoder → folds → renderer) makes of its stores.
 //!
 //! Every figure and paper claim starts from these bytes, so any drift in
-//! what the executor records, where the allocator places a block, or how
-//! the encoder lays out a chunk fails here, not only as a changed figure
-//! further down. The pinned values are exact: a change that means to
-//! alter them must say why and re-pin them.
+//! what the executor records, where the allocator places a block, how
+//! the encoder lays out a chunk, or what a report renders fails here,
+//! not only as a changed figure further down. The pinned values are
+//! exact: a change that means to alter them must say why and re-pin them.
 
+use pinpoint::analysis::{report_json, OutlierCriteria, TraceReport};
 use pinpoint::core::{profile, profile_into_sink, ProfileConfig};
 use pinpoint::data::DatasetSpec;
 use pinpoint::device::alloc::{AllocError, AllocStats, CachingAllocator, DeviceAllocator};
 use pinpoint::models::{Architecture, ResNetDepth};
 use pinpoint::store::crc32::crc32;
-use pinpoint::store::{write_store, StoreWriter};
+use pinpoint::store::{write_store, write_store_chunked, StoreReader, StoreWriter};
 use pinpoint::tensor::rng::Rng64;
+use pinpoint::trace::Trace;
 
 /// What a profile must reproduce exactly.
 #[derive(Debug, PartialEq, Eq)]
@@ -75,17 +78,22 @@ fn mlp_case_study_store_is_pinned() {
     );
 }
 
-#[test]
-fn resnet18_store_is_pinned() {
+/// Four training iterations of ResNet-18 on CIFAR-100, batch 32.
+fn resnet18_config() -> ProfileConfig {
     let mut cfg = ProfileConfig::breakdown_sweep(
         Architecture::ResNet(ResNetDepth::R18),
         DatasetSpec::cifar100(),
         32,
     );
     cfg.iterations = 4;
+    cfg
+}
+
+#[test]
+fn resnet18_store_is_pinned() {
     check_profile(
         "r18",
-        &cfg,
+        &resnet18_config(),
         ProfileGolden {
             events: 6284,
             store_bytes: 75_623,
@@ -102,6 +110,78 @@ fn resnet18_store_is_pinned() {
             },
         },
     );
+}
+
+/// `report --json`'s default criteria (`--min-ati-ms 800 --min-size-mb 600`).
+const CLI_CRITERIA: OutlierCriteria = OutlierCriteria {
+    min_ati_ns: 800_000_000,
+    min_size_bytes: 600_000_000,
+};
+
+/// Criteria that let every nonzero interval through, so the report lists
+/// nearly every ATI record, in record order.
+const ALL_INTERVALS: OutlierCriteria = OutlierCriteria {
+    min_ati_ns: 0,
+    min_size_bytes: 0,
+};
+
+/// Length and CRC-32 of `report_json` with every Gantt rectangle, for
+/// `trace` stored in chunks of `chunk` events, folded at 1 and at 4
+/// threads (which must render the same bytes).
+fn report_digest(trace: &Trace, chunk: usize, criteria: OutlierCriteria) -> (usize, u32) {
+    let mut bytes = Vec::new();
+    write_store_chunked(trace, &mut bytes, chunk).unwrap();
+    let reader = StoreReader::from_bytes(bytes).unwrap();
+    let render = |threads| {
+        let d = TraceReport::from_store(&reader, criteria, threads).unwrap();
+        report_json(&d, usize::MAX)
+    };
+    let json = render(1);
+    assert!(
+        json == render(4),
+        "chunk {chunk}: 4 threads render other bytes"
+    );
+    (json.len(), crc32(json.as_bytes()))
+}
+
+#[test]
+fn reports_are_pinned() {
+    let default_chunk = pinpoint::store::DEFAULT_CHUNK_EVENTS;
+    let cases = [
+        (
+            "mlp",
+            ProfileConfig::mlp_case_study(5),
+            [
+                (8707, 0x0265_03fd),
+                (23_636, 0xd8a4_72e6),
+                (8709, 0x918d_2ff2),
+                (23_638, 0x80c4_9b64),
+            ],
+        ),
+        (
+            "r18",
+            resnet18_config(),
+            [
+                (125_739, 0x7fa0_47d3),
+                (369_717, 0x11cc_718f),
+                (125_743, 0x4cea_2bef),
+                (369_721, 0x76c7_2129),
+            ],
+        ),
+    ];
+    for (tag, cfg, want) in cases {
+        let trace = profile(&cfg).unwrap().trace;
+        let mut got = Vec::new();
+        for chunk in [default_chunk, 37] {
+            for criteria in [CLI_CRITERIA, ALL_INTERVALS] {
+                got.push(report_digest(&trace, chunk, criteria));
+            }
+        }
+        assert_eq!(
+            got, want,
+            "{tag}: (default, 37)-event chunks x (CLI, all) criteria"
+        );
+    }
 }
 
 /// FNV-1a over 64-bit words: a digest of every allocator answer.

@@ -907,6 +907,53 @@ fn debug_spans_replays_request_trees() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The request ids of a `/debug/spans` body, in replay order.
+fn replayed_ids(body: &str) -> Vec<u64> {
+    let parsed = pinpoint::trace::json::parse(body).unwrap_or_else(|e| panic!("{e}: {body}"));
+    let requests = parsed.get("requests").and_then(|j| j.as_arr());
+    let requests = requests.unwrap_or_else(|| panic!("no requests array: {body}"));
+    requests
+        .iter()
+        .map(|r| r.get("id").and_then(|j| j.as_u64()).expect("an id"))
+        .collect()
+}
+
+/// The tracer is process-wide, but a daemon's `/debug/spans` replays only
+/// its own requests: another daemon's, even more than the replay window
+/// holds and with the same per-daemon ids, never push them out.
+#[test]
+fn debug_spans_replay_only_their_own_daemons_requests() {
+    let dirs = [tmp_catalog("spans-a"), tmp_catalog("spans-b")];
+    let [a, b] = dirs.clone().map(|dir| {
+        mlp_store(&dir, "mlp");
+        // one worker: a request's span closes before the next is read
+        start(ServeConfig {
+            catalog_dir: dir,
+            workers: 1,
+            ..ServeConfig::default()
+        })
+        .unwrap()
+    });
+
+    assert_eq!(post(a.addr(), "/stores/mlp/report", "").0, 200);
+    assert_eq!(post(a.addr(), "/stores/mlp/query", "{\"max\":2}").0, 200);
+    for _ in 0..20 {
+        assert_eq!(post(b.addr(), "/stores/mlp/report", "").0, 200);
+    }
+    let (status, _, body) = get(a.addr(), "/debug/spans");
+    assert_eq!(status, 200);
+    assert_eq!(replayed_ids(&body), [0, 1], "{body}");
+    let (status, _, body) = get(b.addr(), "/debug/spans");
+    assert_eq!(status, 200);
+    assert_eq!(replayed_ids(&body), (4..20).collect::<Vec<u64>>(), "{body}");
+
+    a.shutdown();
+    b.shutdown();
+    for dir in dirs {
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 /// A fresh connection reaches a worker as soon as it arrives: no poll
 /// interval sits between a client's connect and the daemon's accept.
 /// Sequential one-shot health checks must take well under the 5 ms a
