@@ -5,8 +5,10 @@
 //! studies the ATI distribution; Fig. 4 pairs every ATI with its block's
 //! size to find the swappable outliers.
 
+use crate::cdf::nearest_rank_index;
 use crate::engine::{run_trace, AtiFold};
 use pinpoint_trace::{BlockId, EventKind, MemoryKind, Trace};
+use std::sync::OnceLock;
 
 /// One access-time interval of one block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -26,17 +28,32 @@ pub struct AtiRecord {
     pub closing_kind: EventKind,
 }
 
+/// The interval percentiles a report renders: p50, p90 and p99.
+const REPORT_PERCENTILES: [f64; 3] = [0.5, 0.9, 0.99];
+
 /// All ATIs of a trace, in closing-access time order.
 ///
-/// The sorted interval values are computed once at construction, so the
-/// distribution queries ([`AtiDataset::fraction_at_or_below`],
-/// [`AtiDataset::sorted_intervals_ns`], [`AtiDataset::cdf`]) never re-scan
-/// or re-sort the records.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// The report's nearest-rank p50, p90 and p99 are selected at
+/// construction, without sorting the intervals. The sorted interval
+/// values behind the distribution queries
+/// ([`AtiDataset::fraction_at_or_below`],
+/// [`AtiDataset::sorted_intervals_ns`], [`AtiDataset::cdf`]) are built on
+/// the first such query and kept, so none of them re-scans or re-sorts
+/// the records. Two datasets are equal when their records are.
+#[derive(Debug, Clone, Default)]
 pub struct AtiDataset {
     records: Vec<AtiRecord>,
-    /// Interval values in ascending order, built once at construction.
-    sorted_intervals: Vec<u64>,
+    /// The intervals' [`REPORT_PERCENTILES`], all 0 when there are none.
+    percentiles: [u64; 3],
+    /// Interval values in ascending order, built on first use.
+    sorted_intervals: OnceLock<Vec<u64>>,
+}
+
+/// The percentiles and the sorted intervals derive from the records.
+impl PartialEq for AtiDataset {
+    fn eq(&self, other: &Self) -> bool {
+        self.records == other.records
+    }
 }
 
 impl AtiDataset {
@@ -45,15 +62,32 @@ impl AtiDataset {
         run_trace(&AtiFold, trace, 1).0
     }
 
-    /// Builds a dataset around pre-extracted records, computing the sorted
-    /// interval cache in one pass.
+    /// Builds a dataset around pre-extracted records, selecting the
+    /// report's percentiles from one scratch copy of the intervals.
     pub(crate) fn from_records(records: Vec<AtiRecord>) -> Self {
-        let mut sorted_intervals: Vec<u64> = records.iter().map(|r| r.interval_ns).collect();
-        sorted_intervals.sort_unstable();
+        let mut percentiles = [0; 3];
+        if !records.is_empty() {
+            let mut values: Vec<u64> = records.iter().map(|r| r.interval_ns).collect();
+            // a selection leaves every value above its rank to the rank's
+            // right, so each higher rank is selected from there alone
+            let mut lo = 0;
+            for (v, p) in percentiles.iter_mut().zip(REPORT_PERCENTILES) {
+                let rank = nearest_rank_index(values.len(), p);
+                *v = *values[lo..].select_nth_unstable(rank - lo).1;
+                lo = rank;
+            }
+        }
         AtiDataset {
             records,
-            sorted_intervals,
+            percentiles,
+            sorted_intervals: OnceLock::new(),
         }
+    }
+
+    /// The intervals' nearest-rank p50, p90 and p99, as a report renders
+    /// them (all 0 when there are no intervals).
+    pub(crate) fn percentiles(&self) -> [u64; 3] {
+        self.percentiles
     }
 
     /// All records, ordered by closing-access time.
@@ -76,28 +110,33 @@ impl AtiDataset {
         self.records.iter().map(|r| r.interval_ns).collect()
     }
 
-    /// The interval values in ascending order, from the construction-time
-    /// cache — no per-call clone or sort.
+    /// The interval values in ascending order, sorted on the first call
+    /// (or the first [`cdf`](Self::cdf) or
+    /// [`fraction_at_or_below`](Self::fraction_at_or_below)) and kept —
+    /// no later clone or sort.
     pub fn sorted_intervals_ns(&self) -> &[u64] {
-        &self.sorted_intervals
+        self.sorted_intervals.get_or_init(|| {
+            let mut sorted = self.intervals_ns();
+            sorted.sort_unstable();
+            sorted
+        })
     }
 
-    /// The interval CDF, reusing the construction-time sorted cache.
+    /// The interval CDF, from the sorted intervals.
     pub fn cdf(&self) -> crate::cdf::EmpiricalCdf {
-        crate::cdf::EmpiricalCdf::from_sorted(self.sorted_intervals.clone())
+        crate::cdf::EmpiricalCdf::from_sorted(self.sorted_intervals_ns().to_vec())
     }
 
     /// Fraction of intervals at or below `threshold_ns` (the paper's
     /// "90 % of ATIs are below 25 µs" style statement). Binary search on
-    /// the sorted cache.
+    /// the sorted intervals.
     pub fn fraction_at_or_below(&self, threshold_ns: u64) -> f64 {
-        if self.sorted_intervals.is_empty() {
+        let sorted = self.sorted_intervals_ns();
+        if sorted.is_empty() {
             return 0.0;
         }
-        let n = self
-            .sorted_intervals
-            .partition_point(|&v| v <= threshold_ns);
-        n as f64 / self.sorted_intervals.len() as f64
+        let n = sorted.partition_point(|&v| v <= threshold_ns);
+        n as f64 / sorted.len() as f64
     }
 
     /// Records whose closing access is of the given kind (read vs write —
@@ -127,6 +166,7 @@ impl AtiDataset {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pinpoint_tensor::rng::Rng64;
     use pinpoint_trace::EventKind;
 
     fn trace_with_accesses(times: &[(u64, BlockId)]) -> Trace {
@@ -245,6 +285,70 @@ mod tests {
         let writes = d.of_closing_kind(EventKind::Write);
         assert_eq!(reads.intervals_ns(), vec![20]);
         assert_eq!(writes.intervals_ns(), vec![40]);
+    }
+
+    /// Checks `d`'s selected percentiles and lazily sorted intervals
+    /// against a fresh sort, and that equality ignores the lazy cache.
+    fn assert_ranks_hold(d: &AtiDataset, tag: &str) {
+        let unfilled = AtiDataset::from_records(d.records().to_vec());
+        assert_eq!(*d, unfilled, "{tag}: neither cache filled");
+        let mut want = d.intervals_ns();
+        want.sort_unstable();
+        assert_eq!(d.sorted_intervals_ns(), want, "{tag}");
+        assert_eq!(*d, unfilled, "{tag}: one cache filled");
+        assert_eq!(unfilled, *d, "{tag}: one cache filled");
+        let ranks = if want.is_empty() {
+            [0; 3]
+        } else {
+            REPORT_PERCENTILES.map(|p| d.cdf().percentile(p))
+        };
+        assert_eq!(d.percentiles(), ranks, "{tag}");
+        if let Some((_, fewer)) = d.records().split_last() {
+            let fewer = AtiDataset::from_records(fewer.to_vec());
+            assert_ne!(*d, fewer, "{tag}: a record fewer");
+        }
+    }
+
+    #[test]
+    fn selected_percentiles_are_the_nearest_ranks_of_the_sorted_intervals() {
+        let mut rng = Rng64::seed_from_u64(0xa71_5e1e);
+        let mem_kinds = [
+            MemoryKind::Weight,
+            MemoryKind::Activation,
+            MemoryKind::Workspace,
+        ];
+        for n in 0..=257u64 {
+            // a few distinct values, so ranks fall inside runs of
+            // duplicates, and now and then a wide one
+            let distinct = 1 + rng.gen_below(6);
+            let records: Vec<AtiRecord> = (0..n)
+                .map(|i| AtiRecord {
+                    block: BlockId(rng.gen_below(9)),
+                    size: 1024,
+                    mem_kind: mem_kinds[rng.gen_range_usize(0, mem_kinds.len())],
+                    interval_ns: if rng.gen_below(10) == 0 {
+                        rng.next_u64()
+                    } else {
+                        rng.gen_below(distinct) * 25
+                    },
+                    end_time_ns: i,
+                    closing_kind: if rng.gen_bool() {
+                        EventKind::Read
+                    } else {
+                        EventKind::Write
+                    },
+                })
+                .collect();
+            let d = AtiDataset::from_records(records);
+            assert_ranks_hold(&d, &format!("{n} records"));
+            for kind in mem_kinds {
+                assert_ranks_hold(&d.of_kind(kind), &format!("{n} records, {kind:?}"));
+            }
+            for kind in [EventKind::Read, EventKind::Write] {
+                let split = d.of_closing_kind(kind);
+                assert_ranks_hold(&split, &format!("{n} records, closed by {kind:?}"));
+            }
+        }
     }
 
     #[test]

@@ -1,20 +1,18 @@
 //! Empirical cumulative distribution functions (Fig. 3a).
 
-/// The nearest-rank `p`-quantile of ascending samples, `p` in `[0, 1]`:
-/// the rule behind [`EmpiricalCdf::percentile`], for callers that hold a
-/// sorted slice and need no CDF of their own.
+/// Where the nearest-rank `p`-quantile of `n` ascending samples sits, `p`
+/// in `[0, 1]`: the 0-based index of rank `ceil(p * n)`, at least rank 1.
+/// The one definition of "nearest rank", behind
+/// [`EmpiricalCdf::percentile`] and the percentiles an
+/// [`AtiDataset`](crate::AtiDataset) selects.
 ///
 /// # Panics
 ///
-/// Panics on an empty slice or `p` outside `[0, 1]`.
-pub(crate) fn nearest_rank(sorted: &[u64], p: f64) -> u64 {
-    assert!(!sorted.is_empty(), "percentile of empty CDF");
+/// Panics when `n` is 0 or `p` is outside `[0, 1]`.
+pub(crate) fn nearest_rank_index(n: usize, p: f64) -> usize {
+    assert!(n > 0, "percentile of empty CDF");
     assert!((0.0..=1.0).contains(&p), "p must be in [0, 1]");
-    if p == 0.0 {
-        return sorted[0];
-    }
-    let rank = (p * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
+    ((p * n as f64).ceil() as usize).clamp(1, n) - 1
 }
 
 /// An empirical CDF over `u64` samples (nanosecond intervals, byte sizes).
@@ -74,7 +72,7 @@ impl EmpiricalCdf {
     ///
     /// Panics on an empty CDF or `p` outside `[0, 1]`.
     pub fn percentile(&self, p: f64) -> u64 {
-        nearest_rank(&self.sorted, p)
+        self.sorted[nearest_rank_index(self.sorted.len(), p)]
     }
 
     /// Fraction of samples `<= x`.

@@ -16,7 +16,8 @@
 //! table of per-block state found through a slot index (no hashing while
 //! ids come in sequence, as allocators mint them), plus each chunk's
 //! accesses as one run in event order. A merge touches only the later
-//! chunk's blocks, and the records finish in order without a full sort.
+//! chunk's blocks, and the records and rectangles finish in order without
+//! a full sort.
 //! A [`TraceReport`](crate::TraceReport) runs all three passes as one
 //! fold over one block table and the peak's accumulator, so a report
 //! decodes each chunk once, builds each event once, and looks its block
@@ -363,7 +364,10 @@ struct Interval {
 ///   appends the later runs, so the running list is never copied.
 /// * The runs are in event order, which in a time-ordered trace is
 ///   `(end_time_ns, block)` order up to accesses of one instant, so
-///   [`AtiFold::finish`] sorts only within each instant.
+///   [`AtiFold::finish`] sorts only within each instant. Blocks first
+///   touched by their malloc, as in a profile, are in start order too, so
+///   [`GanttFold::finish`] likewise sorts only blocks malloc'd at one
+///   instant.
 #[derive(Debug)]
 pub struct BlockAcc {
     blocks: Vec<BlockState>,
@@ -527,17 +531,7 @@ impl BlockAcc {
                 closing_kind: iv.closing_kind,
             });
         }
-        if records.is_sorted_by_key(|r| r.end_time_ns) {
-            // event order is time order: only one instant's accesses can
-            // be out of block order
-            for instant in records.chunk_by_mut(|a, b| a.end_time_ns == b.end_time_ns) {
-                if !instant.is_sorted_by_key(|r| r.block) {
-                    instant.sort_by_key(|r| r.block);
-                }
-            }
-        } else {
-            records.sort_by_key(|r| (r.end_time_ns, r.block));
-        }
+        sort_by_time_then(&mut records, |r| r.end_time_ns, |r| r.block);
         AtiDataset::from_records(records)
     }
 
@@ -558,10 +552,27 @@ impl BlockAcc {
             })
             .filter(|r| r.t1_ns >= t_start && r.t0_ns <= t_end)
             .collect();
-        // the block breaks (t0_ns, offset) ties; blocks are unique, so the
-        // key is total and an unstable sort is deterministic
-        rects.sort_unstable_by_key(|r| (r.t0_ns, r.offset, r.block));
+        // blocks are in first-touch order, which is malloc order unless a
+        // block is malloc'd again or first seen by another event; the
+        // block breaks (t0_ns, offset) ties, and blocks are unique
+        sort_by_time_then(&mut rects, |r| r.t0_ns, |r| (r.offset, r.block));
         rects
+    }
+}
+
+/// Stable-sorts `items` by `(time, tie)`. Items already in time order, as
+/// a time-ordered trace's records and rects come, can be out of order
+/// only within an instant, so only the instants that need it are sorted,
+/// by `tie` alone; anything else is sorted in full.
+fn sort_by_time_then<T, K: Ord>(items: &mut [T], time: impl Fn(&T) -> u64, tie: impl Fn(&T) -> K) {
+    if items.is_sorted_by_key(&time) {
+        for instant in items.chunk_by_mut(|a, b| time(a) == time(b)) {
+            if !instant.is_sorted_by_key(&tie) {
+                instant.sort_by_key(&tie);
+            }
+        }
+    } else {
+        items.sort_by_key(|x| (time(x), tie(x)));
     }
 }
 

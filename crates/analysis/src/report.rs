@@ -23,7 +23,6 @@
 
 use crate::ati::AtiDataset;
 use crate::breakdown::BreakdownRow;
-use crate::cdf::nearest_rank;
 use crate::engine::{run, run_trace, BlockAcc, EventFold, FusedStats};
 use crate::gantt::GanttRect;
 use crate::outlier::{sift, OutlierCriteria, OutlierReport};
@@ -250,17 +249,8 @@ pub fn report_json_into(d: &TraceReport, max_rects: usize, s: &mut String) {
         d.breakdown.parameter_bytes,
         d.breakdown.intermediate_bytes,
     );
-    // read straight off the dataset's sorted cache: a CDF would clone it
-    let sorted = d.ati.sorted_intervals_ns();
-    let (p50, p90, p99) = if sorted.is_empty() {
-        (0, 0, 0)
-    } else {
-        (
-            nearest_rank(sorted, 0.5),
-            nearest_rank(sorted, 0.9),
-            nearest_rank(sorted, 0.99),
-        )
-    };
+    // selected when the dataset was built: no sort, no allocation here
+    let [p50, p90, p99] = d.ati.percentiles();
     let _ = write!(
         s,
         ",\"ati\":{{\"count\":{},\"p50_ns\":{p50},\"p90_ns\":{p90},\"p99_ns\":{p99}}}",

@@ -26,12 +26,19 @@
 //! used entries when the share overflows, so eviction never takes a
 //! cross-shard lock; the entry just inserted is never evicted, so one
 //! entry may exceed the budget. Keys hash onto the shards (one shard is
-//! picked without hashing); recency is a per-shard clock, and the
-//! counters live in the shard, updated under its lock.
+//! picked without hashing), and the counters live in the shard, updated
+//! under its lock.
+//!
+//! **Recency without a scan.** Each shard stamps every lookup and insert
+//! with its own clock and keeps a recency index, from each resident
+//! entry's last tick to its key, beside the map. A hit moves its key to
+//! the new tick, and an eviction pops the oldest tick, so keeping and
+//! evicting in exact LRU order costs a tree step per operation, not a
+//! pass over the shard's entries under its lock.
 
 use pinpoint_store::{ColumnBatch, StoreError};
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex};
 
@@ -91,12 +98,15 @@ pub fn if_none_match(header: &str, etag: &str) -> bool {
 struct Entry<V> {
     value: V,
     bytes: u64,
+    /// The tick of the entry's last use: its key in the recency index.
     last_used: u64,
 }
 
 #[derive(Debug)]
 struct Shard<K, V> {
     map: HashMap<(u64, K), Entry<V>>,
+    /// Every resident key under its entry's `last_used`, oldest first.
+    recency: BTreeMap<u64, (u64, K)>,
     /// LRU clock, advanced by every lookup and insert.
     tick: u64,
     /// This shard's counters (`entries` is read off `map` instead).
@@ -122,6 +132,7 @@ impl<K: Hash + Eq + Clone, V: Clone> Cache<K, V> {
                 .map(|_| {
                     Mutex::new(Shard {
                         map: HashMap::new(),
+                        recency: BTreeMap::new(),
                         tick: 0,
                         stats: CacheStats::default(),
                     })
@@ -147,6 +158,11 @@ impl<K: Hash + Eq + Clone, V: Clone> Cache<K, V> {
         s.tick += 1;
         match s.map.get_mut(key) {
             Some(e) => {
+                let k = s
+                    .recency
+                    .remove(&e.last_used)
+                    .expect("a resident key is indexed");
+                s.recency.insert(s.tick, k);
                 e.last_used = s.tick;
                 s.stats.hits += 1;
                 Some(e.value.clone())
@@ -174,20 +190,17 @@ impl<K: Hash + Eq + Clone, V: Clone> Cache<K, V> {
             bytes,
             last_used: tick,
         };
-        if let Some(old) = s.map.insert(key, entry) {
+        if let Some(old) = s.map.insert(key.clone(), entry) {
             s.stats.bytes -= old.bytes;
+            s.recency.remove(&old.last_used);
         }
+        s.recency.insert(tick, key);
         s.stats.bytes += bytes;
-        while s.stats.bytes > self.shard_budget {
-            // the entry just inserted is the only one stamped `tick`
-            let oldest = s
-                .map
-                .iter()
-                .filter(|(_, e)| e.last_used != tick)
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone());
-            let Some(oldest) = oldest else { break };
-            let e = s.map.remove(&oldest).expect("oldest key present");
+        // the entry just inserted holds the newest tick, so it is popped
+        // last and never while another entry is resident
+        while s.stats.bytes > self.shard_budget && s.recency.len() > 1 {
+            let (_, oldest) = s.recency.pop_first().expect("more than one entry");
+            let e = s.map.remove(&oldest).expect("an indexed key is resident");
             s.stats.bytes -= e.bytes;
             s.stats.evictions += 1;
         }
@@ -199,11 +212,12 @@ impl<K: Hash + Eq + Clone, V: Clone> Cache<K, V> {
         for shard in &self.shards {
             let mut guard = shard.lock().expect("cache shard poisoned");
             let s = &mut *guard;
-            let stats = &mut s.stats;
+            let (stats, recency) = (&mut s.stats, &mut s.recency);
             s.map.retain(|(id, _), e| {
                 if *id != store {
                     return true;
                 }
+                recency.remove(&e.last_used);
                 stats.bytes -= e.bytes;
                 stats.invalidations += 1;
                 false
@@ -265,6 +279,7 @@ impl Cache<usize, Arc<ColumnBatch>> {
 mod tests {
     use super::*;
     use pinpoint_store::{write_store_chunked, StoreReader};
+    use pinpoint_tensor::rng::Rng64;
     use pinpoint_trace::{BlockId, EventKind, MemoryKind, Trace};
 
     /// A store with 8 equally sized chunks of 64 events each.
@@ -444,6 +459,137 @@ mod tests {
         let st = results.stats();
         assert_eq!((st.entries, st.invalidations), (1, 0), "{st:?}");
         assert!(results.get(&key(2, "q")).is_some(), "no thrash");
+    }
+
+    /// The cache's contract written the obvious way: one map, whose LRU
+    /// victim is found by scanning every entry for the oldest
+    /// `last_used`, with the same clock, budget rule and counters.
+    #[derive(Default)]
+    struct ScanModel {
+        /// `(value, bytes, last_used)` per key.
+        map: HashMap<(u64, u32), (u32, u64, u64)>,
+        tick: u64,
+        budget: u64,
+        stats: CacheStats,
+    }
+
+    impl ScanModel {
+        fn get(&mut self, key: &(u64, u32)) -> Option<u32> {
+            self.tick += 1;
+            let Some(e) = self.map.get_mut(key) else {
+                self.stats.misses += 1;
+                return None;
+            };
+            e.2 = self.tick;
+            self.stats.hits += 1;
+            Some(e.0)
+        }
+
+        fn insert(&mut self, key: (u64, u32), value: u32, bytes: u64) {
+            if self.budget == 0 {
+                return;
+            }
+            self.tick += 1;
+            let tick = self.tick;
+            if let Some(old) = self.map.insert(key, (value, bytes, tick)) {
+                self.stats.bytes -= old.1;
+            }
+            self.stats.bytes += bytes;
+            while self.stats.bytes > self.budget {
+                let oldest = self
+                    .map
+                    .iter()
+                    .filter(|(_, e)| e.2 != tick)
+                    .min_by_key(|(_, e)| e.2)
+                    .map(|(k, _)| *k);
+                let Some(oldest) = oldest else { break };
+                self.stats.bytes -= self.map.remove(&oldest).unwrap().1;
+                self.stats.evictions += 1;
+            }
+        }
+
+        fn invalidate_store(&mut self, store: u64) {
+            let stats = &mut self.stats;
+            self.map.retain(|(id, _), e| {
+                if *id != store {
+                    return true;
+                }
+                stats.bytes -= e.1;
+                stats.invalidations += 1;
+                false
+            });
+        }
+
+        fn stats(&self) -> CacheStats {
+            CacheStats {
+                entries: self.map.len() as u64,
+                ..self.stats.clone()
+            }
+        }
+    }
+
+    /// The keys resident in a one-shard cache, sorted.
+    fn resident(cache: &Cache<u32, u32>) -> Vec<(u64, u32)> {
+        let s = cache.shards[0].lock().unwrap();
+        let mut keys: Vec<_> = s.map.keys().copied().collect();
+        keys.sort_unstable();
+        keys
+    }
+
+    #[test]
+    fn one_shard_matches_the_scanning_model_step_by_step() {
+        let mut rng = Rng64::seed_from_u64(0x1a0_cac4e);
+        // budgets from "disabled" and "below any entry" up to ~20 entries
+        for budget in [0, 1, 250, 1_000, 4_000] {
+            let cache = Cache::new(budget, 1);
+            let mut model = ScanModel {
+                budget,
+                ..ScanModel::default()
+            };
+            for step in 0..4_000 {
+                // few stores and keys, so hits, re-inserts and
+                // invalidations of resident entries all happen often
+                let key = (rng.gen_below(3), rng.gen_below(40) as u32);
+                let what = match rng.gen_below(20) {
+                    0 => {
+                        model.invalidate_store(key.0);
+                        cache.invalidate_store(key.0);
+                        format!("invalidate_store({})", key.0)
+                    }
+                    1..=9 => {
+                        let got = cache.get(&key);
+                        assert_eq!(got, model.get(&key), "step {step}: get({key:?})");
+                        format!("get({key:?}) = {got:?}")
+                    }
+                    _ => {
+                        let value = rng.next_u64() as u32;
+                        // now and then an entry over the whole budget
+                        let bytes = if rng.gen_below(50) == 0 {
+                            budget + 1 + rng.gen_below(100)
+                        } else {
+                            1 + rng.gen_below(200)
+                        };
+                        model.insert(key, value, bytes);
+                        cache.insert(key, value, bytes);
+                        format!("insert({key:?}, {bytes} B)")
+                    }
+                };
+                let mut want: Vec<_> = model.map.keys().copied().collect();
+                want.sort_unstable();
+                let tag = format!("budget {budget}, step {step}: {what}");
+                assert_eq!(resident(&cache), want, "{tag}");
+                assert_eq!(cache.stats(), model.stats(), "{tag}");
+                let s = cache.shards[0].lock().unwrap();
+                assert_eq!(s.recency.len(), s.map.len(), "{tag}: index size");
+            }
+            let st = cache.stats();
+            if budget > 0 {
+                assert!(
+                    st.hits > 0 && st.evictions > 0 && st.invalidations > 0,
+                    "{st:?}"
+                );
+            }
+        }
     }
 
     #[test]

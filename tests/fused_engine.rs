@@ -17,6 +17,7 @@ use pinpoint::tensor::rng::Rng64;
 use pinpoint::trace::{
     BlockId, Category, EventKind, Marker, MemEvent, MemoryKind, PeakUsage, Trace,
 };
+use std::collections::{HashMap, HashSet};
 
 /// Block ids from here up lie past the fold's slot index bound for any
 /// trace this small, so a chunk that meets one leaves the index for a
@@ -34,11 +35,20 @@ const FAR_ID: u64 = 1 << 40;
 ///   the slot index mid-chunk and merges with chunks that stayed on it;
 /// * two time-ordered streams over disjoint blocks, interleaved, so global
 ///   time goes backwards while each block's own events stay in order.
+///
+/// Half of the one-stream traces malloc as an allocator does: each malloc
+/// event is a batch of fresh blocks at one instant, with offsets in no
+/// order, and every other event takes a block malloc'd before. Blocks are
+/// then first touched in the order they start, as in a profile, so the
+/// Gantt pass sorts only within instants; in the other traces, blocks
+/// malloc'd again or first seen by another event mostly make it sort
+/// them all.
 fn arbitrary_trace(rng: &mut Rng64, events: usize) -> Trace {
     let sparse_ids = rng.gen_range_usize(0, 3) == 0;
     let coarse = rng.gen_range_usize(0, 3) == 0;
     let far_ids = rng.gen_range_usize(0, 3) == 0;
     let two_clocks = rng.gen_range_usize(0, 3) == 0;
+    let batched = !two_clocks && rng.gen_bool();
     let mut t = Trace::new();
     let n_labels = rng.gen_range_usize(0, 8);
     for i in 0..n_labels {
@@ -62,6 +72,8 @@ fn arbitrary_trace(rng: &mut Rng64, events: usize) -> Trace {
     ];
     // one clock per stream; a single stream unless `two_clocks`
     let mut clocks = [0u64; 2];
+    // with `batched`: the next fresh id (id 0 is never malloc'd)
+    let mut fresh = 1;
     for _ in 0..events {
         let stream = usize::from(two_clocks && rng.gen_bool());
         clocks[stream] += if coarse {
@@ -76,41 +88,52 @@ fn arbitrary_trace(rng: &mut Rng64, events: usize) -> Trace {
         } else {
             None
         };
-        // few distinct blocks, so intervals and re-mallocs actually happen;
-        // with two clocks, even ids belong to stream 0 and odd to stream 1
-        let id = if two_clocks {
-            2 * rng.gen_below(6) + stream as u64
+        let kind = kinds[rng.gen_range_usize(0, kinds.len())];
+        // batched: fresh ids for a malloc, an earlier one for the rest;
+        // else few distinct blocks, so intervals and re-mallocs actually
+        // happen, and with two clocks, even ids belong to stream 0 and odd
+        // to stream 1
+        let (first_id, blocks) = if batched && kind == EventKind::Malloc {
+            let n = rng.gen_range_usize(2, 6) as u64;
+            fresh += n;
+            (fresh - n, n)
+        } else if batched {
+            (rng.gen_below(fresh), 1)
+        } else if two_clocks {
+            (2 * rng.gen_below(6) + stream as u64, 1)
         } else {
-            rng.gen_below(12)
+            (rng.gen_below(12), 1)
         };
-        let block = BlockId(if sparse_ids {
-            id << 40
-        } else if far_ids && rng.gen_range_usize(0, 40) == 0 {
-            FAR_ID + id
-        } else {
-            id
-        });
-        let size = if coarse {
-            rng.gen_below(4) << 12
-        } else {
-            let size_bits = rng.gen_range_usize(1, 33);
-            rng.gen_below(1 << size_bits)
-        };
-        let offset = if coarse {
-            rng.gen_below(4) << 12
-        } else {
-            let offset_bits = rng.gen_range_usize(1, 38);
-            rng.gen_below(1 << offset_bits)
-        };
-        t.push(MemEvent {
-            time_ns: time,
-            kind: kinds[rng.gen_range_usize(0, kinds.len())],
-            block,
-            size: size as usize,
-            offset: offset as usize,
-            mem_kind: mem_kinds[rng.gen_range_usize(0, mem_kinds.len())],
-            op_label,
-        });
+        for id in first_id..first_id + blocks {
+            let block = BlockId(if sparse_ids {
+                id << 40
+            } else if far_ids && rng.gen_range_usize(0, 40) == 0 {
+                FAR_ID + id
+            } else {
+                id
+            });
+            let size = if coarse {
+                rng.gen_below(4) << 12
+            } else {
+                let size_bits = rng.gen_range_usize(1, 33);
+                rng.gen_below(1 << size_bits)
+            };
+            let offset = if coarse {
+                rng.gen_below(4) << 12
+            } else {
+                let offset_bits = rng.gen_range_usize(1, 38);
+                rng.gen_below(1 << offset_bits)
+            };
+            t.push(MemEvent {
+                time_ns: time,
+                kind,
+                block,
+                size: size as usize,
+                offset: offset as usize,
+                mem_kind: mem_kinds[rng.gen_range_usize(0, mem_kinds.len())],
+                op_label,
+            });
+        }
         if rng.gen_range_usize(0, 25) == 0 {
             t.push_marker(Marker {
                 time_ns: time,
@@ -133,6 +156,30 @@ fn leaves_the_index_mid_chunk(t: &Trace, chunk: usize) -> bool {
         stayed |= first_far.is_none();
     }
     left && stayed
+}
+
+/// How the Gantt pass must order the whole trace's rects `want`: `None`
+/// when the blocks, in first-touch order, do not start in time order (it
+/// sorts them all), else the instants whose rects, in that order, are
+/// not in `(offset, block)` order (the ones it sorts).
+fn instants_out_of_order(t: &Trace, want: &[GanttRect]) -> Option<usize> {
+    let mut seen = HashSet::new();
+    let by_block: HashMap<BlockId, &GanttRect> = want.iter().map(|r| (r.block, r)).collect();
+    let touched: Vec<&GanttRect> = t
+        .events()
+        .iter()
+        .filter(|e| seen.insert(e.block))
+        .map(|e| by_block[&e.block])
+        .collect();
+    if !touched.is_sorted_by_key(|r| r.t0_ns) {
+        return None;
+    }
+    let instants = touched.chunk_by(|a, b| a.t0_ns == b.t0_ns);
+    Some(
+        instants
+            .filter(|i| !i.is_sorted_by_key(|r| (r.offset, r.block)))
+            .count(),
+    )
 }
 
 /// Neighbouring events whose time goes backwards.
@@ -222,6 +269,7 @@ fn fused_five_passes_match_standalone_on_arbitrary_traces() {
     let mut rng = Rng64::seed_from_u64(0xf05e_d0e5);
     let (mut gantt_ties, mut tied_peaks) = (0, 0);
     let (mut mid_chunk_exits, mut backward) = (0, 0);
+    let (mut unsorted_instants, mut full_sorts) = (0, 0);
     for case in 0..20 {
         let events = rng.gen_range_usize(0, 500);
         let chunk = rng.gen_range_usize(1, 64);
@@ -235,6 +283,10 @@ fn fused_five_passes_match_standalone_on_arbitrary_traces() {
         tied_peaks += peak_ties(&t, &want.peak);
         mid_chunk_exits += usize::from(leaves_the_index_mid_chunk(&t, 7));
         backward += backward_steps(&t);
+        match instants_out_of_order(&t, &want.gantt) {
+            Some(n) => unsorted_instants += n,
+            None => full_sorts += 1,
+        }
 
         // the public in-memory passes, each a wrapper over its fold
         let tag = format!("case {case}, from_trace");
@@ -283,6 +335,11 @@ fn fused_five_passes_match_standalone_on_arbitrary_traces() {
         "no chunk left the slot index mid-chunk"
     );
     assert!(backward > 0, "no trace went backwards in time");
+    assert!(
+        unsorted_instants > 0,
+        "no trace in start order had an instant's rects out of (offset, block) order"
+    );
+    assert!(full_sorts > 0, "no trace's blocks were out of start order");
 }
 
 #[test]

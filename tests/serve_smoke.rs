@@ -8,6 +8,7 @@
 
 mod serve_client;
 
+use pinpoint::analysis::{report_json, OutlierCriteria, TraceReport};
 use pinpoint::core::{profile, ProfileConfig};
 use pinpoint::serve::{start, ServeConfig};
 use pinpoint::store::{write_store_file, Predicate, ReadPolicy, StoreReader};
@@ -242,6 +243,75 @@ fn result_cache_evicts_under_a_tiny_budget() {
         .parse()
         .unwrap();
     assert!(evictions >= 1, "{metrics}");
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The result tier evicts in least-recently-used order. With one worker
+/// and a budget of two answers, asking A, B, A, then C evicts B, whose
+/// last use is older than A's; then A still hits and B misses again.
+/// `/metrics` counts each step, and every body is the offline
+/// `report --json` output.
+#[test]
+fn result_cache_evicts_the_least_recently_used_answer() {
+    let dir = tmp_catalog("result-lru");
+    let store = mlp_store(&dir, "mlp");
+    // thresholds above every interval: three keys, same-sized answers
+    let keys = ["801", "802", "803"];
+    let tool = bin("pinpoint-trace-tool");
+    let reader = StoreReader::open(&store).unwrap();
+    let offline: Vec<String> = keys
+        .iter()
+        .map(|ms| {
+            let criteria = OutlierCriteria {
+                min_ati_ns: ms.parse::<u64>().unwrap() * 1_000_000,
+                min_size_bytes: 600_000_000,
+            };
+            let rendered = report_json(&TraceReport::from_store(&reader, criteria, 1).unwrap(), 30);
+            // the CLI renders with the same builder; compare with it too
+            // when it is built
+            if tool.exists() {
+                let out = Command::new(&tool)
+                    .arg("report")
+                    .arg(&store)
+                    .args(["--min-ati-ms", ms, "--json"])
+                    .output()
+                    .unwrap();
+                assert!(out.status.success(), "{out:?}");
+                let cli = String::from_utf8(out.stdout).unwrap();
+                assert_eq!(cli.trim_end_matches('\n'), rendered, "--min-ati-ms {ms}");
+            }
+            rendered
+        })
+        .collect();
+    // each answer costs its body plus a small allowance for its key, so
+    // two fit in two and a half bodies and a third does not
+    let body = offline[0].len() as u64;
+    assert!(offline.iter().all(|b| b.len() as u64 == body));
+    let handle = start(ServeConfig {
+        catalog_dir: dir.clone(),
+        workers: 1,
+        result_cache_bytes: 2 * body + body / 2,
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let addr = handle.addr();
+    let ask = |k: usize| {
+        let req = format!("{{\"min_ati_ms\":{}}}", keys[k]);
+        let (status, _, got) = post(addr, "/stores/mlp/report", &req);
+        assert_eq!(status, 200, "{got}");
+        assert_eq!(got, offline[k], "key {}", keys[k]);
+        let (_, _, m) = get(addr, "/metrics");
+        let counters = ["result_hits", "result_misses", "result_evictions"];
+        counters.map(|c| metric(&m, c))
+    };
+    let (a, b, c) = (0, 1, 2);
+    assert_eq!(ask(a), [0, 1, 0]);
+    assert_eq!(ask(b), [0, 2, 0]);
+    assert_eq!(ask(a), [1, 2, 0], "A is now the most recently used");
+    assert_eq!(ask(c), [1, 3, 1], "C evicts one answer");
+    assert_eq!(ask(a), [2, 3, 1], "A survived C");
+    assert_eq!(ask(b), [2, 4, 2], "B was the one evicted");
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
