@@ -1,13 +1,14 @@
 //! One-decode analysis engine.
 //!
 //! The paper derives all of its characterization results (Figs. 2–7) from
-//! *one* trace. Each pass is an [`EventFold`] (per-chunk `push`,
+//! *one* trace. Each pass is an [`EventFold`] (`push_batch` per chunk,
 //! associative `merge`, final `finish`), and [`run`] folds one over a
 //! **single scan**: it prunes chunks with the fold's predicate, decodes
-//! each surviving chunk exactly once, fans chunks out across
-//! `pinpoint-parallel` workers, and merges the per-chunk partial states
-//! back **in chunk order** — so results are bit-identical at any thread
-//! count, the repo's established determinism invariant.
+//! each surviving chunk exactly once, gives each `pinpoint-parallel`
+//! worker a contiguous range of chunks to fold into one accumulator, and
+//! merges the workers' partial states **in range order** — so results are
+//! bit-identical at any thread count, the repo's established determinism
+//! invariant, and a one-thread run merges nothing.
 //!
 //! The paper's passes ship as three ready-made folds — [`AtiFold`],
 //! [`PeakFold`] and [`GanttFold`] — and the public `from_trace` passes
@@ -15,13 +16,14 @@
 //! them. The ATI and Gantt folds share one accumulator, [`BlockAcc`]: a
 //! table of per-block state found through a slot index (no hashing while
 //! ids come in sequence, as allocators mint them), plus each chunk's
-//! accesses as one run in event order. A merge touches only the later
-//! chunk's blocks, and the records and rectangles finish in order without
-//! a full sort.
+//! accesses as one run in event order. Accesses are folded straight from
+//! the decoded columns. A merge touches only the later worker's blocks,
+//! and the records and rectangles finish in order without a full sort.
 //! A [`TraceReport`](crate::TraceReport) runs all three passes as one
 //! fold over one block table and the peak's accumulator, so a report
-//! decodes each chunk once, builds each event once, and looks its block
-//! up once. The breakdown row and the outliers need no fold of their own:
+//! decodes each chunk once and looks each event's block up once, and
+//! builds an event only for a malloc, a free or a block's first event.
+//! The breakdown row and the outliers need no fold of their own:
 //! [`BreakdownRow::from_peak`](crate::BreakdownRow::from_peak) and
 //! [`sift`](crate::sift) derive them from the peak and the ATIs.
 //!
@@ -32,48 +34,50 @@
 use crate::ati::{AtiDataset, AtiRecord};
 use crate::gantt::GanttRect;
 use pinpoint_store::{
-    scan, ChunkSource, ColumnBatch, EventSource, Predicate, QueryStats, StoreError,
+    meta_kind, scan, ChunkSource, ColumnBatch, EventSource, Predicate, QueryStats, StoreError,
 };
 use pinpoint_trace::{BlockId, EventKind, MemEvent, MemoryKind, PeakAcc, PeakUsage, Trace};
 use std::collections::HashMap;
 
 /// One analysis pass expressed as a chunk-parallel fold.
 ///
-/// The engine decodes a chunk of events, folds them into a fresh
-/// per-chunk [`Acc`](Self::Acc) with [`push_batch`](Self::push_batch),
-/// then combines per-chunk accumulators **left-to-right in chunk order**
-/// with [`merge`](Self::merge), and finally converts the fully merged
-/// accumulator into the pass's result with [`finish`](Self::finish).
+/// The engine cuts a source's chunks into one contiguous range per
+/// worker. Each worker folds the decoded chunks of its range, in chunk
+/// order, into one [`Acc`](Self::Acc) with [`push_batch`](Self::push_batch);
+/// the workers' accumulators are then combined **left-to-right in range
+/// order** with [`merge`](Self::merge), and the fully merged accumulator
+/// becomes the pass's result through [`finish`](Self::finish).
 ///
 /// # Contract
 ///
 /// * `merge` must be **associative** with `push` order preserved: merging
-///   chunk A's accumulator (earlier events) with chunk B's (later events)
-///   must equal pushing A's events then B's into one accumulator. The
-///   engine always passes the earlier accumulator as `a`.
+///   one worker's accumulator (earlier events) with the next worker's
+///   (later events) must equal pushing both ranges' events into one
+///   accumulator. The engine always passes the earlier accumulator as `a`.
 /// * [`predicate`](Self::predicate) must be **sound**: an event that does
 ///   not match the predicate must not affect the result. The engine uses
 ///   it both to prune whole chunks and to skip single events.
 pub trait EventFold: Send + Sync {
-    /// Per-chunk partial state.
+    /// Per-worker partial state.
     type Acc: Send;
     /// Final result of the pass.
     type Output;
 
     /// The events this fold needs to observe (see the trait contract).
     fn predicate(&self) -> Predicate;
-    /// Creates an empty accumulator for one chunk.
+    /// Creates an empty accumulator for one worker.
     fn new_acc(&self) -> Self::Acc;
-    /// Folds one event into a chunk accumulator.
+    /// Folds one event into an accumulator.
     fn push(&self, acc: &mut Self::Acc, e: &MemEvent);
     /// Combines two accumulators; `a` covers strictly earlier events.
     fn merge(&self, a: Self::Acc, b: Self::Acc) -> Self::Acc;
     /// Converts the fully merged accumulator into the pass result.
     fn finish(&self, acc: Self::Acc) -> Self::Output;
 
-    /// Folds one decoded chunk, column-batch style. `pred` is always this
-    /// fold's own [`predicate`](Self::predicate); the engine passes it so
-    /// overrides don't have to recompute it per chunk.
+    /// Folds one decoded chunk, column-batch style, into the accumulator
+    /// that holds the chunks before it in the worker's range. `pred` is
+    /// always this fold's own [`predicate`](Self::predicate); the engine
+    /// passes it so overrides don't have to recompute it per chunk.
     ///
     /// The default materializes each event and filters with `pred`.
     /// Folds whose predicate can be tested straight off a column override
@@ -136,11 +140,13 @@ impl FusedStats {
 }
 
 /// Runs `fold` over a chunk source in **one pass**: chunks not matching
-/// the fold's predicate are pruned via the index, each surviving chunk is
-/// fetched (read, CRC-checked and decoded, taken from a cache, or filled
-/// from memory) exactly once and folded into a fresh accumulator, and the
-/// per-chunk accumulators merge in chunk order — bit-identical results at
-/// any `threads` count, whatever mix of cache hits serves the batches.
+/// the fold's predicate are pruned via the index, and each surviving chunk
+/// is fetched (read, CRC-checked and decoded, taken from a cache, or
+/// filled from memory) exactly once. The chunks are cut into one
+/// contiguous range per worker; each worker folds its range into one
+/// accumulator, and the workers' accumulators merge in range order —
+/// bit-identical results at any `threads` count, whatever mix of cache
+/// hits serves the batches. At one thread nothing is merged.
 ///
 /// Under the source's
 /// [`ReadPolicy::Salvage`](pinpoint_store::ReadPolicy::Salvage), corrupt
@@ -160,31 +166,23 @@ pub fn run<F: EventFold, S: ChunkSource + ?Sized>(
 ) -> Result<(F::Output, FusedStats), StoreError> {
     let _run_span = pinpoint_obs::tracer().span("engine.run");
     let pred = fold.predicate();
-    let mut merged: Option<F::Acc> = None;
-    let mut events_scanned = 0u64;
-    let stats = scan(
+    let ((acc, events_scanned), stats) = scan(
         source,
         &pred,
         "engine.prune",
         threads,
-        |_, batch| {
+        || (fold.new_acc(), 0u64),
+        |(acc, events), _, batch| {
             let _fold_span = pinpoint_obs::tracer().span_with("engine.fold", batch.len() as u64);
-            let mut acc = fold.new_acc();
-            fold.push_batch(&mut acc, batch, &pred);
-            (acc, batch.len() as u64)
+            fold.push_batch(acc, batch, &pred);
+            *events += batch.len() as u64;
         },
-        |i, (acc, n)| {
-            events_scanned += n;
-            let _merge_span = pinpoint_obs::tracer().span_with("engine.merge", i as u64);
-            merged = Some(match merged.take() {
-                None => acc,
-                Some(prev) => fold.merge(prev, acc),
-            });
+        |(a, a_events), (b, b_events)| {
+            let _merge_span = pinpoint_obs::tracer().span("engine.merge");
+            (fold.merge(a, b), a_events + b_events)
         },
     )?;
     let _finish_span = pinpoint_obs::tracer().span("engine.finish");
-    // no chunk folded: the fold finishes from an empty accumulator
-    let acc = merged.unwrap_or_else(|| fold.new_acc());
     Ok((
         fold.finish(acc),
         FusedStats::from_scan(stats, events_scanned),
@@ -210,10 +208,9 @@ pub fn run_trace<F: EventFold>(fold: &F, trace: &Trace, threads: usize) -> (F::O
 // The paper's passes as folds.
 // ---------------------------------------------------------------------------
 
-/// The meta column's 2-bit kind code: malloc = 0, free = 1, and the two
-/// accesses above.
+/// Whether a meta byte records a read or a write.
 fn is_access(meta: u8) -> bool {
-    meta & 0b11 > 1
+    meta_kind(meta).is_access()
 }
 
 /// Ids `p << PAGE_BITS ..= (p << PAGE_BITS) | (PAGE - 1)` share page `p`
@@ -353,15 +350,18 @@ struct Interval {
 
 /// The accumulator of [`AtiFold`] and [`GanttFold`], and of a report:
 /// one table of per-block state, in first-touch order, and the accesses
-/// as one run per chunk, in event order.
+/// as one run per chunk, in event order. A scan worker folds its whole
+/// range of chunks into one.
 ///
 /// * A block's entry is found through a paged slot index (ids are minted
 ///   in sequence); an id past the index's bound, which is a small multiple
 ///   of the blocks held, moves the accumulator to a keyed hash map, so
 ///   neither crafted ids nor a long trace can drive a large allocation.
-/// * A merge touches only the later side's blocks: it fills each one's
-///   placeholder with the bridge from the earlier side's last access and
-///   appends the later runs, so the running list is never copied.
+///   The bound grows with every block the accumulator holds.
+/// * A block's first access leaves a placeholder. A merge touches only
+///   the later side's blocks: it fills each one's placeholder with the
+///   bridge from the earlier side's last access and appends the later
+///   runs, so the running list is never copied.
 /// * The runs are in event order, which in a time-ordered trace is
 ///   `(end_time_ns, block)` order up to accesses of one instant, so
 ///   [`AtiFold::finish`] sorts only within each instant. Blocks first
@@ -372,7 +372,8 @@ struct Interval {
 pub struct BlockAcc {
     blocks: Vec<BlockState>,
     index: BlockIndex,
-    /// One run per chunk; the last one takes pushed accesses.
+    /// One run per chunk, each sized for its accesses; the last one takes
+    /// pushed accesses.
     runs: Vec<Vec<Interval>>,
     /// Closed intervals across the runs.
     intervals: usize,
@@ -407,57 +408,97 @@ impl BlockAcc {
         slot
     }
 
+    /// The slot of `block`'s entry; a block seen for the first time is
+    /// entered from its first event, which `first` builds.
+    #[inline]
+    fn slot(&mut self, block: BlockId, first: impl FnOnce() -> MemEvent) -> usize {
+        match self.index.get(block) {
+            Some(slot) => slot,
+            None => self.insert(BlockState::new(&first())),
+        }
+    }
+
     pub(crate) fn push(&mut self, e: &MemEvent) {
         self.end_time_ns = Some(e.time_ns);
-        let slot = match self.index.get(e.block) {
-            Some(slot) => slot,
-            None => self.insert(BlockState::new(e)),
-        };
-        let st = &mut self.blocks[slot];
         match e.kind {
-            EventKind::Malloc => {
-                (st.time_ns, st.size, st.offset) = (e.time_ns, e.size, e.offset);
-                st.mem_kind = e.mem_kind;
-                st.mallocd = true;
-            }
-            EventKind::Free => st.free_time_ns = Some(e.time_ns),
+            EventKind::Malloc | EventKind::Free => self.alloc(e),
             EventKind::Read | EventKind::Write => {
-                let r = self.runs.len() - 1;
-                let run = &mut self.runs[r];
-                let mut iv = Interval {
-                    block: e.block,
-                    end_time_ns: e.time_ns,
-                    interval_ns: 0,
-                    closing_kind: e.kind,
-                    closed: false,
-                };
-                match st.last_access_ns {
-                    Some(prev) => {
-                        iv.interval_ns = e.time_ns - prev;
-                        iv.closed = true;
-                        self.intervals += 1;
-                    }
-                    None => st.first_access = Some(placeholder_at(r, run.len())),
-                }
-                run.push(iv);
-                st.last_access_ns = Some(e.time_ns);
+                self.access(e.block, e.time_ns, e.kind, || e.clone());
             }
         }
     }
 
-    /// Sizes the current run exactly for a decoded chunk's accesses: a
-    /// run left to double can cross the allocator's mmap threshold, which
-    /// costs more than the fold.
-    pub(crate) fn reserve_run(&mut self, batch: &ColumnBatch) {
-        let accesses = batch.meta().iter().filter(|&&m| is_access(m)).count();
-        let run = self.runs.last_mut().expect("an accumulator has a run");
-        run.reserve_exact(accesses);
+    /// Folds a malloc or a free.
+    fn alloc(&mut self, e: &MemEvent) {
+        let slot = self.slot(e.block, || e.clone());
+        let st = &mut self.blocks[slot];
+        if e.kind == EventKind::Malloc {
+            (st.time_ns, st.size, st.offset) = (e.time_ns, e.size, e.offset);
+            st.mem_kind = e.mem_kind;
+            st.mallocd = true;
+        } else {
+            st.free_time_ns = Some(e.time_ns);
+        }
     }
 
-    fn push_batch(&mut self, batch: &ColumnBatch) {
-        self.reserve_run(batch);
-        for i in 0..batch.len() {
-            self.push(&batch.event(i));
+    /// Folds a read or a write of `kind` into the last run.
+    #[inline]
+    fn access(
+        &mut self,
+        block: BlockId,
+        time_ns: u64,
+        kind: EventKind,
+        first: impl FnOnce() -> MemEvent,
+    ) {
+        let slot = self.slot(block, first);
+        let st = &mut self.blocks[slot];
+        let r = self.runs.len() - 1;
+        let run = &mut self.runs[r];
+        let mut iv = Interval {
+            block,
+            end_time_ns: time_ns,
+            interval_ns: 0,
+            closing_kind: kind,
+            closed: false,
+        };
+        match st.last_access_ns {
+            Some(prev) => {
+                iv.interval_ns = time_ns - prev;
+                iv.closed = true;
+                self.intervals += 1;
+            }
+            None => st.first_access = Some(placeholder_at(r, run.len())),
+        }
+        run.push(iv);
+        st.last_access_ns = Some(time_ns);
+    }
+
+    /// Folds a decoded chunk into a run of its own, sized exactly for the
+    /// chunk's accesses: a run left to double can cross the allocator's
+    /// mmap threshold, which costs more than the fold. Accesses are folded
+    /// straight from the time, meta and block columns; a [`MemEvent`] is
+    /// built only for a malloc, a free or a block's first event, and each
+    /// malloc and free is also handed to `alloc`.
+    pub(crate) fn push_batch(&mut self, batch: &ColumnBatch, mut alloc: impl FnMut(&MemEvent)) {
+        let (time, meta, block) = (batch.time(), batch.meta(), batch.block());
+        let accesses = meta.iter().filter(|&&m| is_access(m)).count();
+        let last = self.runs.last_mut().expect("an accumulator has a run");
+        if last.is_empty() {
+            last.reserve_exact(accesses);
+        } else {
+            self.runs.push(Vec::with_capacity(accesses));
+        }
+        for (i, (&m, (&t, &id))) in meta.iter().zip(time.iter().zip(block)).enumerate() {
+            if is_access(m) {
+                self.access(BlockId(id), t, meta_kind(m), || batch.event(i));
+            } else {
+                let e = batch.event(i);
+                self.alloc(&e);
+                alloc(&e);
+            }
+        }
+        if let Some(&t) = time.last() {
+            self.end_time_ns = Some(t);
         }
     }
 
@@ -607,7 +648,7 @@ impl EventFold for AtiFold {
     }
     /// Every event matches, so none is tested.
     fn push_batch(&self, acc: &mut BlockAcc, batch: &ColumnBatch, _: &Predicate) {
-        acc.push_batch(batch);
+        acc.push_batch(batch, |_| {});
     }
 }
 
@@ -690,7 +731,7 @@ impl EventFold for GanttFold {
     }
     /// Every event matches, so none is tested.
     fn push_batch(&self, acc: &mut BlockAcc, batch: &ColumnBatch, _: &Predicate) {
-        acc.push_batch(batch);
+        acc.push_batch(batch, |_| {});
     }
 }
 
@@ -970,6 +1011,120 @@ mod tests {
         assert!(!on_slots(&acc));
         assert_eq!(acc.ati(), AtiDataset::from_trace(&t));
         assert_eq!(acc.gantt(0, u64::MAX), gantt_rects(&t, 0, u64::MAX));
+    }
+
+    /// A training profile long enough that its fresh ids drift far past
+    /// the persistent ones: 100 persistent blocks, touched again in every
+    /// stretch of `chunk` events, and per stretch a window of fresh
+    /// blocks, each malloc'd, written, read and freed, whose ids start
+    /// `step` higher than the stretch before's.
+    fn drifting_ids_trace(stretches: u64, chunk: usize, step: u64) -> Trace {
+        let mut t = Trace::new();
+        let ev = |t: &mut Trace, kind, block: u64| {
+            let time = t.len() as u64 * 10;
+            let offset = (block % 4096) as usize * 512;
+            t.record(
+                time,
+                kind,
+                BlockId(block),
+                512,
+                offset,
+                MemoryKind::Activation,
+                None,
+            );
+        };
+        for k in 0..stretches {
+            let end = t.len() + chunk;
+            let kind = if k == 0 {
+                EventKind::Malloc
+            } else {
+                EventKind::Read
+            };
+            (0..100).for_each(|id| ev(&mut t, kind, id));
+            let mut fresh = 1_000 + k * step;
+            while t.len() + 4 <= end {
+                for kind in [
+                    EventKind::Malloc,
+                    EventKind::Write,
+                    EventKind::Read,
+                    EventKind::Free,
+                ] {
+                    ev(&mut t, kind, fresh);
+                }
+                fresh += 1;
+            }
+            while t.len() < end {
+                ev(&mut t, EventKind::Read, 0);
+            }
+        }
+        t
+    }
+
+    /// The block table as a fold whose result says whether every worker's
+    /// table was on the slot index after each chunk it folded, and whether
+    /// the merged table is.
+    struct SlotProbe;
+
+    impl EventFold for SlotProbe {
+        type Acc = (BlockAcc, bool);
+        type Output = (bool, bool, AtiDataset, Vec<GanttRect>);
+
+        fn predicate(&self) -> Predicate {
+            Predicate::any()
+        }
+        fn new_acc(&self) -> Self::Acc {
+            (BlockAcc::default(), true)
+        }
+        fn push(&self, (acc, _): &mut Self::Acc, e: &MemEvent) {
+            acc.push(e);
+        }
+        fn merge(&self, (a, a_slots): Self::Acc, (b, b_slots): Self::Acc) -> Self::Acc {
+            (a.merge(b), a_slots && b_slots)
+        }
+        fn finish(&self, (acc, slots): Self::Acc) -> Self::Output {
+            (slots, on_slots(&acc), acc.ati(), acc.gantt(0, u64::MAX))
+        }
+        fn push_batch(&self, (acc, slots): &mut Self::Acc, batch: &ColumnBatch, _: &Predicate) {
+            acc.push_batch(batch, |_| {});
+            *slots &= on_slots(acc);
+        }
+    }
+
+    #[test]
+    fn a_workers_block_table_stays_on_the_slot_index_past_the_per_chunk_bound() {
+        const CHUNK: usize = 512;
+        let t = drifting_ids_trace(150, CHUNK, 20_000);
+        // folded alone, as when each chunk had an accumulator of its own,
+        // a late chunk's ids lie past the slot index's bound
+        let mut alone = BlockAcc::default();
+        t.events()[149 * CHUNK..].iter().for_each(|e| alone.push(e));
+        assert!(
+            !on_slots(&alone),
+            "the last chunk alone must leave the index"
+        );
+
+        let mut bytes = Vec::new();
+        pinpoint_store::write_store_chunked(&t, &mut bytes, CHUNK).unwrap();
+        let reader = pinpoint_store::StoreReader::from_bytes(bytes).unwrap();
+        assert_eq!(reader.num_chunks(), 150);
+        let (ati, gantt) = (AtiDataset::from_trace(&t), gantt_rects(&t, 0, u64::MAX));
+        let (report, _) = run_trace(&ReportFold, &t, 1);
+        for threads in [1, 4] {
+            let ((every_chunk, merged, got_ati, got_gantt), _) =
+                run(&SlotProbe, &reader, threads).unwrap();
+            // one worker holds every block it has seen, so its bound grows
+            // past the drift; at four, a later worker starts far above id 0
+            // with few blocks and may leave the index, but the table the
+            // report finishes from is the first worker's, and stays on it
+            if threads == 1 {
+                assert!(every_chunk, "the one worker's table went hashed");
+            }
+            assert!(merged, "threads {threads}: the report's table went hashed");
+            assert_eq!(got_ati, ati, "threads {threads}");
+            assert_eq!(got_gantt, gantt, "threads {threads}");
+            let (got, _) = run(&ReportFold, &reader, threads).unwrap();
+            assert_eq!(got, report, "threads {threads}");
+        }
     }
 
     #[test]

@@ -4,10 +4,13 @@
 //!
 //! A report is one fold, whose accumulator holds one block table
 //! ([`BlockAcc`]) for the ATI and Gantt passes and the peak sweep's
-//! accumulator: each chunk is decoded once, each event is built once and
-//! its block looked up once, and the other two results are derived from
-//! theirs — the breakdown row from the peak, the outliers by sifting the
-//! ATIs. [`TraceReport::from_trace`] and [`TraceReport::from_store`]
+//! accumulator: each chunk is decoded once, each event's block is looked
+//! up once, an access is folded straight from the decoded columns and only
+//! a malloc, a free or a block's first event is built as an event, and the
+//! other two results are derived from theirs — the breakdown row from the
+//! peak, the outliers by sifting the ATIs. A scan worker folds its whole
+//! range of chunks into one accumulator, so a one-thread report merges
+//! nothing. [`TraceReport::from_trace`] and [`TraceReport::from_store`]
 //! run the same scan, over an in-memory trace's chunks or a store's, so a
 //! report of a trace equals the report of its default-chunked store, scan
 //! accounting included.
@@ -34,8 +37,8 @@ use std::fmt::Write as _;
 /// Every analysis pass of the paper — ATI, peak, breakdown, Gantt,
 /// outliers — computed over **one** decode of the trace by the fold
 /// engine (the five standalone passes would each rescan it), with each
-/// event built once: the breakdown and the outliers are derived from the
-/// peak and the ATIs.
+/// event's block looked up once: the breakdown and the outliers are
+/// derived from the peak and the ATIs.
 #[derive(Debug, Clone)]
 pub struct TraceReport {
     /// Access-time intervals (Figs. 3–4 input).
@@ -96,19 +99,18 @@ impl EventFold for ReportFold {
             acc.blocks.gantt(0, u64::MAX),
         )
     }
-    /// Every event matches, so each is built once and pushed into both
-    /// parts with no per-event predicate test.
+    /// Every event matches, so none is tested. Accesses are folded
+    /// straight from the columns into the block table; each malloc and
+    /// free is built once and goes to both parts.
     fn push_batch(&self, acc: &mut ReportAcc, batch: &ColumnBatch, _: &Predicate) {
-        acc.blocks.reserve_run(batch);
-        for i in 0..batch.len() {
-            self.push(acc, &batch.event(i));
-        }
+        let ReportAcc { blocks, peak } = acc;
+        blocks.push_batch(batch, |e| peak.push(e));
     }
 }
 
 impl TraceReport {
     /// Runs all five passes over a chunk source in one scan: each chunk
-    /// is decoded exactly once and each event built once.
+    /// is decoded exactly once and each event folded once.
     /// The source is a `.ptrc` reader, or the daemon's chunk cache, which
     /// gives the same report at any `threads` count whatever mix of
     /// cache hits serves the chunks.

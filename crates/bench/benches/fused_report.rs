@@ -13,8 +13,11 @@
 //!
 //! The fused run is measured on both a v2 and a v3 store of the same
 //! trace: results must be bit-identical across formats, and the v3 run
-//! must not be slower (timer-noise margin) — the batched-decode
-//! regression guard on every CI bench-smoke run. The two stores are
+//! must not be slower (timer-noise margin). Decode is a small share of a
+//! report run, so a second guard times a `PeakFold` run of each store,
+//! which skips every access without building it and so is mostly read,
+//! checksum and decode, under the same bound: the batched-decode
+//! regression guard on every CI bench-smoke run. Each pair of stores is
 //! timed interleaved, v3 then v2 in each round, so a slow burst on the
 //! host lands on both sides instead of deciding the comparison. The scan
 //! accounting (including the v3-only `chunks_pruned_by_label` counter)
@@ -51,16 +54,17 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::time::Instant;
 
-/// Rounds of the interleaved v3-vs-v2 timing. A fused report of this
+/// Rounds of each interleaved v3-vs-v2 timing. A fused report of this
 /// bench's store takes about half a millisecond, so on a busy two-CPU
 /// host the median of a few rounds swings past the 1.25x bound.
 const PAIRED_ROUNDS: usize = 101;
 
 /// The most heap allocations (reallocations included) one warm
 /// single-thread report of this bench's store may make: the count when
-/// the bound was set (99), plus about 10%. It is the same at both scales,
-/// whose batch sizes change block sizes but not the events.
-const MAX_WARM_REPORT_ALLOCS: u64 = 109;
+/// the bound was set (38, with one accumulator for the whole scan), plus
+/// about 10%. It is the same at both scales, whose batch sizes change
+/// block sizes but not the events.
+const MAX_WARM_REPORT_ALLOCS: u64 = 42;
 
 thread_local! {
     /// Allocations made by this thread while counting, if counting.
@@ -334,16 +338,49 @@ fn bench(c: &mut Criterion) {
             "v3 fused report regressed past v2 at threads={threads}: \
              v3 {fused_ns} ns vs v2 {fused_v2_ns} ns"
         );
+        // the decode guard: a peak run of each store, on readers opened
+        // once, so the timing is the scan (read, checksum, decode) and the
+        // peak sweep's byte test per event
+        let (v3_reader, v2_reader) = (
+            StoreReader::from_bytes(bytes.clone()).expect("open"),
+            StoreReader::from_bytes(v2_bytes.clone()).expect("open"),
+        );
+        let peak = |r: &StoreReader| run(&PeakFold, r, threads).expect("run").0;
+        assert!(
+            peak(&v3_reader) == fused.peak && peak(&v2_reader) == fused.peak,
+            "peak runs diverge from the report at threads={threads}"
+        );
+        let (peak_ns, peak_v2_ns) = paired_median_ns(
+            PAIRED_ROUNDS,
+            || {
+                assert_eq!(
+                    peak(&v3_reader).peak_total_bytes,
+                    fused.peak.peak_total_bytes
+                )
+            },
+            || {
+                assert_eq!(
+                    peak(&v2_reader).peak_total_bytes,
+                    fused.peak.peak_total_bytes
+                )
+            },
+        );
+        assert!(
+            peak_ns <= peak_v2_ns + peak_v2_ns / 4,
+            "v3 decode regressed past v2 at threads={threads}: \
+             v3 peak run {peak_ns} ns vs v2 {peak_v2_ns} ns"
+        );
         let speedup = seq_ns as f64 / fused_ns as f64;
         let v3_speedup = fused_v2_ns as f64 / fused_ns as f64;
         println!(
             "fused_report: threads={threads}: sequential {seq_ns} ns ({seq_decoded} chunk \
              decodes) vs fused {fused_ns} ns ({fused_decoded}) -> {speedup:.2}x; \
-             v2 store {fused_v2_ns} ns -> v3 {v3_speedup:.2}x"
+             v2 store {fused_v2_ns} ns -> v3 {v3_speedup:.2}x; \
+             peak run v2 {peak_v2_ns} ns -> v3 {peak_ns} ns"
         );
         per_thread.push(format!(
             "{{\"threads\":{threads},\"sequential_ns\":{seq_ns},\"fused_ns\":{fused_ns},\
-             \"fused_v2_ns\":{fused_v2_ns},\
+             \"fused_v2_ns\":{fused_v2_ns},\"peak_ns\":{peak_ns},\"peak_v2_ns\":{peak_v2_ns},\
              \"sequential_chunk_decodes\":{seq_decoded},\
              \"fused_chunk_decodes\":{fused_decoded},\
              \"chunks_pruned_by_label\":{pruned_by_label},\

@@ -42,7 +42,7 @@
 //!
 //! `report` runs **all five** analysis passes (ATI, peak, breakdown,
 //! Gantt, outliers) over a single scan of the trace — each chunk of a
-//! `.ptrc` store is decoded exactly once and each event built once, for
+//! `.ptrc` store is decoded exactly once and each event folded once, for
 //! the ATI, peak and Gantt folds that one report fold holds; the
 //! breakdown and outliers are derived from their results. The single-pass
 //! subcommands run one of those folds each through the same engine —

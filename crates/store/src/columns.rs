@@ -5,7 +5,12 @@
 //! column. This module replaces it with whole-column decoders that fill a
 //! reused [`ColumnBatch`] — six flat buffers, one pass per column — so the
 //! hot loops are tight, branch-predictable, and allocation-free once the
-//! buffers are warm (see [`DecodeScratch`]).
+//! buffers are warm (see [`DecodeScratch`]). Each column decodes straight
+//! into a sink that finishes it in the same pass: delta chains are
+//! integrated, has-op events counted and op labels densified as values
+//! arrive, with no staging buffer. One- and two-byte varints are read
+//! inline, and a bit-packed value at most 56 bits wide costs one 8-byte
+//! load.
 //!
 //! Format v3 additionally lets every column pick its own encoding per
 //! chunk, chosen at write time by exact cost (encoded size) comparison:
@@ -26,7 +31,7 @@ use crate::crc32::crc32;
 use crate::error::StoreError;
 use crate::format::{kind_code, kind_from_code, mem_kind_code, mem_kind_from_code, ChunkMeta};
 use crate::varint::{read_u64, unzigzag, varint_len, write_u64, zigzag};
-use pinpoint_trace::{BlockId, MemEvent};
+use pinpoint_trace::{BlockId, EventKind, MemEvent};
 
 /// v3 column encoding tag: the column's v2-native stream (plain varints,
 /// or one raw byte per event for the meta column).
@@ -57,6 +62,13 @@ pub(crate) fn meta_byte(e: &MemEvent) -> u8 {
     kind_code(e.kind) | (mem_kind_code(e.mem_kind) << 2) | (u8::from(e.op_label.is_some()) << 5)
 }
 
+/// The event kind a meta byte (see [`ColumnBatch::meta`]) records. The
+/// 2-bit kind code space is total, so every byte has one.
+#[inline]
+pub fn meta_kind(meta: u8) -> EventKind {
+    kind_from_code(meta & 0b11).expect("2-bit kind codes are total")
+}
+
 fn corrupt(msg: impl Into<String>) -> StoreError {
     StoreError::Corrupt(msg.into())
 }
@@ -79,9 +91,6 @@ pub struct ColumnBatch {
     size: Vec<u64>,
     offset: Vec<u64>,
     op: Vec<u32>,
-    /// Staging buffer for logical column values (RLE/PACK expansion, op
-    /// labels before densification). Scratch only — not chunk content.
-    vals: Vec<u64>,
 }
 
 impl ColumnBatch {
@@ -143,7 +152,7 @@ impl ColumnBatch {
         let m = self.meta[i];
         MemEvent {
             time_ns: self.time[i],
-            kind: kind_from_code(m & 0b11).expect("2-bit kind codes are total"),
+            kind: meta_kind(m),
             block: BlockId(self.block[i]),
             size: self.size[i] as usize,
             offset: self.offset[i] as usize,
@@ -168,7 +177,6 @@ impl ColumnBatch {
             + self.size.capacity() * 8
             + self.offset.capacity() * 8
             + self.op.capacity() * 4
-            + self.vals.capacity() * 8
     }
 
     /// Total buffer capacity in elements, across every column — the
@@ -180,7 +188,6 @@ impl ColumnBatch {
             + self.size.capacity()
             + self.offset.capacity()
             + self.op.capacity()
-            + self.vals.capacity()
     }
 }
 
@@ -318,74 +325,236 @@ fn reserve_clamped<T>(v: &mut Vec<T>, want: usize, payload_len: usize) {
     v.reserve(want.min(payload_len));
 }
 
-/// Decodes one column's logical `u64` value stream (`expected` values)
-/// from its byte extent, per its encoding tag. `TAG_DOD` bytes are plain
-/// varints at this layer — the caller integrates the second differences.
-fn decode_u64_values(
-    bytes: &[u8],
-    (start, len): (usize, usize),
+/// Reads one varint: a one- or two-byte varint (most of them) without
+/// calling [`read_u64`].
+#[inline(always)]
+fn varint(col: &[u8], pos: &mut usize) -> Result<u64, StoreError> {
+    match col.get(*pos) {
+        Some(&b) if b < 0x80 => {
+            *pos += 1;
+            Ok(u64::from(b))
+        }
+        Some(&b) => match col.get(*pos + 1) {
+            Some(&c) if c < 0x80 => {
+                *pos += 2;
+                Ok(u64::from(b & 0x7f) | (u64::from(c) << 7))
+            }
+            _ => read_u64(col, pos),
+        },
+        None => read_u64(col, pos),
+    }
+}
+
+/// Where one column's logical values go as they are decoded: into a raw
+/// column, through a delta chain, into meta bytes or into op labels.
+/// Each column decodes in one monomorphized pass, with no staging buffer.
+trait Sink {
+    /// Takes the next value.
+    fn push(&mut self, v: u64);
+}
+
+impl Sink for Vec<u64> {
+    #[inline(always)]
+    fn push(&mut self, v: u64) {
+        Vec::push(self, v);
+    }
+}
+
+/// A zigzag-delta column integrated into absolute non-negative values as
+/// it decodes, with checked arithmetic. The first overflow or negative
+/// value is kept and reported once the column has decoded, so a column
+/// fails with the error a decode-then-integrate pass would give.
+struct Deltas<'a> {
+    out: &'a mut Vec<u64>,
+    prev: i64,
+    /// Names the column in errors.
+    what: &'static str,
+    error: Option<StoreError>,
+}
+
+impl<'a> Deltas<'a> {
+    fn new(out: &'a mut Vec<u64>, what: &'static str) -> Self {
+        Deltas {
+            out,
+            prev: 0,
+            what,
+            error: None,
+        }
+    }
+
+    #[inline(always)]
+    fn push_delta(&mut self, d: i64) {
+        let (next, overflowed) = self.prev.overflowing_add(d);
+        if overflowed || next < 0 {
+            self.fail(overflowed);
+        }
+        self.prev = next;
+        self.out.push(next as u64);
+    }
+
+    #[cold]
+    fn fail(&mut self, overflowed: bool) {
+        let what = self.what;
+        self.error.get_or_insert_with(|| {
+            corrupt(if overflowed {
+                format!("{what} overflows after delta decode")
+            } else {
+                format!("negative {what} after delta decode")
+            })
+        });
+    }
+
+    fn finish(self) -> Result<(), StoreError> {
+        self.error.map_or(Ok(()), Err)
+    }
+}
+
+impl Sink for Deltas<'_> {
+    #[inline(always)]
+    fn push(&mut self, v: u64) {
+        self.push_delta(unzigzag(v));
+    }
+}
+
+/// Delta-of-delta timestamps: each value is the zigzag change of the
+/// delta, integrated twice. A delta that overflows is reported ahead of
+/// any timestamp error, as a pass per integration would.
+struct DeltaOfDelta<'a> {
+    deltas: Deltas<'a>,
+    delta: i64,
+    overflowed: bool,
+}
+
+impl Sink for DeltaOfDelta<'_> {
+    #[inline(always)]
+    fn push(&mut self, v: u64) {
+        let (delta, overflowed) = self.delta.overflowing_add(unzigzag(v));
+        self.overflowed |= overflowed;
+        self.delta = delta;
+        self.deltas.push_delta(delta);
+    }
+}
+
+/// The meta column: one byte per event, with the has-op events counted
+/// as they arrive. A value over one byte is kept and reported once the
+/// column has decoded.
+struct MetaBytes<'a> {
+    meta: &'a mut Vec<u8>,
+    with_op: usize,
+    too_wide: bool,
+}
+
+impl Sink for MetaBytes<'_> {
+    #[inline(always)]
+    fn push(&mut self, v: u64) {
+        self.too_wide |= v > u64::from(u8::MAX);
+        self.meta.push(v as u8);
+        self.with_op += usize::from(v as u8 & HAS_OP_BIT != 0);
+    }
+}
+
+/// The op column's values, one per has-op event, as labels.
+struct OpLabels<'a>(&'a mut Vec<u32>);
+
+impl Sink for OpLabels<'_> {
+    #[inline(always)]
+    fn push(&mut self, v: u64) {
+        self.0.push(v as u32);
+    }
+}
+
+/// Splits a bit-packed column into its width and its packed bytes,
+/// checking both against the `expected` value count.
+fn pack_layout(col: &[u8], expected: usize) -> Result<(usize, &[u8]), StoreError> {
+    let Some((&width, data)) = col.split_first() else {
+        return Err(corrupt("bit-packed column is missing its width byte"));
+    };
+    let width = usize::from(width);
+    if width > 64 {
+        return Err(corrupt("bit-packed column width exceeds 64"));
+    }
+    let needed = expected
+        .checked_mul(width)
+        .map(|b| b.div_ceil(8))
+        .ok_or_else(|| corrupt("bit-packed column size overflows"))?;
+    if data.len() != needed {
+        return Err(corrupt("column length does not match its contents"));
+    }
+    Ok((width, data))
+}
+
+/// Hands `count` values packed LSB-first at `width` bits to `f`; `data`
+/// holds exactly their bytes (see [`pack_layout`]). A value at most 56
+/// bits wide sits in the 8 bytes from its first byte on (a shift of at
+/// most 7 bits), so it costs one 8-byte load; a wider one, up to 64 bits
+/// plus that shift, one 16-byte load. The last few values, whose window
+/// would run past the data, are read from a zero-padded copy.
+#[inline(always)]
+fn unpack(data: &[u8], width: usize, count: usize, mut f: impl FnMut(u64)) {
+    if width == 0 {
+        (0..count).for_each(|_| f(0));
+        return;
+    }
+    let mask = u64::MAX >> (64 - width);
+    let window = if width <= 56 { 8 } else { 16 };
+    // values whose window ends within the data: first byte <= len - window
+    let full = match data.len().checked_sub(window) {
+        Some(last) => ((last + 1) * 8).div_ceil(width).min(count),
+        None => 0,
+    };
+    if window == 8 {
+        for i in 0..full {
+            let bit = i * width;
+            let win = u64::from_le_bytes(data[bit / 8..][..8].try_into().expect("8 bytes"));
+            f((win >> (bit % 8)) & mask);
+        }
+    } else {
+        for i in 0..full {
+            let bit = i * width;
+            let win = u128::from_le_bytes(data[bit / 8..][..16].try_into().expect("16 bytes"));
+            f((win >> (bit % 8)) as u64 & mask);
+        }
+    }
+    for i in full..count {
+        let bit = i * width;
+        let rest = &data[bit / 8..];
+        let mut win = [0u8; 16];
+        win[..rest.len()].copy_from_slice(rest);
+        f((u128::from_le_bytes(win) >> (bit % 8)) as u64 & mask);
+    }
+}
+
+/// Decodes one column's logical value stream (`expected` values) from its
+/// bytes `col`, per its encoding tag, into `sink`. `TAG_DOD` bytes are
+/// plain varints at this layer; the sink integrates them.
+fn decode_values(
+    col: &[u8],
     tag: u8,
     expected: usize,
-    out: &mut Vec<u64>,
+    sink: &mut impl Sink,
 ) -> Result<(), StoreError> {
-    reserve_clamped(out, expected, bytes.len());
-    let col = &bytes[start..start + len];
     let mut pos = 0usize;
     match tag {
         TAG_PLAIN | TAG_DOD => {
             for _ in 0..expected {
-                out.push(read_u64(col, &mut pos)?);
+                sink.push(varint(col, &mut pos)?);
             }
         }
         TAG_RLE => {
-            while out.len() < expected {
-                let run = read_u64(col, &mut pos)? as usize;
-                let v = read_u64(col, &mut pos)?;
-                if run == 0 || run > expected - out.len() {
+            let mut left = expected;
+            while left > 0 {
+                let run = varint(col, &mut pos)? as usize;
+                let v = varint(col, &mut pos)?;
+                if run == 0 || run > left {
                     return Err(corrupt("run-length column overruns its event count"));
                 }
-                out.resize(out.len() + run, v);
+                (0..run).for_each(|_| sink.push(v));
+                left -= run;
             }
         }
         TAG_PACK => {
-            let Some(&width) = col.first() else {
-                return Err(corrupt("bit-packed column is missing its width byte"));
-            };
-            let width = width as usize;
-            if width > 64 {
-                return Err(corrupt("bit-packed column width exceeds 64"));
-            }
-            let data = &col[1..];
-            let needed = expected
-                .checked_mul(width)
-                .map(|b| b.div_ceil(8))
-                .ok_or_else(|| corrupt("bit-packed column size overflows"))?;
-            if data.len() != needed {
-                return Err(corrupt("column length does not match its contents"));
-            }
-            let mask: u64 = if width == 0 {
-                0
-            } else {
-                u64::MAX >> (64 - width)
-            };
-            for i in 0..expected {
-                let bit = i * width;
-                let byte0 = bit / 8;
-                let shift = bit % 8;
-                // a value spans at most 9 bytes (64 bits + 7-bit shift),
-                // so a 16-byte aligned-free load covers it whole; only
-                // the last few values fall back to the byte loop
-                let acc: u128 = if let Some(win) = data.get(byte0..byte0 + 16) {
-                    u128::from_le_bytes(win.try_into().expect("16-byte window"))
-                } else {
-                    let mut acc: u128 = 0;
-                    for (k, &b) in data[byte0..].iter().enumerate() {
-                        acc |= u128::from(b) << (8 * k);
-                    }
-                    acc
-                };
-                out.push((acc >> shift) as u64 & mask);
-            }
+            let (width, data) = pack_layout(col, expected)?;
+            unpack(data, width, expected, |v| sink.push(v));
             pos = col.len();
         }
         other => return Err(corrupt(format!("unknown column encoding tag {other}"))),
@@ -396,25 +565,57 @@ fn decode_u64_values(
     Ok(())
 }
 
-/// Integrates a zigzag-delta stream in place into absolute non-negative
-/// values, with checked arithmetic (`what` names the column in errors).
-fn integrate_deltas(vals: &mut [u64], what: &str) -> Result<(), StoreError> {
-    let mut prev: i64 = 0;
-    for v in vals.iter_mut() {
-        prev = prev
-            .checked_add(unzigzag(*v))
-            .ok_or_else(|| corrupt(format!("{what} overflows after delta decode")))?;
-        if prev < 0 {
-            return Err(corrupt(format!("negative {what} after delta decode")));
+/// Decodes the meta column into `meta` and returns how many events carry
+/// an op label. Plain meta is the raw bytes.
+fn decode_meta(col: &[u8], tag: u8, n: usize, meta: &mut Vec<u8>) -> Result<usize, StoreError> {
+    if tag == TAG_PLAIN {
+        if col.len() != n {
+            return Err(corrupt(format!(
+                "meta column holds {} of {n} events",
+                col.len()
+            )));
         }
-        *v = prev as u64;
+        meta.extend_from_slice(col);
+        return Ok(col.iter().filter(|&&m| m & HAS_OP_BIT != 0).count());
     }
-    Ok(())
+    let mut sink = MetaBytes {
+        meta,
+        with_op: 0,
+        too_wide: false,
+    };
+    decode_values(col, tag, n, &mut sink)?;
+    if sink.too_wide {
+        return Err(corrupt("meta column value exceeds one byte"));
+    }
+    Ok(sink.with_op)
+}
+
+/// Spreads the labels of the has-op events, packed at the front of `op`,
+/// to one entry per event (0 where the event has none), in place: from
+/// the back, each event's label is read from at or before its own slot.
+fn densify_ops(op: &mut Vec<u32>, meta: &[u8]) {
+    let mut k = op.len();
+    op.resize(meta.len(), 0);
+    for (i, &m) in meta.iter().enumerate().rev() {
+        if k == 0 {
+            op[..=i].fill(0);
+            return;
+        }
+        op[i] = if m & HAS_OP_BIT != 0 {
+            k -= 1;
+            op[k]
+        } else {
+            0
+        };
+    }
 }
 
 /// Decodes a chunk payload (any format version) into `batch`, returning
 /// the number of payload bytes consumed. Tolerates trailing data — the
 /// callers that require exact consumption check the returned length.
+///
+/// Each column is one pass: values are integrated, counted and densified
+/// as they decode. Errors are those of a pass per step, in column order.
 ///
 /// # Errors
 ///
@@ -448,74 +649,57 @@ pub(crate) fn decode_body(
             }
         }
     }
-    let mut cols = [(0usize, 0usize); 6]; // (start, len) per column
+    let mut cols: [&[u8]; 6] = [&[]; 6];
     for c in cols.iter_mut() {
         let len = read_u64(bytes, &mut pos)? as usize;
         let end = pos
             .checked_add(len)
             .filter(|&e| e <= bytes.len())
             .ok_or_else(|| corrupt("column extends past chunk end"))?;
-        *c = (pos, len);
+        *c = &bytes[pos..end];
         pos = end;
     }
+    let payload_len = bytes.len();
+    let b = &mut *batch;
+    for col in [&mut b.time, &mut b.block, &mut b.size, &mut b.offset] {
+        reserve_clamped(col, n, payload_len);
+    }
+    reserve_clamped(&mut b.meta, n, payload_len);
+    reserve_clamped(&mut b.op, n, payload_len);
 
     // time (column 0): zigzag deltas, possibly second-differenced
-    decode_u64_values(bytes, cols[0], tags[0], n, &mut batch.time)?;
     if tags[0] == TAG_DOD {
-        let mut d: i64 = 0;
-        for v in batch.time.iter_mut() {
-            d = d
-                .checked_add(unzigzag(*v))
-                .ok_or_else(|| corrupt("timestamp delta overflows after decode"))?;
-            *v = zigzag(d);
+        let mut dod = DeltaOfDelta {
+            deltas: Deltas::new(&mut b.time, "timestamp"),
+            delta: 0,
+            overflowed: false,
+        };
+        decode_values(cols[0], TAG_DOD, n, &mut dod)?;
+        if dod.overflowed {
+            return Err(corrupt("timestamp delta overflows after decode"));
         }
+        dod.deltas.finish()?;
+    } else {
+        let mut time = Deltas::new(&mut b.time, "timestamp");
+        decode_values(cols[0], tags[0], n, &mut time)?;
+        time.finish()?;
     }
-    integrate_deltas(&mut batch.time, "timestamp")?;
 
     // meta (column 1): one byte per event
-    let (meta_start, meta_len) = cols[1];
-    if tags[1] == TAG_PLAIN {
-        if meta_len != n {
-            return Err(corrupt(format!(
-                "meta column holds {meta_len} of {n} events"
-            )));
-        }
-        reserve_clamped(&mut batch.meta, n, bytes.len());
-        batch
-            .meta
-            .extend_from_slice(&bytes[meta_start..meta_start + meta_len]);
-    } else {
-        decode_u64_values(bytes, cols[1], tags[1], n, &mut batch.vals)?;
-        reserve_clamped(&mut batch.meta, n, bytes.len());
-        for &v in &batch.vals {
-            if v > u64::from(u8::MAX) {
-                return Err(corrupt("meta column value exceeds one byte"));
-            }
-            batch.meta.push(v as u8);
-        }
-    }
+    let with_op = decode_meta(cols[1], tags[1], n, &mut b.meta)?;
 
     // block (column 2): zigzag deltas
-    decode_u64_values(bytes, cols[2], tags[2], n, &mut batch.block)?;
-    integrate_deltas(&mut batch.block, "block id")?;
+    let mut block = Deltas::new(&mut b.block, "block id");
+    decode_values(cols[2], tags[2], n, &mut block)?;
+    block.finish()?;
 
     // size / offset (columns 3, 4): raw values
-    decode_u64_values(bytes, cols[3], tags[3], n, &mut batch.size)?;
-    decode_u64_values(bytes, cols[4], tags[4], n, &mut batch.offset)?;
+    decode_values(cols[3], tags[3], n, &mut b.size)?;
+    decode_values(cols[4], tags[4], n, &mut b.offset)?;
 
     // op (column 5): one value per has-op event, densified to per-event
-    let n_op = batch.meta.iter().filter(|&&m| m & HAS_OP_BIT != 0).count();
-    decode_u64_values(bytes, cols[5], tags[5], n_op, &mut batch.vals)?;
-    reserve_clamped(&mut batch.op, n, bytes.len());
-    let mut k = 0usize;
-    for &m in &batch.meta {
-        if m & HAS_OP_BIT != 0 {
-            batch.op.push(batch.vals[k] as u32);
-            k += 1;
-        } else {
-            batch.op.push(0);
-        }
-    }
+    decode_values(cols[5], tags[5], with_op, &mut OpLabels(&mut b.op))?;
+    densify_ops(&mut b.op, &b.meta);
 
     batch.len = n;
     Ok(pos)
@@ -747,7 +931,7 @@ pub fn encode_chunk_v3(events: &[MemEvent]) -> (Vec<u8>, ChunkMeta) {
 mod tests {
     use super::*;
     use crate::format::decode_chunk;
-    use pinpoint_trace::{EventKind, MemoryKind};
+    use pinpoint_trace::MemoryKind;
 
     fn ev(time: u64, block: u64, size: usize, op: Option<u32>) -> MemEvent {
         MemEvent {
@@ -761,26 +945,164 @@ mod tests {
         }
     }
 
+    /// Values of `width` bits: the widest first, then a fixed mix.
+    fn values_of_width(width: usize, len: usize) -> Vec<u64> {
+        let max = if width == 0 {
+            0
+        } else {
+            u64::MAX >> (64 - width)
+        };
+        (0..len as u64)
+            .map(|i| match i {
+                0 => max,
+                _ => i.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(i as u32) & max,
+            })
+            .collect()
+    }
+
     #[test]
-    fn pack_round_trips_every_width() {
+    fn pack_round_trips_every_width_at_every_length() {
+        // lengths up to 70 put the last values' 8- and 16-byte windows at
+        // and past the end of the data, so every path ends exactly there
         for width in 0..=64usize {
-            let max = if width == 0 {
-                0
-            } else if width == 64 {
-                u64::MAX
-            } else {
-                (1u64 << width) - 1
-            };
-            let values: Vec<u64> = (0..17).map(|i| max.wrapping_sub(i) & max).collect();
-            let costs = column_costs(&values, false);
-            assert_eq!(costs.width, width);
-            let mut bytes = Vec::new();
-            write_pack(&mut bytes, &values, costs.width);
-            assert_eq!(bytes.len(), costs.pack, "width {width}");
-            let mut out = Vec::new();
-            decode_u64_values(&bytes, (0, bytes.len()), TAG_PACK, values.len(), &mut out).unwrap();
-            assert_eq!(out, values, "width {width}");
+            for len in 0..=70 {
+                let values = values_of_width(width, len);
+                let mut bytes = Vec::new();
+                write_pack(&mut bytes, &values, width);
+                assert_eq!(bytes.len(), 1 + (len * width).div_ceil(8));
+                if len > 0 {
+                    // the widest value comes first, so the writer's cost
+                    // pass picks exactly this width and prices it exactly
+                    let costs = column_costs(&values, false);
+                    assert_eq!(costs.width, width, "width {width}, len {len}");
+                    assert_eq!(bytes.len(), costs.pack, "width {width}, len {len}");
+                }
+                let mut out = Vec::new();
+                decode_values(&bytes, TAG_PACK, len, &mut out).unwrap();
+                assert_eq!(out, values, "width {width}, len {len}");
+                // the meta column keeps values of at most one byte
+                let mut meta = Vec::new();
+                let with_op = decode_meta(&bytes, TAG_PACK, len, &mut meta);
+                if width <= 8 {
+                    let want: Vec<u8> = values.iter().map(|&v| v as u8).collect();
+                    assert_eq!(meta, want, "meta: width {width}, len {len}");
+                    let ops = want.iter().filter(|&&m| m & HAS_OP_BIT != 0).count();
+                    assert_eq!(with_op.unwrap(), ops, "meta: width {width}, len {len}");
+                } else if values.iter().any(|&v| v > 255) {
+                    assert!(with_op.is_err(), "meta: width {width}, len {len}");
+                }
+            }
         }
+    }
+
+    /// A v3 payload of `events` whose column `c` is `tag` over `bytes`.
+    fn with_column(events: &[MemEvent], c: usize, tag: u8, bytes: &[u8]) -> Vec<u8> {
+        let (payload, _) = encode_chunk_v3(events);
+        let mut pos = 0usize;
+        let n = read_u64(&payload, &mut pos).unwrap();
+        let mut tags = chunk_encoding_tags(&payload).unwrap();
+        pos += 6;
+        let mut cols: Vec<Vec<u8>> = (0..6)
+            .map(|_| {
+                let len = read_u64(&payload, &mut pos).unwrap() as usize;
+                pos += len;
+                payload[pos - len..pos].to_vec()
+            })
+            .collect();
+        (tags[c], cols[c]) = (tag, bytes.to_vec());
+        let mut out = Vec::new();
+        write_u64(&mut out, n);
+        out.extend(tags);
+        for col in &cols {
+            write_u64(&mut out, col.len() as u64);
+            out.extend(col);
+        }
+        out
+    }
+
+    #[test]
+    fn every_fast_path_rejects_hostile_columns_with_a_typed_error() {
+        let n = 40usize;
+        // every event has an op label, so the op column holds n values too
+        let events: Vec<MemEvent> = (0..n as u64)
+            .map(|i| ev(i * 300, i * 200, 64 << (i % 9), Some(i as u32 * 150)))
+            .collect();
+        assert!(decode_chunk(&with_column(&events, 0, TAG_PLAIN, &[]), 3).is_err());
+        let varints = |count: usize, tail: &[u8]| {
+            let mut b = Vec::new();
+            (0..count).for_each(|_| write_u64(&mut b, 1));
+            b.extend_from_slice(tail);
+            b
+        };
+        let mut cases: Vec<(&str, u8, Vec<u8>)> = Vec::new();
+        // a multi-byte varint cut at the column's end: after its first
+        // byte, and after two (past the two-byte fast path)
+        for tail in [&[0x80u8][..], &[0x81, 0x82]] {
+            cases.push(("varint cut", TAG_PLAIN, varints(n - 1, tail)));
+            let mut rle = Vec::new();
+            write_u64(&mut rle, n as u64 - 1);
+            write_u64(&mut rle, 1);
+            write_u64(&mut rle, 1);
+            rle.extend_from_slice(tail);
+            cases.push(("run value cut", TAG_RLE, rle));
+            cases.push(("dod varint cut", TAG_DOD, varints(n - 1, tail)));
+        }
+        let mut overrun = Vec::new();
+        write_u64(&mut overrun, n as u64 + 1);
+        write_u64(&mut overrun, 0);
+        cases.push(("run past the count", TAG_RLE, overrun));
+        for width in [1usize, 6, 8, 27, 56, 57, 64] {
+            let mut short = vec![width as u8];
+            short.resize((n * width).div_ceil(8), 0);
+            cases.push(("pack one byte short", TAG_PACK, short));
+        }
+        cases.push(("width 65", TAG_PACK, vec![65; 1 + (n * 65).div_ceil(8)]));
+        for c in 0..6 {
+            for (what, tag, bytes) in &cases {
+                if *tag == TAG_DOD && c != 0 {
+                    continue;
+                }
+                // plain meta is raw bytes: one short is its hostile case
+                let bytes = if c == 1 && *tag == TAG_PLAIN {
+                    &bytes[..n - 1]
+                } else {
+                    &bytes[..]
+                };
+                let payload = with_column(&events, c, *tag, bytes);
+                let err = decode_chunk(&payload, 3).expect_err(what);
+                assert!(
+                    matches!(err, StoreError::BadVarint(_) | StoreError::Corrupt(_)),
+                    "column {c}, {what}: {err:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn delta_errors_keep_the_order_of_a_pass_per_step() {
+        let events: Vec<MemEvent> = (0..8).map(|i| ev(i * 10, i, 64, None)).collect();
+        let err = |c: usize, tag: u8, bytes: &[u8]| {
+            decode_chunk(&with_column(&events, c, tag, bytes), 3)
+                .unwrap_err()
+                .to_string()
+        };
+        // a negative timestamp at the first value, a cut varint at the last:
+        // the decode error wins, as when decoding came before integrating
+        let mut time = vec![1u8]; // zigzag -1
+        (0..6).for_each(|_| time.push(0));
+        time.push(0x80);
+        assert!(err(0, TAG_PLAIN, &time).contains("truncated varint"));
+        time[7] = 0;
+        assert!(err(0, TAG_PLAIN, &time).contains("negative timestamp"));
+        // a delta that overflows beats a negative timestamp before it
+        let mut dod = vec![1u8];
+        write_u64(&mut dod, zigzag(i64::MAX));
+        write_u64(&mut dod, zigzag(i64::MAX));
+        (0..5).for_each(|_| dod.push(0));
+        assert!(err(0, TAG_DOD, &dod).contains("timestamp delta overflows"));
+        let mut block = vec![0u8; 7];
+        write_u64(&mut block, zigzag(-1));
+        assert!(err(2, TAG_PLAIN, &block).contains("negative block id"));
     }
 
     #[test]
@@ -790,7 +1112,7 @@ mod tests {
         write_rle(&mut bytes, &values);
         assert_eq!(bytes.len(), column_costs(&values, false).rle);
         let mut out = Vec::new();
-        decode_u64_values(&bytes, (0, bytes.len()), TAG_RLE, values.len(), &mut out).unwrap();
+        decode_values(&bytes, TAG_RLE, values.len(), &mut out).unwrap();
         assert_eq!(out, values.to_vec());
     }
 
@@ -895,12 +1217,12 @@ mod tests {
         write_u64(&mut bytes, 3);
         write_u64(&mut bytes, 7);
         let mut out = Vec::new();
-        assert!(decode_u64_values(&bytes, (0, bytes.len()), TAG_RLE, 2, &mut out).is_err());
+        assert!(decode_values(&bytes, TAG_RLE, 2, &mut out).is_err());
         // zero-length run
         let mut bytes = Vec::new();
         write_u64(&mut bytes, 0);
         write_u64(&mut bytes, 7);
-        assert!(decode_u64_values(&bytes, (0, bytes.len()), TAG_RLE, 2, &mut out).is_err());
+        assert!(decode_values(&bytes, TAG_RLE, 2, &mut out).is_err());
     }
 
     #[test]

@@ -21,17 +21,19 @@
 //!   front and reads chunks positionally through `&self`, so one open
 //!   store serves concurrent callers. It is a [`ChunkSource`], and
 //!   [`scan`] is the one loop over any source: it prunes chunks with a
-//!   [`Predicate`], fans the survivors out over `pinpoint-parallel`
-//!   workers, and folds their results in chunk order (bit-identical
-//!   output at every thread count). [`StoreReader::query`] and the fused
-//!   analysis engine both run on it, and an [`EventSource`] runs an
-//!   in-memory event slice through the same scan.
+//!   [`Predicate`], gives each `pinpoint-parallel` worker a contiguous
+//!   range of the survivors to fold into one accumulator, and merges the
+//!   workers' accumulators in range order (bit-identical output at every
+//!   thread count). [`StoreReader::query`] and the fused analysis engine
+//!   both run on it, and an [`EventSource`] runs an in-memory event slice
+//!   through the same scan.
 //! - **Batch conversion** — [`write_store`] / [`StoreReader::read_trace`]
 //!   bridge to and from the in-memory `Trace` for the existing JSON
 //!   tooling and analyses.
 //!
 //! Format v2 adds integrity end to end: every chunk is framed by a
-//! `PTCK` record header carrying its byte length and CRC-32, and the
+//! `PTCK` record header carrying its byte length and CRC-32 (computed by
+//! carry-less multiplication where the CPU has it, [`crc32`]), and the
 //! footer is covered by its own checksum in the trailer. Writers stream
 //! into a temp file and atomically rename on a successful
 //! [`finish`](pinpoint_trace::TraceSink::finish), with bounded seeded
@@ -88,8 +90,8 @@ pub mod writer;
 
 pub use cancel::CancelToken;
 pub use columns::{
-    chunk_encoding_tags, encode_chunk_v3, ColumnBatch, DecodeScratch, MAX_CHUNK_EVENTS, TAG_DOD,
-    TAG_PACK, TAG_PLAIN, TAG_RLE,
+    chunk_encoding_tags, encode_chunk_v3, meta_kind, ColumnBatch, DecodeScratch, MAX_CHUNK_EVENTS,
+    TAG_DOD, TAG_PACK, TAG_PLAIN, TAG_RLE,
 };
 pub use error::StoreError;
 pub use format::{ChunkMeta, Footer, DEFAULT_CHUNK_EVENTS, MAGIC, VERSION, VERSION_V1, VERSION_V2};

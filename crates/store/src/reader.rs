@@ -879,18 +879,22 @@ impl StoreReader {
     ///
     /// I/O errors; corruption errors under [`ReadPolicy::Strict`].
     pub fn read_trace(&self) -> Result<Trace, StoreError> {
-        let mut trace = Trace::new();
-        for l in &self.footer.labels {
-            trace.intern_label(l);
-        }
-        scan(
+        // one worker, so its trace is the whole one and nothing merges
+        let (mut trace, _) = scan(
             self,
             &Predicate::any(),
             "store.prune",
             1,
-            |_, batch| batch.to_events(),
-            |_, events| events.into_iter().for_each(|e| trace.push(e)),
+            Trace::new,
+            |trace, _, batch| (0..batch.len()).for_each(|k| trace.push(batch.event(k))),
+            |mut a, b| {
+                b.events().iter().for_each(|e| a.push(e.clone()));
+                a
+            },
         )?;
+        for l in &self.footer.labels {
+            trace.intern_label(l);
+        }
         for m in &self.footer.markers {
             let mut m = m.clone();
             if m.event_index > trace.len() {

@@ -6,11 +6,13 @@
 //! shared [`ColumnBatch`]es, and an [`EventSource`] fills the batches
 //! straight from an in-memory event slice. [`scan`] is the single loop
 //! over such a source. It prunes the chunk index against a [`Predicate`],
-//! decodes and maps the surviving chunks on worker threads, folds their
-//! results **in chunk order** on the calling thread, and, under
-//! [`ReadPolicy::Salvage`], skips corrupt chunks with exact accounting.
-//! [`query`] and the fused analysis engine both run on it, so pruning,
-//! ordering and loss accounting exist once.
+//! gives each worker thread a contiguous range of the surviving chunks to
+//! decode and fold into one accumulator, merges the workers' accumulators
+//! **in range order** on the calling thread, and, under
+//! [`ReadPolicy::Salvage`], skips corrupt chunks with exact accounting in
+//! chunk order. [`query`], [`StoreReader::read_trace`](crate::StoreReader::read_trace)
+//! and the fused analysis engine all run on it, so pruning, ordering and
+//! loss accounting exist once.
 
 use crate::columns::{ColumnBatch, DecodeScratch};
 use crate::error::StoreError;
@@ -128,35 +130,58 @@ impl ChunkSource for EventSource<'_> {
     }
 }
 
-/// Runs `map` over every chunk of `source` that the index cannot rule
-/// out for `pred`, and hands each result to `fold` **in chunk order**,
-/// so the outcome is the same at every `threads` count. `prune_span`
-/// names the span around the index pass.
+/// What one worker's range of chunks came to.
+struct RangeFold<A> {
+    acc: A,
+    decoded: usize,
+    skipped: usize,
+    events_lost: u64,
+    first_error: Option<String>,
+    /// The error that stopped the range: never a skipped corruption.
+    failed: Option<StoreError>,
+}
+
+/// Folds every chunk of `source` that the index cannot rule out for
+/// `pred` into one accumulator, and returns it with the scan's
+/// accounting. The result is the same at every `threads` count.
+/// `prune_span` names the span around the index pass.
 ///
-/// Chunks go out in waves of `4 × threads`. Each wave position keeps its
-/// scratch slot from one scan to the next, so a repeated scan hands
-/// every chunk a buffer that already fit it and allocates nothing per
-/// chunk. `map` runs on worker threads; `fold` runs on the calling
-/// thread. Under [`ReadPolicy::Salvage`] a corrupt chunk is skipped and
-/// counted in the returned stats instead of failing the scan.
+/// The surviving chunks are cut into `min(threads, chunks)` contiguous
+/// ranges of nearly equal length, one per worker (the writer cuts
+/// equal-sized chunks, so equal ranges balance the work). A worker keeps
+/// one scratch slot and one accumulator from `new`: it reads and fetches
+/// each chunk of its range into the slot, in chunk order, and folds it in
+/// with `push(&mut acc, chunk, &batch)`. Slot `w` goes to worker `w` from
+/// one scan to the next, so a repeated scan hands every chunk a buffer
+/// that already fit it and allocates nothing per chunk. The calling
+/// thread then merges the workers' accumulators in range order with
+/// `merge(earlier, later)`: `workers - 1` merges, none at one thread.
+/// With no chunk to fold the accumulator is a fresh `new()`.
+///
+/// Under [`ReadPolicy::Salvage`] a corrupt chunk is skipped and counted
+/// in the returned stats, in chunk order, instead of failing the scan.
+/// Any other error stops its worker's range and fails the scan, and the
+/// one returned is that of the earliest failing chunk.
 ///
 /// # Errors
 ///
 /// I/O errors and [`StoreError::Cancelled`] always; corruption errors
 /// under [`ReadPolicy::Strict`].
-pub fn scan<S, T, M, F>(
+pub fn scan<S, A, N, P, M>(
     source: &S,
     pred: &Predicate,
     prune_span: &'static str,
     threads: usize,
-    map: M,
-    mut fold: F,
-) -> Result<QueryStats, StoreError>
+    new: N,
+    push: P,
+    mut merge: M,
+) -> Result<(A, QueryStats), StoreError>
 where
     S: ChunkSource + ?Sized,
-    T: Send,
-    M: Fn(usize, &ColumnBatch) -> T + Sync,
-    F: FnMut(usize, T),
+    A: Send,
+    N: Fn() -> A + Sync,
+    P: Fn(&mut A, usize, &ColumnBatch) + Sync,
+    M: FnMut(A, A) -> A,
 {
     let index = source.chunks();
     let mut stats = QueryStats {
@@ -178,47 +203,73 @@ where
 
     let salvage = source.policy() == ReadPolicy::Salvage;
     let _scan_span = tracer().span_with("store.scan", candidates.len() as u64);
+    let workers = threads.max(1).min(candidates.len());
     let mut pool = source.lend_scratch();
-    let mut outcome = Ok(());
-    'waves: for window in candidates.chunks(threads.max(1) * 4) {
-        if pool.len() < window.len() {
-            pool.resize_with(window.len(), DecodeScratch::default);
-        }
-        let items: Vec<_> = window
-            .iter()
-            .zip(pool.iter_mut())
-            .map(|(&i, slot)| (i, std::mem::take(slot)))
-            .collect();
-        let mapped = pinpoint_parallel::map_ordered(items, threads, |(i, mut scratch)| {
+    if pool.len() < workers {
+        pool.resize_with(workers, DecodeScratch::default);
+    }
+    let n = candidates.len();
+    let items: Vec<_> = (0..workers)
+        .map(|w| &candidates[w * n / workers..(w + 1) * n / workers])
+        .zip(pool.iter_mut().map(std::mem::take))
+        .collect();
+    let folded = pinpoint_parallel::map_ordered(items, threads, |(range, mut scratch)| {
+        let mut out = RangeFold {
+            acc: new(),
+            decoded: 0,
+            skipped: 0,
+            events_lost: 0,
+            first_error: None,
+            failed: None,
+        };
+        for &i in range {
             let res = source.read(i, &mut scratch).and_then(|()| {
                 let _chunk_span = tracer().span_with("store.chunk", i as u64);
                 let batch = source.fetch(i, &mut scratch)?;
                 let _fold_span = tracer().span_with("store.fold", i as u64);
-                Ok(map(i, &batch))
+                push(&mut out.acc, i, &batch);
+                Ok(())
             });
-            (res, scratch)
-        });
-        for ((res, scratch), (slot, &i)) in mapped.into_iter().zip(pool.iter_mut().zip(window)) {
-            *slot = scratch;
             match res {
-                Ok(t) => {
-                    stats.chunks_decoded += 1;
-                    fold(i, t);
-                }
+                Ok(()) => out.decoded += 1,
                 Err(e) if salvage && e.is_corruption() => {
-                    stats.chunks_skipped += 1;
-                    stats.events_lost += index[i].count;
-                    stats.first_error.get_or_insert_with(|| e.to_string());
+                    out.skipped += 1;
+                    out.events_lost += index[i].count;
+                    out.first_error.get_or_insert_with(|| e.to_string());
                 }
                 Err(e) => {
-                    outcome = Err(e);
-                    break 'waves;
+                    out.failed = Some(e);
+                    break;
                 }
             }
         }
+        (out, scratch)
+    });
+
+    let mut acc = None;
+    let mut outcome = Ok(());
+    for ((out, scratch), slot) in folded.into_iter().zip(pool.iter_mut()) {
+        *slot = scratch;
+        if outcome.is_err() {
+            continue;
+        }
+        if let Some(e) = out.failed {
+            outcome = Err(e);
+            continue;
+        }
+        stats.chunks_decoded += out.decoded;
+        stats.chunks_skipped += out.skipped;
+        stats.events_lost += out.events_lost;
+        if stats.first_error.is_none() {
+            stats.first_error = out.first_error;
+        }
+        acc = Some(match acc {
+            None => out.acc,
+            Some(earlier) => merge(earlier, out.acc),
+        });
     }
     source.restore_scratch(pool);
-    outcome.map(|()| stats)
+    outcome.map(|()| (acc.unwrap_or_else(new), stats))
 }
 
 /// Runs a filtered query over `source`: prunes chunks with the index,
@@ -235,19 +286,20 @@ pub fn query<S: ChunkSource + ?Sized>(
     threads: usize,
 ) -> Result<QueryResult, StoreError> {
     let _query_span = tracer().span("store.query");
-    let mut events = Vec::new();
-    let stats = scan(
+    let (events, stats) = scan(
         source,
         pred,
         "store.prune",
         threads,
-        |_, batch| {
-            (0..batch.len())
-                .map(|k| batch.event(k))
-                .filter(|e| pred.matches_event(e))
-                .collect::<Vec<_>>()
+        Vec::new,
+        |events, _, batch| {
+            let all = (0..batch.len()).map(|k| batch.event(k));
+            events.extend(all.filter(|e| pred.matches_event(e)));
         },
-        |_, matched| events.extend(matched),
+        |mut a, mut b| {
+            a.append(&mut b);
+            a
+        },
     )?;
     Ok(QueryResult { events, stats })
 }

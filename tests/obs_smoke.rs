@@ -105,18 +105,35 @@ fn span_structure_is_thread_count_invariant() {
     );
     assert!(!snap_1.is_empty() && !snap_4.is_empty());
 
-    // same spans, same counts — only the wall-clock totals may differ
-    let names = |s: &pinpoint::obs::TraceSnapshot| -> Vec<(&str, u64)> {
+    // same spans, same counts — only the wall-clock totals may differ —
+    // except the merges: one per worker after the first, so none at one
+    // thread and one fewer than the workers, min(4, chunks), at four
+    let chunks = StoreReader::open(&store).unwrap().num_chunks() as u64;
+    let counts = |s: &pinpoint::obs::TraceSnapshot| -> BTreeMap<&str, u64> {
         s.totals_by_name()
             .into_iter()
             .map(|(n, c, _)| (n, c))
             .collect()
     };
+    let (mut counts_1, mut counts_4) = (counts(&snap_1), counts(&snap_4));
     assert_eq!(
-        names(&snap_1),
-        names(&snap_4),
+        counts_1.remove("engine.merge"),
+        None,
+        "one thread merges nothing"
+    );
+    assert_eq!(
+        counts_4.remove("engine.merge"),
+        Some(chunks.min(4) - 1),
+        "four threads merge once per worker after the first"
+    );
+    assert_eq!(
+        counts_1, counts_4,
         "span names/counts must be identical at any thread count"
     );
+    for (name, per_chunk) in [("store.chunk", 1), ("store.decode", 1), ("engine.fold", 1)] {
+        assert_eq!(counts_1.get(name), Some(&(per_chunk * chunks)), "{name}");
+    }
+    assert_eq!(counts_1.get("engine.run"), Some(&1));
 
     // per-chunk subtree structure: at threads=1 the chunk spans nest
     // under the calling thread's scan, at threads=4 they are worker

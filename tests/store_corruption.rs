@@ -169,6 +169,50 @@ fn salvaged_analysis_is_bit_identical_to_the_surviving_chunk_store() {
 }
 
 #[test]
+fn salvage_accounting_is_the_same_at_every_thread_count() {
+    // corrupt the first and the last chunk of the second worker's range at
+    // four threads; at other thread counts they fall elsewhere in ranges
+    let (metas, _) = fixture_chunks();
+    let n = metas.len();
+    let (first, last) = (n / 4, 2 * n / 4 - 1);
+    let mut damaged = fixture_store().clone();
+    for ci in [first, last] {
+        let m = &metas[ci];
+        damaged[(m.offset + m.byte_len / 2) as usize] ^= 0x40;
+    }
+    let r = StoreReader::from_bytes_with_policy(damaged, ReadPolicy::Salvage).unwrap();
+    let criteria = OutlierCriteria::paper_fig4();
+    let want = r.query(&Predicate::any(), 1).unwrap();
+    assert_eq!(
+        want.events,
+        surviving_events(|i, _| i != first && i != last)
+    );
+    assert_eq!(want.stats.chunks_skipped, 2);
+    assert_eq!(
+        want.stats.events_lost,
+        metas[first].count + metas[last].count
+    );
+    let first_error = want.stats.first_error.clone().expect("a chunk was lost");
+    assert!(
+        first_error.contains(&format!("chunk {first}")),
+        "{first_error}"
+    );
+    let report = TraceReport::from_store(&r, criteria, 1).unwrap();
+    assert_eq!(report.stats.chunks_skipped, 2);
+    assert_eq!(report.stats.first_error, Some(first_error));
+    for threads in 1..=6 {
+        let q = r.query(&Predicate::any(), threads).unwrap();
+        assert_eq!(q.stats, want.stats, "threads {threads}");
+        assert_eq!(q.events, want.events, "threads {threads}");
+        let d = TraceReport::from_store(&r, criteria, threads).unwrap();
+        assert_eq!(d.stats, report.stats, "threads {threads}");
+        assert_eq!(d.ati, report.ati, "threads {threads}");
+        assert_eq!(d.gantt, report.gantt, "threads {threads}");
+        assert_eq!(d.peak, report.peak, "threads {threads}");
+    }
+}
+
+#[test]
 fn bit_flip_fuzz_salvages_exactly_the_intact_chunks() {
     let bytes = fixture_store();
     let (metas, _) = fixture_chunks();

@@ -18,6 +18,7 @@
 //!    has grown to the largest chunk, repeating a scan leaves the
 //!    realloc counter untouched.
 
+use pinpoint::analysis::TraceReport;
 use pinpoint::store::{
     chunk_encoding_tags, write_store_chunked, write_store_chunked_v1, write_store_chunked_v2,
     Predicate, StoreReader, TAG_DOD, TAG_RLE,
@@ -275,6 +276,28 @@ fn warm_scans_do_not_grow_the_scratch_pool() {
                 r.decode_reallocs(),
                 warmed,
                 "threads {threads} pass {pass}: warm scan allocated"
+            );
+        }
+    }
+}
+
+#[test]
+fn warm_report_scans_do_not_grow_the_scratch_pool() {
+    // a report folds each worker's range into one accumulator through one
+    // scratch slot; slot w serves worker w's range on every scan
+    let t = random_trace(11, 6 * CHUNK_EVENTS);
+    let r = StoreReader::from_bytes(store_bytes(&t, 3)).unwrap();
+    let criteria = pinpoint::analysis::OutlierCriteria::paper_fig4();
+    for threads in [1, 4] {
+        let cold = TraceReport::from_store(&r, criteria, threads).unwrap();
+        let warmed = r.decode_reallocs();
+        for pass in 0..2 {
+            let warm = TraceReport::from_store(&r, criteria, threads).unwrap();
+            assert_eq!(warm.ati, cold.ati);
+            assert_eq!(
+                r.decode_reallocs(),
+                warmed,
+                "threads {threads} pass {pass}: warm report scan allocated"
             );
         }
     }
