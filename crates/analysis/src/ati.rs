@@ -6,7 +6,8 @@
 //! size to find the swappable outliers.
 
 use crate::cdf::nearest_rank_index;
-use crate::engine::{run_trace, AtiFold};
+use crate::engine::run_trace;
+use crate::report::ReportFold;
 use pinpoint_trace::{BlockId, EventKind, MemoryKind, Trace};
 use std::sync::OnceLock;
 
@@ -57,9 +58,11 @@ impl PartialEq for AtiDataset {
 }
 
 impl AtiDataset {
-    /// Extracts every ATI from a trace by running [`AtiFold`] over it.
+    /// Extracts every ATI from a trace: the ATIs of a report's fold over
+    /// it.
     pub fn from_trace(trace: &Trace) -> Self {
-        run_trace(&AtiFold, trace, 1).0
+        let ((ati, ..), _) = run_trace(&ReportFold, trace, 1);
+        ati
     }
 
     /// Builds a dataset around pre-extracted records, selecting the

@@ -1,29 +1,29 @@
 //! One-decode analysis engine.
 //!
 //! The paper derives all of its characterization results (Figs. 2–7) from
-//! *one* trace. Each pass is an [`EventFold`] (`push_batch` per chunk,
-//! associative `merge`, final `finish`), and [`run`] folds one over a
-//! **single scan**: it prunes chunks with the fold's predicate, decodes
+//! *one* trace. Each pass is an [`EventFold`] (`push_batch` per decoded
+//! chunk, associative `merge`, final `finish`), and [`run`] folds one over
+//! a **single scan**: it prunes chunks with the fold's predicate, decodes
 //! each surviving chunk exactly once, gives each `pinpoint-parallel`
 //! worker a contiguous range of chunks to fold into one accumulator, and
 //! merges the workers' partial states **in range order** — so results are
 //! bit-identical at any thread count, the repo's established determinism
 //! invariant, and a one-thread run merges nothing.
 //!
-//! The paper's passes ship as three ready-made folds — [`AtiFold`],
-//! [`PeakFold`] and [`GanttFold`] — and the public `from_trace` passes
-//! ([`AtiDataset::from_trace`], [`crate::gantt_rects`]) are wrappers over
-//! them. The ATI and Gantt folds share one accumulator, [`BlockAcc`]: a
-//! table of per-block state found through a slot index (no hashing while
-//! ids come in sequence, as allocators mint them), plus each chunk's
-//! accesses as one run in event order. Accesses are folded straight from
-//! the decoded columns. A merge touches only the later worker's blocks,
-//! and the records and rectangles finish in order without a full sort.
-//! A [`TraceReport`](crate::TraceReport) runs all three passes as one
-//! fold over one block table and the peak's accumulator, so a report
-//! decodes each chunk once and looks each event's block up once, and
-//! builds an event only for a malloc, a free or a block's first event.
-//! The breakdown row and the outliers need no fold of their own:
+//! Two folds ship with the crate. [`PeakFold`] sweeps the live total, and
+//! its predicate lets the index prune chunks of pure accesses. A
+//! [`TraceReport`](crate::TraceReport)'s fold is the only fold over the
+//! block table: a block's lifetime is a Fig. 2 rectangle and the gaps
+//! between its accesses are the Figs. 3–4 ATIs, so the ATI and Gantt
+//! passes ([`AtiDataset::from_trace`], [`crate::gantt_rects`]) are that
+//! fold's results too. Its accumulator keeps per-block state found through
+//! a slot index (no hashing while ids come in sequence, as allocators mint
+//! them), plus each chunk's accesses as one run in event order, beside the
+//! peak's accumulator. Accesses are folded straight from the decoded
+//! columns, and an event is built only for a malloc, a free or a block's
+//! first event. A merge touches only the later worker's blocks, and the
+//! records and rectangles finish in order without a full sort. The
+//! breakdown row and the outliers need no fold of their own:
 //! [`BreakdownRow::from_peak`](crate::BreakdownRow::from_peak) and
 //! [`sift`](crate::sift) derive them from the peak and the ATIs.
 //!
@@ -50,13 +50,14 @@ use std::collections::HashMap;
 ///
 /// # Contract
 ///
-/// * `merge` must be **associative** with `push` order preserved: merging
-///   one worker's accumulator (earlier events) with the next worker's
-///   (later events) must equal pushing both ranges' events into one
+/// * `merge` must be **associative** with chunk order preserved: merging
+///   one worker's accumulator (earlier chunks) with the next worker's
+///   (later chunks) must equal folding both ranges' chunks into one
 ///   accumulator. The engine always passes the earlier accumulator as `a`.
 /// * [`predicate`](Self::predicate) must be **sound**: an event that does
 ///   not match the predicate must not affect the result. The engine uses
-///   it both to prune whole chunks and to skip single events.
+///   it to prune whole chunks, so `push_batch` may meet events outside it
+///   in the chunks that survive, and must ignore them itself.
 pub trait EventFold: Send + Sync {
     /// Per-worker partial state.
     type Acc: Send;
@@ -67,31 +68,13 @@ pub trait EventFold: Send + Sync {
     fn predicate(&self) -> Predicate;
     /// Creates an empty accumulator for one worker.
     fn new_acc(&self) -> Self::Acc;
-    /// Folds one event into an accumulator.
-    fn push(&self, acc: &mut Self::Acc, e: &MemEvent);
-    /// Combines two accumulators; `a` covers strictly earlier events.
+    /// Folds one decoded chunk, straight off its columns, into the
+    /// accumulator that holds the chunks before it in the worker's range.
+    fn push_batch(&self, acc: &mut Self::Acc, batch: &ColumnBatch);
+    /// Combines two accumulators; `a` covers strictly earlier chunks.
     fn merge(&self, a: Self::Acc, b: Self::Acc) -> Self::Acc;
     /// Converts the fully merged accumulator into the pass result.
     fn finish(&self, acc: Self::Acc) -> Self::Output;
-
-    /// Folds one decoded chunk, column-batch style, into the accumulator
-    /// that holds the chunks before it in the worker's range. `pred` is
-    /// always this fold's own [`predicate`](Self::predicate); the engine
-    /// passes it so overrides don't have to recompute it per chunk.
-    ///
-    /// The default materializes each event and filters with `pred`.
-    /// Folds whose predicate can be tested straight off a column override
-    /// this to skip events without ever building a [`MemEvent`] (see
-    /// [`PeakFold`], which rules out accesses with one byte test per
-    /// event). Overrides must stay bit-identical to the default.
-    fn push_batch(&self, acc: &mut Self::Acc, batch: &ColumnBatch, pred: &Predicate) {
-        for i in 0..batch.len() {
-            let e = batch.event(i);
-            if pred.matches_event(&e) {
-                self.push(acc, &e);
-            }
-        }
-    }
 }
 
 /// Scan accounting for one fold run — how much pruning and decoding the
@@ -174,7 +157,7 @@ pub fn run<F: EventFold, S: ChunkSource + ?Sized>(
         || (fold.new_acc(), 0u64),
         |(acc, events), _, batch| {
             let _fold_span = pinpoint_obs::tracer().span_with("engine.fold", batch.len() as u64);
-            fold.push_batch(acc, batch, &pred);
+            fold.push_batch(acc, batch);
             *events += batch.len() as u64;
         },
         |(a, a_events), (b, b_events)| {
@@ -289,8 +272,8 @@ impl BlockIndex {
     }
 }
 
-/// Everything the ATI and Gantt passes keep about one block, mirroring
-/// one `Trace::lifetimes()` entry without its access list.
+/// Everything the block table keeps about one block, mirroring one
+/// `Trace::lifetimes()` entry without its access list.
 #[derive(Debug, Clone, Copy)]
 struct BlockState {
     block: BlockId,
@@ -348,10 +331,9 @@ struct Interval {
     closed: bool,
 }
 
-/// The accumulator of [`AtiFold`] and [`GanttFold`], and of a report:
-/// one table of per-block state, in first-touch order, and the accesses
-/// as one run per chunk, in event order. A scan worker folds its whole
-/// range of chunks into one.
+/// The block table a report folds: one table of per-block state, in
+/// first-touch order, and the accesses as one run per chunk, in event
+/// order. A scan worker folds its whole range of chunks into one.
 ///
 /// * A block's entry is found through a paged slot index (ids are minted
 ///   in sequence); an id past the index's bound, which is a small multiple
@@ -364,16 +346,15 @@ struct Interval {
 ///   runs, so the running list is never copied.
 /// * The runs are in event order, which in a time-ordered trace is
 ///   `(end_time_ns, block)` order up to accesses of one instant, so
-///   [`AtiFold::finish`] sorts only within each instant. Blocks first
+///   [`BlockAcc::ati`] sorts only within each instant. Blocks first
 ///   touched by their malloc, as in a profile, are in start order too, so
-///   [`GanttFold::finish`] likewise sorts only blocks malloc'd at one
+///   [`BlockAcc::gantt`] likewise sorts only blocks malloc'd at one
 ///   instant.
 #[derive(Debug)]
-pub struct BlockAcc {
+pub(crate) struct BlockAcc {
     blocks: Vec<BlockState>,
     index: BlockIndex,
-    /// One run per chunk, each sized for its accesses; the last one takes
-    /// pushed accesses.
+    /// One run per chunk, each sized for its accesses.
     runs: Vec<Vec<Interval>>,
     /// Closed intervals across the runs.
     intervals: usize,
@@ -415,16 +396,6 @@ impl BlockAcc {
         match self.index.get(block) {
             Some(slot) => slot,
             None => self.insert(BlockState::new(&first())),
-        }
-    }
-
-    pub(crate) fn push(&mut self, e: &MemEvent) {
-        self.end_time_ns = Some(e.time_ns);
-        match e.kind {
-            EventKind::Malloc | EventKind::Free => self.alloc(e),
-            EventKind::Read | EventKind::Write => {
-                self.access(e.block, e.time_ns, e.kind, || e.clone());
-            }
         }
     }
 
@@ -576,9 +547,8 @@ impl BlockAcc {
         AtiDataset::from_records(records)
     }
 
-    /// One rectangle per block whose lifetime intersects
-    /// `[t_start, t_end]`.
-    pub(crate) fn gantt(&self, t_start: u64, t_end: u64) -> Vec<GanttRect> {
+    /// One rectangle per block, in `(t0_ns, offset, block)` order.
+    pub(crate) fn gantt(&self) -> Vec<GanttRect> {
         let end = self.end_time_ns.unwrap_or(0);
         let mut rects: Vec<GanttRect> = self
             .blocks
@@ -591,7 +561,6 @@ impl BlockAcc {
                 size: st.size,
                 mem_kind: st.mem_kind,
             })
-            .filter(|r| r.t1_ns >= t_start && r.t0_ns <= t_end)
             .collect();
         // blocks are in first-touch order, which is malloc order unless a
         // block is malloc'd again or first seen by another event; the
@@ -617,41 +586,6 @@ fn sort_by_time_then<T, K: Ord>(items: &mut [T], time: impl Fn(&T) -> u64, tie: 
     }
 }
 
-/// Access-time-interval extraction as a fold; [`AtiDataset::from_trace`]
-/// runs it over an in-memory trace.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AtiFold;
-
-impl EventFold for AtiFold {
-    type Acc = BlockAcc;
-    type Output = AtiDataset;
-
-    /// Everything: accesses close intervals, mallocs set size/kind, and
-    /// even a leading free initializes the block's fallback metadata
-    /// (mirroring `Trace::lifetimes()`).
-    fn predicate(&self) -> Predicate {
-        Predicate::any()
-    }
-    fn new_acc(&self) -> BlockAcc {
-        BlockAcc::default()
-    }
-    fn push(&self, acc: &mut BlockAcc, e: &MemEvent) {
-        acc.push(e);
-    }
-    fn merge(&self, a: BlockAcc, b: BlockAcc) -> BlockAcc {
-        a.merge(b)
-    }
-    /// Completes the closed intervals with each block's final size/kind,
-    /// ordered by closing time, then block.
-    fn finish(&self, acc: BlockAcc) -> AtiDataset {
-        acc.ati()
-    }
-    /// Every event matches, so none is tested.
-    fn push_batch(&self, acc: &mut BlockAcc, batch: &ColumnBatch, _: &Predicate) {
-        acc.push_batch(batch, |_| {});
-    }
-}
-
 /// Peak-footprint extraction as a fold, over the same [`PeakAcc`] that
 /// `Trace::peak_live_bytes()` sweeps a whole trace with.
 #[derive(Debug, Clone, Copy, Default)]
@@ -671,67 +605,21 @@ impl EventFold for PeakFold {
     fn new_acc(&self) -> PeakAcc {
         PeakAcc::default()
     }
-    fn push(&self, acc: &mut PeakAcc, e: &MemEvent) {
-        acc.push(e);
+    /// The meta column's 2-bit kind code rules out accesses with one byte
+    /// test, so in access-heavy traces — the paper's regime — the vast
+    /// majority of events are skipped without ever being materialized.
+    fn push_batch(&self, acc: &mut PeakAcc, batch: &ColumnBatch) {
+        for (i, &m) in batch.meta().iter().enumerate() {
+            if !is_access(m) {
+                acc.push(&batch.event(i));
+            }
+        }
     }
     fn merge(&self, a: PeakAcc, b: PeakAcc) -> PeakAcc {
         a.merge(b)
     }
     fn finish(&self, acc: PeakAcc) -> PeakUsage {
         acc.finish()
-    }
-    /// The meta column's 2-bit kind code rules out accesses with one byte
-    /// test, so in access-heavy traces — the paper's regime — the vast
-    /// majority of events are skipped without ever being materialized.
-    fn push_batch(&self, acc: &mut PeakAcc, batch: &ColumnBatch, pred: &Predicate) {
-        for (i, &m) in batch.meta().iter().enumerate() {
-            if is_access(m) {
-                continue;
-            }
-            let e = batch.event(i);
-            if pred.matches_event(&e) {
-                acc.push(&e);
-            }
-        }
-    }
-}
-
-/// Gantt-rectangle extraction as a fold, restricted to lifetimes
-/// intersecting `[t_start, t_end]`; [`crate::gantt_rects`] runs it over an
-/// in-memory trace.
-#[derive(Debug, Clone, Copy)]
-pub struct GanttFold {
-    /// Window start (inclusive).
-    pub t_start: u64,
-    /// Window end (inclusive).
-    pub t_end: u64,
-}
-
-impl EventFold for GanttFold {
-    type Acc = BlockAcc;
-    type Output = Vec<GanttRect>;
-
-    /// Everything: never-freed blocks extend to the trace's last event of
-    /// *any* kind, and a block's fallback geometry comes from its first
-    /// event of any kind — so even chunks outside the window matter.
-    fn predicate(&self) -> Predicate {
-        Predicate::any()
-    }
-    fn new_acc(&self) -> BlockAcc {
-        BlockAcc::default()
-    }
-    fn push(&self, acc: &mut BlockAcc, e: &MemEvent) {
-        acc.push(e);
-    }
-    fn merge(&self, a: BlockAcc, b: BlockAcc) -> BlockAcc {
-        a.merge(b)
-    }
-    fn finish(&self, acc: BlockAcc) -> Vec<GanttRect> {
-        acc.gantt(self.t_start, self.t_end)
-    }
-    /// Every event matches, so none is tested.
-    fn push_batch(&self, acc: &mut BlockAcc, batch: &ColumnBatch, _: &Predicate) {
-        acc.push_batch(batch, |_| {});
     }
 }
 
@@ -740,8 +628,20 @@ mod tests {
     use super::*;
     use crate::gantt_rects;
     use crate::report::ReportFold;
-    use pinpoint_store::{Batch, ReadPolicy, DEFAULT_CHUNK_EVENTS};
+    use pinpoint_store::{Batch, DecodeScratch, ReadPolicy, DEFAULT_CHUNK_EVENTS};
     use pinpoint_trace::Category;
+
+    /// Folds `events` into one block table, chunk by chunk, as a scan
+    /// worker folds its range.
+    fn fold(events: &[MemEvent]) -> BlockAcc {
+        let source = EventSource::new(events);
+        let mut scratch = DecodeScratch::new();
+        let mut acc = BlockAcc::default();
+        for i in 0..source.chunks().len() {
+            acc.push_batch(&source.fetch(i, &mut scratch).unwrap(), |_| {});
+        }
+        acc
+    }
 
     fn mixed_trace() -> Trace {
         let mut t = Trace::new();
@@ -926,13 +826,8 @@ mod tests {
     #[test]
     fn block_merge_is_associative_at_every_split() {
         let t = mixed_trace();
-        let fold = |events: &[MemEvent]| {
-            let mut acc = BlockAcc::default();
-            events.iter().for_each(|e| acc.push(e));
-            acc
-        };
         let whole = fold(t.events());
-        let (ati, gantt) = (whole.ati(), whole.gantt(0, u64::MAX));
+        let (ati, gantt) = (whole.ati(), whole.gantt());
         let n = t.len();
         for i in 0..=n {
             for j in i..=n {
@@ -941,7 +836,7 @@ mod tests {
                 let right = fold(a).merge(fold(b).merge(fold(c)));
                 for (side, acc) in [("left", left), ("right", right)] {
                     assert_eq!(acc.ati(), ati, "{side}, splits at {i} and {j}");
-                    assert_eq!(acc.gantt(0, u64::MAX), gantt, "{side}, {i}, {j}");
+                    assert_eq!(acc.gantt(), gantt, "{side}, {i}, {j}");
                 }
             }
         }
@@ -988,18 +883,13 @@ mod tests {
         let events = long_trace_chunk();
         let (lo, hi) = (events[0].block.0, events.last().unwrap().block.0);
         assert!(hi - lo > 15_000, "the chunk spans ids {lo}..={hi}");
-        let fold = |events: &[MemEvent]| {
-            let mut acc = BlockAcc::default();
-            events.iter().for_each(|e| acc.push(e));
-            acc
-        };
         let acc = fold(&events);
         assert!(on_slots(&acc), "{} blocks went hashed", acc.blocks.len());
         // merged with the next chunk of the same shape, it stays there too
         let merged = fold(&events[..100]).merge(fold(&events[100..]));
         assert!(on_slots(&merged));
         assert_eq!(merged.ati(), acc.ati());
-        assert_eq!(merged.gantt(0, u64::MAX), acc.gantt(0, u64::MAX));
+        assert_eq!(merged.gantt(), acc.gantt());
 
         // an id past the bound moves the accumulator to the hash map
         // mid-chunk, with the same results
@@ -1010,7 +900,7 @@ mod tests {
         let acc = fold(&far);
         assert!(!on_slots(&acc));
         assert_eq!(acc.ati(), AtiDataset::from_trace(&t));
-        assert_eq!(acc.gantt(0, u64::MAX), gantt_rects(&t, 0, u64::MAX));
+        assert_eq!(acc.gantt(), gantt_rects(&t, 0, u64::MAX));
     }
 
     /// A training profile long enough that its fresh ids drift far past
@@ -1075,18 +965,15 @@ mod tests {
         fn new_acc(&self) -> Self::Acc {
             (BlockAcc::default(), true)
         }
-        fn push(&self, (acc, _): &mut Self::Acc, e: &MemEvent) {
-            acc.push(e);
+        fn push_batch(&self, (acc, slots): &mut Self::Acc, batch: &ColumnBatch) {
+            acc.push_batch(batch, |_| {});
+            *slots &= on_slots(acc);
         }
         fn merge(&self, (a, a_slots): Self::Acc, (b, b_slots): Self::Acc) -> Self::Acc {
             (a.merge(b), a_slots && b_slots)
         }
         fn finish(&self, (acc, slots): Self::Acc) -> Self::Output {
-            (slots, on_slots(&acc), acc.ati(), acc.gantt(0, u64::MAX))
-        }
-        fn push_batch(&self, (acc, slots): &mut Self::Acc, batch: &ColumnBatch, _: &Predicate) {
-            acc.push_batch(batch, |_| {});
-            *slots &= on_slots(acc);
+            (slots, on_slots(&acc), acc.ati(), acc.gantt())
         }
     }
 
@@ -1096,8 +983,7 @@ mod tests {
         let t = drifting_ids_trace(150, CHUNK, 20_000);
         // folded alone, as when each chunk had an accumulator of its own,
         // a late chunk's ids lie past the slot index's bound
-        let mut alone = BlockAcc::default();
-        t.events()[149 * CHUNK..].iter().for_each(|e| alone.push(e));
+        let alone = fold(&t.events()[149 * CHUNK..]);
         assert!(
             !on_slots(&alone),
             "the last chunk alone must leave the index"

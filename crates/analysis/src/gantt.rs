@@ -4,7 +4,8 @@
 //! y-extent from device offset to offset+size. Blank vertical space between
 //! live rectangles is device memory fragmentation.
 
-use crate::engine::{run_trace, GanttFold};
+use crate::engine::run_trace;
+use crate::report::ReportFold;
 use pinpoint_trace::{BlockId, MemoryKind, Trace};
 
 /// One rectangle of the Gantt chart.
@@ -24,11 +25,21 @@ pub struct GanttRect {
     pub mem_kind: MemoryKind,
 }
 
+impl GanttRect {
+    /// Whether the lifetime intersects `[t_start, t_end]`.
+    pub fn intersects(&self, t_start: u64, t_end: u64) -> bool {
+        self.t1_ns >= t_start && self.t0_ns <= t_end
+    }
+}
+
 /// Extracts the Gantt rectangles of all blocks whose lifetime intersects
-/// `[t_start, t_end]`, sorted by start time, then offset, then block, by
-/// running [`GanttFold`] over the trace.
+/// `[t_start, t_end]`, sorted by start time, then offset, then block: the
+/// rectangles of a report's fold over the trace, in the window.
 pub fn gantt_rects(trace: &Trace, t_start: u64, t_end: u64) -> Vec<GanttRect> {
-    run_trace(&GanttFold { t_start, t_end }, trace, 1).0
+    let ((.., mut rects), _) = run_trace(&ReportFold, trace, 1);
+    // the sort key is unique, so the window keeps the order
+    rects.retain(|r| r.intersects(t_start, t_end));
+    rects
 }
 
 /// Fragmentation of the device address space at instant `t`: the live

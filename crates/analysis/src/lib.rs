@@ -22,20 +22,20 @@
 //!   scheduling of a swap plan (Equation 1 is per-gap; the link is not).
 //!
 //! Every pass above works on an in-memory [`Trace`](pinpoint_trace::Trace).
-//! The ATI, peak and Gantt passes are [`EventFold`]s ([`AtiFold`],
-//! [`PeakFold`], [`GanttFold`]), and their `from_trace` entry points
-//! ([`AtiDataset::from_trace`], [`gantt_rects`], and
-//! `Trace::peak_live_bytes` through the shared [`PeakAcc`]) are thin
-//! wrappers over them, so each pass has one implementation. The breakdown
-//! and outliers derive from the peak ([`BreakdownRow::from_peak`]) and the
-//! ATIs ([`sift`]). The engine is one statically typed loop: [`run`]
-//! folds one fold over a single decode of an on-disk `.ptrc` store (or
-//! any other [`ChunkSource`](pinpoint_store::ChunkSource)), one chunk at a
-//! time, pruning chunks with the fold's predicate and merging per-chunk
-//! partial states deterministically; [`run_trace`] runs the same scan over
-//! an in-memory trace cut into the same chunks. [`TraceReport`] runs the
-//! three folds as one, so a report pays for one scan total instead of one
-//! scan per pass.
+//! The ATI, peak and Gantt passes are folds, each with one
+//! implementation. The report's fold is the only fold over the per-block
+//! table: [`TraceReport`] runs it over a `.ptrc` store or an in-memory
+//! trace, and [`AtiDataset::from_trace`] and [`gantt_rects`] keep its ATI
+//! and Gantt results. [`PeakFold`] is the peak sweep on its own, over the
+//! same [`PeakAcc`] as `Trace::peak_live_bytes`, and the one fold whose
+//! predicate prunes chunks. The breakdown and outliers derive from the
+//! peak ([`BreakdownRow::from_peak`]) and the ATIs ([`sift`]). The engine
+//! is one statically typed loop: [`run`] folds an [`EventFold`] over a
+//! single decode of an on-disk `.ptrc` store (or any other
+//! [`ChunkSource`](pinpoint_store::ChunkSource)), one decoded chunk at a
+//! time, pruning chunks with the fold's predicate and merging the
+//! workers' partial states deterministically; [`run_trace`] runs the same
+//! scan over an in-memory trace cut into the same chunks.
 //!
 //! # Examples
 //!
@@ -77,7 +77,7 @@ pub use breakdown::{occupancy_timeline, BreakdownRow, OccupancyPoint};
 pub use cdf::EmpiricalCdf;
 pub use contention::{check_contention, thin_to_feasible, ContentionReport, ScheduledSwap};
 pub use diff::{diff_traces, Delta, TraceDiff};
-pub use engine::{run, run_trace, AtiFold, BlockAcc, EventFold, FusedStats, GanttFold, PeakFold};
+pub use engine::{run, run_trace, EventFold, FusedStats, PeakFold};
 pub use gantt::{
     fragmentation_at, gantt_rects, worst_fragmentation, FragmentationSnapshot, GanttRect,
 };
@@ -87,8 +87,6 @@ pub use op_stats::{op_stats, OpMemoryStats};
 pub use outlier::{sift, OutlierCriteria, OutlierReport};
 pub use pinpoint_trace::PeakAcc;
 pub use planner::{apply, plan, SwapDecision, SwapPlan};
-pub use report::{
-    query_json, query_json_into, report_json, report_json_into, RenderScratch, TraceReport,
-};
+pub use report::{query_json, query_json_into, report_json, report_json_into, TraceReport};
 pub use svg::{gantt_svg, SvgConfig};
 pub use swap::{assess, SwapFeasibilityReport, SwapVerdict};

@@ -2,18 +2,20 @@
 //! **one** decode of a trace via the fold engine, plus the canonical
 //! JSON renderings shared by the CLI and the `pinpoint-serve` daemon.
 //!
-//! A report is one fold, whose accumulator holds one block table
-//! ([`BlockAcc`]) for the ATI and Gantt passes and the peak sweep's
-//! accumulator: each chunk is decoded once, each event's block is looked
-//! up once, an access is folded straight from the decoded columns and only
-//! a malloc, a free or a block's first event is built as an event, and the
-//! other two results are derived from theirs — the breakdown row from the
-//! peak, the outliers by sifting the ATIs. A scan worker folds its whole
-//! range of chunks into one accumulator, so a one-thread report merges
-//! nothing. [`TraceReport::from_trace`] and [`TraceReport::from_store`]
-//! run the same scan, over an in-memory trace's chunks or a store's, so a
-//! report of a trace equals the report of its default-chunked store, scan
-//! accounting included.
+//! A report is one fold, the only fold over the block table: its
+//! accumulator holds one block table for the ATI and Gantt passes and the
+//! peak sweep's accumulator. Each chunk is decoded once, each event's
+//! block is looked up once, an access is folded straight from the decoded
+//! columns and only a malloc, a free or a block's first event is built as
+//! an event, and the other two results are derived from theirs — the
+//! breakdown row from the peak, the outliers by sifting the ATIs. A scan
+//! worker folds its whole range of chunks into one accumulator, so a
+//! one-thread report merges nothing. [`TraceReport::from_trace`] and
+//! [`TraceReport::from_store`] run the same scan, over an in-memory
+//! trace's chunks or a store's, so a report of a trace equals the report
+//! of its default-chunked store, scan accounting included; the in-memory
+//! ATI and Gantt passes ([`AtiDataset::from_trace`],
+//! [`gantt_rects`](crate::gantt_rects)) run the same fold.
 //!
 //! The JSON here is the *wire contract* between the offline tool and the
 //! server: both call the same [`report_json`] / [`query_json`] builders,
@@ -31,7 +33,7 @@ use crate::gantt::GanttRect;
 use crate::outlier::{sift, OutlierCriteria, OutlierReport};
 use pinpoint_store::{ChunkSource, ColumnBatch, Predicate, QueryResult, StoreError};
 use pinpoint_trace::export::{kind_name, mem_kind_name, write_event_json};
-use pinpoint_trace::{json, MemEvent, PeakAcc, PeakUsage, Trace};
+use pinpoint_trace::{json, PeakAcc, PeakUsage, Trace};
 use std::fmt::Write as _;
 
 /// Every analysis pass of the paper — ATI, peak, breakdown, Gantt,
@@ -55,10 +57,11 @@ pub struct TraceReport {
     pub stats: FusedStats,
 }
 
-/// The fold behind [`TraceReport`]: the ATI and Gantt passes over one
-/// [`BlockAcc`], and the peak sweep. Its predicate matches every event,
-/// since the ATI and Gantt passes need them all; [`PeakAcc::push`]
-/// ignores accesses itself.
+/// The fold behind [`TraceReport`], [`AtiDataset::from_trace`] and
+/// [`gantt_rects`](crate::gantt_rects), and the only fold over a
+/// [`BlockAcc`]: the ATI and Gantt passes over that one block table, and
+/// the peak sweep. Its predicate matches every event, since the ATI and
+/// Gantt passes need them all.
 #[derive(Debug)]
 pub(crate) struct ReportFold;
 
@@ -80,9 +83,11 @@ impl EventFold for ReportFold {
     fn new_acc(&self) -> ReportAcc {
         ReportAcc::default()
     }
-    fn push(&self, acc: &mut ReportAcc, e: &MemEvent) {
-        acc.blocks.push(e);
-        acc.peak.push(e);
+    /// Accesses are folded straight from the columns into the block
+    /// table; each malloc and free is built once and goes to both parts.
+    fn push_batch(&self, acc: &mut ReportAcc, batch: &ColumnBatch) {
+        let ReportAcc { blocks, peak } = acc;
+        blocks.push_batch(batch, |e| peak.push(e));
     }
     fn merge(&self, a: ReportAcc, b: ReportAcc) -> ReportAcc {
         ReportAcc {
@@ -93,18 +98,7 @@ impl EventFold for ReportFold {
     /// The ATI records and the whole trace's Gantt rectangles both come
     /// from the one block table.
     fn finish(&self, acc: ReportAcc) -> Self::Output {
-        (
-            acc.blocks.ati(),
-            acc.peak.finish(),
-            acc.blocks.gantt(0, u64::MAX),
-        )
-    }
-    /// Every event matches, so none is tested. Accesses are folded
-    /// straight from the columns into the block table; each malloc and
-    /// free is built once and goes to both parts.
-    fn push_batch(&self, acc: &mut ReportAcc, batch: &ColumnBatch, _: &Predicate) {
-        let ReportAcc { blocks, peak } = acc;
-        blocks.push_batch(batch, |e| peak.push(e));
+        (acc.blocks.ati(), acc.peak.finish(), acc.blocks.gantt())
     }
 }
 
@@ -175,47 +169,6 @@ fn write_fused_stats(s: &mut String, st: &FusedStats) {
     s.push('}');
 }
 
-/// Reusable scratch for the JSON renderers, mirroring the store's
-/// `DecodeScratch` pattern: one long-lived buffer per worker, cleared and
-/// refilled on every render, so a steady-state render allocates nothing
-/// once the buffer has grown to the working-set size.
-///
-/// [`RenderScratch::report`] and [`RenderScratch::query`] produce exactly
-/// the bytes of [`report_json`] / [`query_json`] — the scratch only
-/// changes where the `String` lives, never a byte of the wire contract.
-#[derive(Debug, Default)]
-pub struct RenderScratch {
-    buf: String,
-}
-
-impl RenderScratch {
-    /// An empty scratch; the buffer grows on first use and is kept.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Renders a report into the reused buffer; same bytes as
-    /// [`report_json`].
-    pub fn report(&mut self, d: &TraceReport, max_rects: usize) -> &str {
-        self.buf.clear();
-        report_json_into(d, max_rects, &mut self.buf);
-        &self.buf
-    }
-
-    /// Renders a query result into the reused buffer; same bytes as
-    /// [`query_json`].
-    pub fn query(&mut self, q: &QueryResult, limit: usize) -> &str {
-        self.buf.clear();
-        query_json_into(q, limit, &mut self.buf);
-        &self.buf
-    }
-
-    /// Current buffer capacity, for allocation-hygiene assertions.
-    pub fn capacity(&self) -> usize {
-        self.buf.capacity()
-    }
-}
-
 /// Renders a [`TraceReport`] as deterministic JSON — the body of the
 /// CLI's `report --json` and of the daemon's `POST /stores/{name}/report`
 /// response. Integers and strings only; Gantt rectangles are truncated to
@@ -227,8 +180,9 @@ pub fn report_json(d: &TraceReport, max_rects: usize) -> String {
     s
 }
 
-/// Appends [`report_json`]'s bytes to `s` — the scratch-reuse entry point
-/// behind [`RenderScratch`].
+/// Appends [`report_json`]'s bytes to `s`. A caller that keeps one
+/// `String`, clears it and renders into it again allocates nothing once
+/// the buffer has grown to the working-set size.
 pub fn report_json_into(d: &TraceReport, max_rects: usize, s: &mut String) {
     s.push_str("{\"stats\":");
     write_fused_stats(s, &d.stats);
@@ -313,8 +267,8 @@ pub fn query_json(q: &QueryResult, limit: usize) -> String {
     s
 }
 
-/// Appends [`query_json`]'s bytes to `s` — the scratch-reuse entry point
-/// behind [`RenderScratch`].
+/// Appends [`query_json`]'s bytes to `s`, as [`report_json_into`] does
+/// for a report.
 pub fn query_json_into(q: &QueryResult, limit: usize, s: &mut String) {
     let n = q.events.len().min(limit);
     let st = &q.stats;
@@ -438,25 +392,38 @@ mod tests {
         assert!(a.starts_with("{\"stats\":{\"chunks_total\":"));
     }
 
+    /// Clears `buf` and renders the report into it, as the daemon's
+    /// workers do with the `String` each keeps.
+    fn render_report<'a>(buf: &'a mut String, d: &TraceReport, max_rects: usize) -> &'a str {
+        buf.clear();
+        report_json_into(d, max_rects, buf);
+        buf
+    }
+
     #[test]
-    fn render_scratch_matches_allocating_renderers_and_reuses_its_buffer() {
+    fn a_kept_string_renders_the_allocating_renderers_bytes_and_is_reused() {
         let t = sample_trace();
         let d = TraceReport::from_trace(&t, criteria(), 1);
         let mut bytes = Vec::new();
         write_store_chunked(&t, &mut bytes, 16).unwrap();
         let r = StoreReader::from_bytes(bytes).unwrap();
         let q = r.query(&Predicate::any(), 1).unwrap();
-        let mut scratch = RenderScratch::new();
-        assert_eq!(scratch.report(&d, 5), report_json(&d, 5));
-        assert_eq!(scratch.query(&q, 7), query_json(&q, 7));
+        let render_query = |buf: &mut String| {
+            buf.clear();
+            query_json_into(&q, 7, buf);
+        };
+        let mut buf = String::new();
+        assert_eq!(render_report(&mut buf, &d, 5), report_json(&d, 5));
+        render_query(&mut buf);
+        assert_eq!(buf, query_json(&q, 7));
         // steady state: re-rendering the same shapes must not regrow
-        let cap = scratch.capacity();
+        let cap = buf.capacity();
         for _ in 0..4 {
-            scratch.report(&d, 5);
-            scratch.query(&q, 7);
+            render_report(&mut buf, &d, 5);
+            render_query(&mut buf);
         }
-        assert_eq!(scratch.capacity(), cap, "steady-state render reallocated");
-        assert_eq!(scratch.report(&d, 5), report_json(&d, 5));
+        assert_eq!(buf.capacity(), cap, "steady-state render reallocated");
+        assert_eq!(render_report(&mut buf, &d, 5), report_json(&d, 5));
     }
 
     #[test]
@@ -464,9 +431,9 @@ mod tests {
         let t = sample_trace();
         let d = TraceReport::from_trace(&t, criteria(), 1);
         assert!(!d.ati.is_empty() && !d.outliers.outliers.is_empty());
-        let mut scratch = RenderScratch::new();
-        let want = scratch.report(&d, 5).to_string();
-        let n = allocs_during(|| assert_eq!(scratch.report(&d, 5), want));
+        let mut buf = String::new();
+        let want = render_report(&mut buf, &d, 5).to_string();
+        let n = allocs_during(|| assert_eq!(render_report(&mut buf, &d, 5), want));
         assert_eq!(n, 0, "a warm report render allocated {n} time(s)");
     }
 

@@ -1,34 +1,31 @@
-//! Fused one-decode analysis engine vs the sequential five-pass baseline.
+//! The fused report over v2 and v3 stores, with its format, decode,
+//! allocation and tracer guards.
 //!
-//! Profiles ResNet-18, encodes the trace into a `.ptrc` store, then runs
-//! the five report analyses (ATI, peak, breakdown, gantt, outliers) two
-//! ways: five standalone single-fold runs (each decoding every chunk; the
-//! breakdown and outlier passes are a peak and an ATI run followed by
-//! `BreakdownRow::from_peak` and `sift`) and one fused report run —
-//! `TraceReport::from_store`, the call that `report`, the daemon and
-//! perfbench make, each chunk decoded exactly once. Reports wall clock at
-//! 1 and 4 worker threads in `BENCH_report.json` and asserts that the
-//! fused run is bit-identical to the baseline, decodes each chunk once,
-//! and is no slower at either thread count.
+//! Profiles ResNet-18, encodes the trace into a v2 and a v3 `.ptrc`
+//! store, and runs the report over each — `TraceReport::from_store`, the
+//! call that the CLI's `report`, `ati`, `gantt` and `outliers`, the daemon
+//! and perfbench make, each chunk decoded exactly once. Reports wall clock
+//! at 1 and 4 worker threads in `BENCH_report.json` and asserts that the
+//! report is bit-identical across formats and decodes each chunk once.
+//! That the report equals the standalone passes is checked against
+//! brute-force oracles by `tests/fused_engine.rs`.
 //!
-//! The fused run is measured on both a v2 and a v3 store of the same
-//! trace: results must be bit-identical across formats, and the v3 run
-//! must not be slower (timer-noise margin). Decode is a small share of a
-//! report run, so a second guard times a `PeakFold` run of each store,
-//! which skips every access without building it and so is mostly read,
-//! checksum and decode, under the same bound: the batched-decode
-//! regression guard on every CI bench-smoke run. Each pair of stores is
-//! timed interleaved, v3 then v2 in each round, so a slow burst on the
-//! host lands on both sides instead of deciding the comparison. The scan
-//! accounting (including the v3-only `chunks_pruned_by_label` counter)
-//! lands in the JSON.
+//! The v3 report must not be slower than the v2 one (timer-noise margin).
+//! Decode is a small share of a report run, so a second guard times a
+//! `PeakFold` run of each store, which skips every access without
+//! building it and so is mostly read, checksum and decode, under the same
+//! bound: the batched-decode regression guard on every CI bench-smoke
+//! run. Each pair of stores is timed interleaved, v3 then v2 in each
+//! round, so a slow burst on the host lands on both sides instead of
+//! deciding the comparison. The scan accounting (including the v3-only
+//! `chunks_pruned_by_label` counter) lands in the JSON.
 //!
 //! This bench also carries the observability overhead guard: the hot
 //! paths are instrumented with `pinpoint-obs` spans, and with the
 //! tracer **disabled** (the default) each span site must cost one
 //! relaxed atomic load — asserted two ways: no span records and no
 //! span buffers appear during the measured runs, and a repeated (warm)
-//! fused scan performs zero decode-buffer reallocations.
+//! four-thread report performs zero decode-buffer reallocations.
 //!
 //! The fold's work is guarded by a count rather than a timing: a warm
 //! `TraceReport::from_store` at one thread (which runs on the calling
@@ -38,8 +35,7 @@
 //! fires on a clean checkout and cannot flap; it lands in the JSON.
 
 use pinpoint_analysis::{
-    run, sift, AtiDataset, AtiFold, BreakdownRow, EventFold, GanttFold, GanttRect, OutlierCriteria,
-    OutlierReport, PeakFold, TraceReport,
+    run, AtiDataset, BreakdownRow, GanttRect, OutlierCriteria, OutlierReport, PeakFold, TraceReport,
 };
 use pinpoint_bench::by_scale;
 use pinpoint_bench::criterion::Criterion;
@@ -62,8 +58,10 @@ const PAIRED_ROUNDS: usize = 101;
 /// The most heap allocations (reallocations included) one warm
 /// single-thread report of this bench's store may make: the count when
 /// the bound was set (38, with one accumulator for the whole scan), plus
-/// about 10%. It is the same at both scales, whose batch sizes change
-/// block sizes but not the events.
+/// about 10%. The count is now 30, since the Gantt rectangles are
+/// collected unfiltered into one allocation of their exact length. It is
+/// the same at both scales, whose batch sizes change block sizes but not
+/// the events.
 const MAX_WARM_REPORT_ALLOCS: u64 = 42;
 
 thread_local! {
@@ -126,10 +124,6 @@ fn median(mut times: Vec<u128>) -> u128 {
     times[times.len() / 2]
 }
 
-fn median_ns(runs: usize, mut f: impl FnMut()) -> u128 {
-    median((0..runs).map(|_| time_ns(&mut f)).collect())
-}
-
 /// Medians of `a` and `b` over `runs` rounds timed interleaved, `a` then
 /// `b` in each round.
 fn paired_median_ns(runs: usize, mut a: impl FnMut(), mut b: impl FnMut()) -> (u128, u128) {
@@ -149,7 +143,7 @@ fn resnet18_trace() -> Trace {
     profile(&cfg).expect("resnet-18 profile").trace
 }
 
-/// The five analysis outputs, however they were produced.
+/// The five analysis outputs of one report.
 #[derive(PartialEq)]
 struct Report {
     ati: AtiDataset,
@@ -159,58 +153,12 @@ struct Report {
     outliers: OutlierReport,
 }
 
-/// One standalone single-fold run over a freshly opened store; adds its
-/// decoded chunks to `decoded`.
-fn fold_store<F: EventFold>(
-    bytes: &[u8],
-    fold: &F,
-    threads: usize,
-    decoded: &mut usize,
-) -> F::Output {
-    let r = StoreReader::from_bytes(bytes.to_vec()).expect("open");
-    let (out, stats) = run(fold, &r, threads).expect("run");
-    *decoded += stats.chunks_decoded;
-    out
-}
-
-/// Five standalone single-fold runs: every pass re-opens the store and
-/// decodes every chunk, so the decode work is ~5x the fused run's.
-fn sequential_five_pass(bytes: &[u8], t_end: u64, threads: usize) -> (Report, usize) {
-    let mut decoded = 0usize;
-    let ati = fold_store(bytes, &AtiFold, threads, &mut decoded);
-    let peak = fold_store(bytes, &PeakFold, threads, &mut decoded);
-    let breakdown = BreakdownRow::from_peak(
-        "trace",
-        &fold_store(bytes, &PeakFold, threads, &mut decoded),
-    );
-    let gantt = fold_store(
-        bytes,
-        &GanttFold { t_start: 0, t_end },
-        threads,
-        &mut decoded,
-    );
-    let outliers = sift(
-        &fold_store(bytes, &AtiFold, threads, &mut decoded),
-        CRITERIA,
-    );
-    (
-        Report {
-            ati,
-            peak,
-            breakdown,
-            gantt,
-            outliers,
-        },
-        decoded,
-    )
-}
-
-/// One fused report run: [`TraceReport::from_store`] feeds each chunk's
-/// one decode to the ATI, peak and Gantt folds, and derives the breakdown
-/// row and the outliers from the peak and the ATIs. Also returns the
-/// pruned-by-op-label count from the scan accounting (0 here — the
-/// report's predicate constrains no op label — surfaced so the bench JSON
-/// records the counter end to end).
+/// One fused report run: [`TraceReport::from_store`] folds each chunk's
+/// one decode into the report's block table and peak sweep, and derives
+/// the breakdown row and the outliers from the peak and the ATIs. Also
+/// returns the pruned-by-op-label count from the scan accounting (0 here
+/// — the report's predicate constrains no op label — surfaced so the
+/// bench JSON records the counter end to end).
 fn fused_report(bytes: &[u8], threads: usize) -> (Report, usize, usize) {
     let r = StoreReader::from_bytes(bytes.to_vec()).expect("open");
     let d = TraceReport::from_store(&r, CRITERIA, threads).expect("run");
@@ -228,10 +176,8 @@ fn fused_report(bytes: &[u8], threads: usize) -> (Report, usize, usize) {
 }
 
 fn bench(c: &mut Criterion) {
-    let runs = by_scale(3, 7);
     let trace = resnet18_trace();
     let events = trace.len();
-    let t_end = trace.end_time_ns();
 
     // chunk finer than the 4096-event default so the per-chunk decode
     // accounting is exercised across many chunks even at quick scale
@@ -254,12 +200,17 @@ fn bench(c: &mut Criterion) {
     let span_records_before = tracer().total_records();
     let span_bufs_before = tracer().buffer_allocs();
 
-    // warm-scan zero-allocation: the same reader running a fused scan
-    // twice must not grow its decode scratch pool the second time (the
-    // per-chunk zero-alloc contract the obs spans ride on)
+    // warm-scan zero-allocation: the same reader running a four-thread
+    // report twice must not grow its decode scratch pool the second time
+    // (the per-chunk zero-alloc contract the obs spans ride on)
     {
         let r = StoreReader::from_bytes(bytes.clone()).expect("open");
-        let scan = |r: &StoreReader| run(&AtiFold, r, 4).expect("run").0.len();
+        let scan = |r: &StoreReader| {
+            TraceReport::from_store(r, CRITERIA, 4)
+                .expect("run")
+                .ati
+                .len()
+        };
         let cold = scan(&r);
         let warmed = r.decode_reallocs();
         let warm = scan(&r);
@@ -292,13 +243,8 @@ fn bench(c: &mut Criterion) {
 
     let mut per_thread = Vec::new();
     for threads in [1usize, 4] {
-        let (seq, seq_decoded) = sequential_five_pass(&bytes, t_end, threads);
         let (fused, fused_decoded, pruned_by_label) = fused_report(&bytes, threads);
         let (fused_v2, ..) = fused_report(&v2_bytes, threads);
-        assert!(
-            seq == fused,
-            "fused output diverges from sequential at threads={threads}"
-        );
         assert!(
             fused_v2 == fused,
             "fused output diverges between v2 and v3 stores at threads={threads}"
@@ -307,16 +253,7 @@ fn bench(c: &mut Criterion) {
             fused_decoded, chunks,
             "fused run must decode each chunk exactly once"
         );
-        assert_eq!(
-            seq_decoded,
-            5 * chunks,
-            "sequential baseline decodes every chunk five times"
-        );
 
-        let seq_ns = median_ns(runs, || {
-            let (r, _) = sequential_five_pass(&bytes, t_end, threads);
-            assert_eq!(r.ati.len(), seq.ati.len());
-        });
         let (fused_ns, fused_v2_ns) = paired_median_ns(
             PAIRED_ROUNDS,
             || {
@@ -327,11 +264,6 @@ fn bench(c: &mut Criterion) {
                 let (r, ..) = fused_report(&v2_bytes, threads);
                 assert_eq!(r.ati.len(), fused.ati.len());
             },
-        );
-        assert!(
-            fused_ns <= seq_ns,
-            "fused run must be no slower than the five-pass baseline \
-             at threads={threads}: fused {fused_ns} ns vs sequential {seq_ns} ns"
         );
         assert!(
             fused_ns <= fused_v2_ns + fused_v2_ns / 4,
@@ -370,21 +302,18 @@ fn bench(c: &mut Criterion) {
             "v3 decode regressed past v2 at threads={threads}: \
              v3 peak run {peak_ns} ns vs v2 {peak_v2_ns} ns"
         );
-        let speedup = seq_ns as f64 / fused_ns as f64;
         let v3_speedup = fused_v2_ns as f64 / fused_ns as f64;
         println!(
-            "fused_report: threads={threads}: sequential {seq_ns} ns ({seq_decoded} chunk \
-             decodes) vs fused {fused_ns} ns ({fused_decoded}) -> {speedup:.2}x; \
-             v2 store {fused_v2_ns} ns -> v3 {v3_speedup:.2}x; \
+            "fused_report: threads={threads}: v3 store {fused_ns} ns ({fused_decoded} chunk \
+             decodes) vs v2 store {fused_v2_ns} ns -> v3 {v3_speedup:.2}x; \
              peak run v2 {peak_v2_ns} ns -> v3 {peak_ns} ns"
         );
         per_thread.push(format!(
-            "{{\"threads\":{threads},\"sequential_ns\":{seq_ns},\"fused_ns\":{fused_ns},\
+            "{{\"threads\":{threads},\"fused_ns\":{fused_ns},\
              \"fused_v2_ns\":{fused_v2_ns},\"peak_ns\":{peak_ns},\"peak_v2_ns\":{peak_v2_ns},\
-             \"sequential_chunk_decodes\":{seq_decoded},\
              \"fused_chunk_decodes\":{fused_decoded},\
              \"chunks_pruned_by_label\":{pruned_by_label},\
-             \"speedup\":{speedup:.4},\"v3_vs_v2_speedup\":{v3_speedup:.4}}}"
+             \"v3_vs_v2_speedup\":{v3_speedup:.4}}}"
         ));
     }
 
@@ -417,9 +346,6 @@ fn bench(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("fused_report");
     g.sample_size(10);
-    g.bench_function("sequential_five_pass_resnet18", |b| {
-        b.iter(|| sequential_five_pass(&bytes, t_end, 1).0.ati.len())
-    });
     g.bench_function("fused_report_resnet18", |b| {
         b.iter(|| fused_report(&bytes, 1).0.ati.len())
     });

@@ -7,9 +7,10 @@
 //! is losslessness of the round trip.
 //!
 //! The same trace is also written in the legacy v2 format: the v3 file
-//! must be smaller and must decode at least as fast (small tolerance for
-//! timer noise) — the regression guard for the adaptive column
-//! encodings, enforced on every CI bench-smoke run.
+//! must be smaller — the size guard for the adaptive column encodings,
+//! enforced on every CI bench-smoke run. Both decode times land in the
+//! JSON; the v3-vs-v2 decode speed is guarded by `fused_report`, which
+//! times the two stores interleaved.
 
 use pinpoint_bench::by_scale;
 use pinpoint_bench::criterion::Criterion;
@@ -80,9 +81,7 @@ fn bench(c: &mut Criterion) {
         assert_eq!(q.events.len(), events);
     });
 
-    // v2 vs v3: the adaptive encodings must shrink the file and must not
-    // slow the decode down (a generous timer-noise margin; the expected
-    // direction is a clean v3 win from fewer varints to chew through)
+    // v2 vs v3: the adaptive encodings must shrink the file
     let mut v2_bytes = Vec::new();
     write_store_chunked_v2(&trace, &mut v2_bytes, DEFAULT_CHUNK_EVENTS).expect("encode v2");
     assert!(
@@ -97,10 +96,6 @@ fn bench(c: &mut Criterion) {
         let r = StoreReader::from_bytes(v2_bytes.clone()).expect("open");
         assert_eq!(r.read_trace().expect("decode").len(), events);
     });
-    assert!(
-        decode_ns <= v2_decode_ns + v2_decode_ns / 4,
-        "v3 decode regressed past v2: v3 {decode_ns} ns vs v2 {v2_decode_ns} ns"
-    );
     let v3_size_ratio = v2_bytes.len() as f64 / store_bytes.len() as f64;
     let v3_decode_speedup = v2_decode_ns as f64 / decode_ns as f64;
 

@@ -1,13 +1,15 @@
 //! # pinpoint-bench
 //!
-//! Shared helpers for the Criterion benchmark harness that regenerates
-//! every table and figure of *"Pinpointing the Memory Behaviors of DNN
-//! Training"* (ISPASS 2021).
+//! Shared helpers for the Criterion benchmark harness of the reproduction
+//! of *"Pinpointing the Memory Behaviors of DNN Training"* (ISPASS 2021):
+//! the ablations, the micro-benchmarks, and the store, report and daemon
+//! benches with their in-bench guards. The paper's figures are printed by
+//! `pinpoint-figures` and their claims asserted by `tests/paper_claims.rs`.
 //!
-//! Each bench target prints its figure's rows once (so `cargo bench`
-//! output doubles as the paper's data) and then times the regeneration.
-//! Set `PINPOINT_SCALE=paper` to run the figures at full paper scale
-//! (slower); the default `quick` scale preserves every claim's shape.
+//! Each bench target prints its rows once (so `cargo bench` output
+//! doubles as data) and then times the work. Set `PINPOINT_SCALE=paper`
+//! to run at full paper scale (slower); the default `quick` scale
+//! preserves every result's shape.
 
 pub mod criterion;
 

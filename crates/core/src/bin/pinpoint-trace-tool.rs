@@ -42,15 +42,14 @@
 //!
 //! `report` runs **all five** analysis passes (ATI, peak, breakdown,
 //! Gantt, outliers) over a single scan of the trace — each chunk of a
-//! `.ptrc` store is decoded exactly once and each event folded once, for
-//! the ATI, peak and Gantt folds that one report fold holds; the
-//! breakdown and outliers are derived from their results. The single-pass
-//! subcommands run one of those folds each through the same engine —
-//! `ati` and `outliers` the ATI fold (`outliers` then sifts its
-//! intervals), `breakdown` the peak fold, `gantt` the Gantt fold —
-//! straight off a store, never materializing the full trace, or over a
-//! JSON trace in memory cut into the same chunks, printing byte-identical
-//! output either way.
+//! `.ptrc` store is decoded exactly once and each event folded once into
+//! the one report fold's block table and peak sweep; the breakdown and
+//! outliers are derived from their results. `ati`, `gantt` and `outliers`
+//! print one part of that same report; `breakdown` runs the peak fold
+//! alone, which skips chunks of pure accesses. Each runs straight off a
+//! store, never materializing the full trace, or over a JSON trace in
+//! memory cut into the same chunks, printing byte-identical output either
+//! way.
 //!
 //! `--threads N` (or `PINPOINT_THREADS`) sets the worker-thread count for
 //! parallel work (`compare` loads and validates both traces concurrently;
@@ -78,9 +77,8 @@
 //! `mlp_case_study` example writes a CSV twin next to it).
 
 use pinpoint_analysis::{
-    detect, diff_traces, op_stats, plan, query_json, report_json, run, sift, violin_sorted,
-    AtiDataset, AtiFold, BreakdownRow, GanttFold, GanttRect, OutlierCriteria, OutlierReport,
-    PeakFold, TraceReport,
+    detect, diff_traces, op_stats, plan, query_json, report_json, run, violin_sorted, AtiDataset,
+    BreakdownRow, GanttRect, OutlierCriteria, OutlierReport, PeakFold, TraceReport,
 };
 use pinpoint_core::report::{human_bytes, human_time, render_trace_report};
 use pinpoint_device::TransferModel;
@@ -300,39 +298,27 @@ fn over_chunks<T>(
     }
 }
 
-/// The analysis subcommands that run as folds: each is one fold run, or
-/// for `report` one [`TraceReport`], over either input format.
+/// The analysis subcommands that run as folds, over either input format:
+/// `breakdown` is one peak fold run, and `ati`, `gantt`, `outliers` and
+/// `report` each print from one [`TraceReport`].
 fn cmd_analysis(cmd: &str, path: &str, args: &[String]) -> Result<(), String> {
     let obs = obs_flags(args);
     let max = flag_value(args, "--max").unwrap_or(30.0) as usize;
     let (min_ati_ms, min_size_mb, criteria) = outlier_flags(args);
     let threads = pinpoint_core::parallel::configured_threads();
+    if cmd == "breakdown" {
+        let (peak, _) = over_chunks(path, |s| run(&PeakFold, s, threads))?;
+        print_breakdown(&BreakdownRow::from_peak(path, &peak));
+        return obs_finish(&obs);
+    }
+    let d = over_chunks(path, |s| TraceReport::from_store(s, criteria, threads))?;
     match cmd {
-        "ati" => print_ati(&over_chunks(path, |s| run(&AtiFold, s, threads))?.0),
-        "breakdown" => {
-            let (peak, _) = over_chunks(path, |s| run(&PeakFold, s, threads))?;
-            print_breakdown(&BreakdownRow::from_peak(path, &peak));
-        }
-        "gantt" => {
-            let all = GanttFold {
-                t_start: 0,
-                t_end: u64::MAX,
-            };
-            print_gantt(&over_chunks(path, |s| run(&all, s, threads))?.0, max);
-        }
-        "outliers" => {
-            let (atis, _) = over_chunks(path, |s| run(&AtiFold, s, threads))?;
-            print_outliers(&sift(&atis, criteria), min_ati_ms, min_size_mb);
-        }
-        "report" => {
-            let d = over_chunks(path, |s| TraceReport::from_store(s, criteria, threads))?;
-            if args.iter().any(|a| a == "--json") {
-                println!("{}", report_json(&d, max));
-            } else {
-                print!("{}", render_trace_report(&d, max));
-            }
-        }
-        other => return Err(format!("`{other}` is not a fold analysis")),
+        "ati" => print_ati(&d.ati),
+        "gantt" => print_gantt(&d.gantt, max),
+        "outliers" => print_outliers(&d.outliers, min_ati_ms, min_size_mb),
+        // `report`
+        _ if args.iter().any(|a| a == "--json") => println!("{}", report_json(&d, max)),
+        _ => print!("{}", render_trace_report(&d, max)),
     }
     obs_finish(&obs)
 }

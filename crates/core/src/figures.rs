@@ -1,16 +1,18 @@
 //! Typed regenerators for every figure of the paper.
 //!
 //! Each `figN_*` function reruns the corresponding experiment on the
-//! simulator and returns the figure's data as plain structs; the bench
-//! harness and examples print them as the paper's rows/series. Parameters
-//! default to paper scale but can be shrunk for quick runs.
+//! simulator and returns the figure's data as plain structs; the
+//! `pinpoint-figures` binary and the examples print them as the paper's
+//! rows/series, and `tests/paper_claims.rs` checks the paper's claims on
+//! them. Parameters default to paper scale but can be shrunk for quick
+//! runs.
 
 use crate::parallel::{configured_threads, try_map_ordered};
 use crate::profiler::{profile, EpochEval, ProfileConfig, ProfileError};
 use pinpoint_analysis::{
-    assess, detect, run_trace, sift, violin_sorted, worst_fragmentation, AtiFold, AtiRecord,
-    BreakdownRow, EmpiricalCdf, FragmentationSnapshot, GanttFold, GanttRect, IterativeReport,
-    OutlierCriteria, OutlierReport, ViolinStats,
+    assess, detect, gantt_rects, violin_sorted, worst_fragmentation, AtiDataset, AtiRecord,
+    BreakdownRow, EmpiricalCdf, FragmentationSnapshot, GanttRect, IterativeReport, OutlierCriteria,
+    OutlierReport, TraceReport, ViolinStats,
 };
 use pinpoint_data::DatasetSpec;
 use pinpoint_models::{Architecture, DenseNetDepth, MlpConfig, ResNetDepth};
@@ -46,11 +48,7 @@ pub struct Fig2Data {
 /// Propagates device errors.
 pub fn fig2_gantt(iterations: usize) -> Result<Fig2Data, ProfileError> {
     let report = profile(&ProfileConfig::mlp_case_study(iterations))?;
-    let window = GanttFold {
-        t_start: 0,
-        t_end: report.trace.end_time_ns(),
-    };
-    let (rects, _) = run_trace(&window, &report.trace, configured_threads());
+    let rects = gantt_rects(&report.trace, 0, report.trace.end_time_ns());
     Ok(Fig2Data {
         iterative: detect(&report.trace),
         worst_fragmentation: worst_fragmentation(&report.trace, 64),
@@ -89,7 +87,7 @@ pub struct Fig3Data {
 /// Panics if the run produced no intervals (requires `iterations >= 2`).
 pub fn fig3_ati(iterations: usize) -> Result<Fig3Data, ProfileError> {
     let report = profile(&ProfileConfig::mlp_case_study(iterations))?;
-    let (atis, _) = run_trace(&AtiFold, &report.trace, configured_threads());
+    let atis = AtiDataset::from_trace(&report.trace);
     let cdf = atis.cdf();
     // u64 -> f64 is monotone, so the cached ascending order survives the cast
     let samples: Vec<f64> = atis
@@ -144,9 +142,6 @@ pub fn fig4_outliers(eval: EpochEval, epochs: usize) -> Result<Fig4Data, Profile
     let mut cfg = ProfileConfig::mlp_case_study(eval.iters_per_epoch * epochs + 1);
     cfg.epoch_eval = Some(eval);
     let report = profile(&cfg)?;
-    let (atis, _) = run_trace(&AtiFold, &report.trace, configured_threads());
-    let transfer = cfg.device.transfer.clone();
-    let swap_report = assess(&atis, &transfer);
     // scale the outlier criteria with the evaluation buffer so shrunken
     // test runs still find their outlier; at paper scale this is exactly
     // the paper's (0.8 s, 600 MB)
@@ -158,15 +153,17 @@ pub fn fig4_outliers(eval: EpochEval, epochs: usize) -> Result<Fig4Data, Profile
         },
         min_size_bytes: eval.buffer_bytes / 2,
     };
-    let outliers = sift(&atis, criteria);
-    let red_point = outliers
+    let d = TraceReport::from_trace(&report.trace, criteria, configured_threads());
+    let transfer = cfg.device.transfer.clone();
+    let red_point = d
+        .outliers
         .most_extreme()
         .map(|r| (*r, transfer.max_swap_bytes(r.interval_ns)));
     Ok(Fig4Data {
-        points: atis.records().to_vec(),
-        outliers,
+        points: d.ati.records().to_vec(),
+        swappable_count: assess(&d.ati, &transfer).swappable_count,
+        outliers: d.outliers,
         red_point,
-        swappable_count: swap_report.swappable_count,
     })
 }
 

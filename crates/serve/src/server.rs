@@ -19,11 +19,11 @@
 //!
 //! Queued connections are drained by a fixed pool of worker threads.
 //! Each worker owns one `WorkerCtx` — reusable connection buffers and a
-//! reusable render scratch — and serves up to
+//! reusable render buffer — and serves up to
 //! [`ServeConfig::keepalive_requests`] requests per connection before
 //! closing it, honoring the client's `Connection` preference per request.
 //! A kept-alive request costs no allocation on the transport path: the
-//! read accumulator, response-head buffer, and JSON render scratch all
+//! read accumulator, response-head buffer, and JSON render buffer all
 //! persist across requests.
 //!
 //! **Resilience.** Four failure domains are isolated from each other:
@@ -63,7 +63,7 @@ use crate::catalog::{Catalog, CatalogError, StoreEntry};
 use crate::deadline::Deadline;
 use crate::http::{error_body, read_request, ConnBuffers, ReadOutcome, Request, Response};
 use crate::metrics::{Endpoint, Metrics};
-use pinpoint_analysis::{OutlierCriteria, RenderScratch, TraceReport};
+use pinpoint_analysis::{query_json_into, report_json_into, OutlierCriteria, TraceReport};
 use pinpoint_obs::{tracer, SpanGuard, NO_ARG};
 use pinpoint_store::{
     parse_category, parse_kind, Batch, CancelToken, ChunkMeta, ChunkSource, ColumnBatch,
@@ -233,14 +233,16 @@ impl Shared {
 }
 
 /// Per-worker reusable state: connection buffers (read accumulator +
-/// response-head buffer), the JSON render scratch, and the chaos
+/// response-head buffer), the JSON render buffer, and the chaos
 /// kill flag (set by `/debug/chaos` mode `kill`, honored after the
 /// response is written). One per worker thread, reused across every
 /// connection and request it serves.
 #[derive(Debug)]
 struct WorkerCtx {
     bufs: ConnBuffers,
-    render: RenderScratch,
+    /// Cleared and refilled by every render, so a warm render allocates
+    /// nothing.
+    render: String,
     /// `/debug/chaos` mode `kill`: answer first, then die so the
     /// watchdog's respawn path gets exercised.
     kill_after_response: bool,
@@ -250,7 +252,7 @@ impl WorkerCtx {
     fn new() -> Self {
         WorkerCtx {
             bufs: ConnBuffers::new(),
-            render: RenderScratch::new(),
+            render: String::new(),
             kill_after_response: false,
         }
     }
@@ -619,11 +621,11 @@ fn handle_connection(
                     match catch_unwind(AssertUnwindSafe(|| route(shared, &req, ctx, deadline))) {
                         Ok(resp) => (resp, keep),
                         Err(_) => {
-                            // contained: stable answer, fresh scratch (the
-                            // old one may hold a half-rendered body), and
-                            // the worker keeps serving
+                            // contained: stable answer, fresh render buffer
+                            // (the old one may hold a half-rendered body),
+                            // and the worker keeps serving
                             shared.metrics.panics_caught.inc();
-                            ctx.render = RenderScratch::new();
+                            ctx.render = String::new();
                             (
                                 Response::new(500)
                                     .with_json_body(error_body("internal error: handler panicked")),
@@ -1201,7 +1203,7 @@ fn handle_query(
     shared: &Shared,
     entry: &StoreEntry,
     req: &Request,
-    render: &mut RenderScratch,
+    render: &mut String,
     deadline: Deadline,
 ) -> Response {
     shared.metrics.queries.inc();
@@ -1231,10 +1233,14 @@ fn handle_query(
         params,
         "query",
         |source| pinpoint_store::query(source, &pred, 1),
-        |q| CachedResult {
-            body: Arc::from(render.query(&q, max).as_bytes()),
-            chunks_skipped: q.stats.chunks_skipped as u64,
-            events_lost: q.stats.events_lost,
+        |q| {
+            render.clear();
+            query_json_into(&q, max, render);
+            CachedResult {
+                body: Arc::from(render.as_bytes()),
+                chunks_skipped: q.stats.chunks_skipped as u64,
+                events_lost: q.stats.events_lost,
+            }
         },
     )
 }
@@ -1243,7 +1249,7 @@ fn handle_report(
     shared: &Shared,
     entry: &StoreEntry,
     req: &Request,
-    render: &mut RenderScratch,
+    render: &mut String,
     deadline: Deadline,
 ) -> Response {
     shared.metrics.reports.inc();
@@ -1284,10 +1290,14 @@ fn handle_report(
         params,
         "report",
         |source| TraceReport::from_store(source, criteria, 1),
-        |d| CachedResult {
-            body: Arc::from(render.report(&d, max).as_bytes()),
-            chunks_skipped: d.stats.chunks_skipped as u64,
-            events_lost: d.stats.events_lost,
+        |d| {
+            render.clear();
+            report_json_into(&d, max, render);
+            CachedResult {
+                body: Arc::from(render.as_bytes()),
+                chunks_skipped: d.stats.chunks_skipped as u64,
+                events_lost: d.stats.events_lost,
+            }
         },
     )
 }

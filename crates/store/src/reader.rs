@@ -37,7 +37,7 @@ use crate::format::{
 };
 use crate::source::{query, scan, Batch, ChunkSource};
 use crate::writer::StoreWriter;
-use pinpoint_trace::{Category, EventKind, MemEvent, Trace, TraceSink};
+use pinpoint_trace::{Category, EventKind, Marker, MemEvent, Trace, TraceSink};
 use std::fs::File;
 use std::io::{self, Write};
 use std::path::Path;
@@ -812,11 +812,50 @@ impl StoreReader {
         Ok(faults)
     }
 
+    /// The footer's markers placed among the events of the chunks that
+    /// `kept` flags, by the one rule [`read_trace`](Self::read_trace) and
+    /// [`scrub_into`](Self::scrub_into) share: a marker's index counts the
+    /// whole event stream, and it lands before the first kept event at or
+    /// after that index. So a marker inside a dropped chunk lands at the
+    /// boundary where the chunk was, and one past the last kept event
+    /// lands at the end.
+    fn kept_markers(&self, kept: &[bool]) -> Vec<Marker> {
+        let mut markers = self.footer.markers.iter().peekable();
+        let mut placed = Vec::with_capacity(self.footer.markers.len());
+        let (mut start, mut kept_before) = (0usize, 0);
+        for (meta, &kept) in self.footer.chunks.iter().zip(kept) {
+            // a dropped chunk's count was never checked against a decode
+            let end = start.saturating_add(meta.count as usize);
+            while let Some(m) = markers.next_if(|m| m.event_index < end) {
+                let into = if kept {
+                    m.event_index.saturating_sub(start)
+                } else {
+                    0
+                };
+                placed.push(Marker {
+                    event_index: kept_before + into,
+                    ..m.clone()
+                });
+            }
+            if kept {
+                kept_before += end - start;
+            }
+            start = end;
+        }
+        placed.extend(markers.map(|m| Marker {
+            event_index: kept_before,
+            ..m.clone()
+        }));
+        placed
+    }
+
     /// Rewrites this store's surviving content into `out`, dropping
     /// corrupt chunks (regardless of policy — scrubbing *is* the salvage).
     /// Labels are preserved; markers are re-emitted with their event
     /// indices remapped past any lost ranges (a marker inside a lost range
-    /// lands at the boundary). The caller finishes `out` when done.
+    /// lands at the boundary), exactly where a salvaging
+    /// [`read_trace`](Self::read_trace) of this store puts them. The
+    /// caller finishes `out` when done.
     ///
     /// # Errors
     ///
@@ -825,45 +864,31 @@ impl StoreReader {
         for l in &self.footer.labels {
             out.intern_label(l);
         }
-        let markers = &self.footer.markers;
         let mut stats = ScrubStats {
             chunks_total: self.num_chunks(),
             ..ScrubStats::default()
         };
         let mut scratch = DecodeScratch::new();
-        let mut next_marker = 0usize;
-        let mut orig_index = 0u64; // position in the original event stream
+        let mut kept = vec![false; self.num_chunks()];
         for (i, meta) in self.footer.chunks.iter().enumerate() {
             match self.load(i, &mut scratch) {
                 Ok(batch) => {
+                    kept[i] = true;
                     stats.chunks_kept += 1;
-                    for k in 0..batch.len() {
-                        while next_marker < markers.len()
-                            && (markers[next_marker].event_index as u64) <= orig_index
-                        {
-                            let m = &markers[next_marker];
-                            out.record_marker(m.time_ns, &m.label);
-                            next_marker += 1;
-                        }
-                        out.record_event(batch.event(k));
-                        orig_index += 1;
-                        stats.events_kept += 1;
-                    }
+                    stats.events_kept += batch.len() as u64;
+                    (0..batch.len()).for_each(|k| out.record_event(batch.event(k)));
                 }
                 Err(e) if e.is_corruption() => {
                     stats.chunks_skipped += 1;
                     stats.events_lost += meta.count;
                     stats.first_error.get_or_insert_with(|| e.to_string());
-                    // markers inside this range are emitted by the next
-                    // kept chunk's loop (or the final flush) at the
-                    // boundary position — exactly the remap we want
-                    orig_index += meta.count;
                 }
                 Err(e) => return Err(e),
             }
         }
-        for m in &markers[next_marker..] {
-            out.record_marker(m.time_ns, &m.label);
+        // a marker only splits the stream, so it may follow its events
+        for m in self.kept_markers(&kept) {
+            out.record_marker_at(m);
         }
         Ok(stats)
     }
@@ -871,41 +896,44 @@ impl StoreReader {
     /// Materializes the full in-memory [`Trace`] (events, markers, label
     /// table) — the bridge back to every existing `&Trace` analysis.
     ///
-    /// Under [`ReadPolicy::Salvage`], corrupt chunks are skipped and any
-    /// marker pointing past the surviving events is clamped to the end of
-    /// the stream.
+    /// Under [`ReadPolicy::Salvage`], corrupt chunks are skipped, and the
+    /// markers are remapped past them as [`scrub_into`](Self::scrub_into)
+    /// remaps them, so the trace equals the read of the scrubbed copy.
     ///
     /// # Errors
     ///
-    /// I/O errors; corruption errors under [`ReadPolicy::Strict`].
+    /// I/O errors; corruption errors under [`ReadPolicy::Strict`],
+    /// including a marker that points past the event stream.
     pub fn read_trace(&self) -> Result<Trace, StoreError> {
-        // one worker, so its trace is the whole one and nothing merges
-        let (mut trace, _) = scan(
+        // one worker, so its trace is the whole one and nothing merges;
+        // the chunks it never saw are the ones salvage dropped
+        let ((mut trace, kept), _) = scan(
             self,
             &Predicate::any(),
             "store.prune",
             1,
-            Trace::new,
-            |trace, _, batch| (0..batch.len()).for_each(|k| trace.push(batch.event(k))),
-            |mut a, b| {
-                b.events().iter().for_each(|e| a.push(e.clone()));
-                a
+            || (Trace::new(), vec![false; self.num_chunks()]),
+            |(trace, kept), i, batch| {
+                kept[i] = true;
+                (0..batch.len()).for_each(|k| trace.push(batch.event(k)));
             },
+            |_, _| unreachable!("a one-thread scan merges nothing"),
         )?;
         for l in &self.footer.labels {
             trace.intern_label(l);
         }
-        for m in &self.footer.markers {
-            let mut m = m.clone();
-            if m.event_index > trace.len() {
-                if self.policy == ReadPolicy::Strict {
-                    return Err(StoreError::Corrupt(format!(
-                        "marker `{}` points past the event stream",
-                        m.label
-                    )));
-                }
-                m.event_index = trace.len();
-            }
+        let past_end = self
+            .footer
+            .markers
+            .iter()
+            .find(|m| m.event_index > trace.len());
+        if let (ReadPolicy::Strict, Some(m)) = (self.policy, past_end) {
+            return Err(StoreError::Corrupt(format!(
+                "marker `{}` points past the event stream",
+                m.label
+            )));
+        }
+        for m in self.kept_markers(&kept) {
             trace.push_marker(m);
         }
         Ok(trace)

@@ -420,6 +420,12 @@ impl<W: Write> StoreWriter<W> {
     pub fn into_inner(self) -> W {
         self.out
     }
+
+    /// Records a marker at the event index it carries, not at the current
+    /// one: for a rewrite that places markers after the events they split.
+    pub(crate) fn record_marker_at(&mut self, marker: Marker) {
+        self.markers.push(marker);
+    }
 }
 
 impl<W: Write> TraceSink for StoreWriter<W> {

@@ -1,16 +1,16 @@
 //! Property tests for the fused analysis engine: against seeded
-//! pseudo-random traces, every pass — the folds a report runs, the report
-//! built on them, and the public `from_trace` wrappers over the folds —
-//! must equal the brute-force oracles in `tests/oracle`, field by field,
-//! at any thread count, for both `.ptrc` stores and in-memory traces; and
+//! pseudo-random traces, every pass — the report's fold, the public
+//! `from_trace` passes that run it, and the peak fold — must equal the
+//! brute-force oracles in `tests/oracle`, field by field, at any thread
+//! count, for both `.ptrc` stores and in-memory traces; and
 //! a fused run must decode each chunk exactly once and prune chunks its
 //! fold does not need.
 
 mod oracle;
 
 use pinpoint::analysis::{
-    gantt_rects, run, run_trace, sift, AtiDataset, AtiFold, AtiRecord, BreakdownRow, GanttFold,
-    GanttRect, OutlierCriteria, OutlierReport, PeakFold, TraceReport,
+    gantt_rects, run, run_trace, sift, AtiDataset, AtiRecord, BreakdownRow, GanttRect,
+    OutlierCriteria, OutlierReport, PeakFold, TraceReport,
 };
 use pinpoint::store::{write_store_chunked, StoreReader, DEFAULT_CHUNK_EVENTS};
 use pinpoint::tensor::rng::Rng64;
@@ -288,7 +288,7 @@ fn fused_five_passes_match_standalone_on_arbitrary_traces() {
             None => full_sorts += 1,
         }
 
-        // the public in-memory passes, each a wrapper over its fold
+        // the public in-memory passes, each a part of the report's fold
         let tag = format!("case {case}, from_trace");
         let ati = AtiDataset::from_trace(&t);
         assert_ati_matches(&ati, &want, &tag);
@@ -308,8 +308,8 @@ fn fused_five_passes_match_standalone_on_arbitrary_traces() {
         }
 
         for threads in [1, 4] {
-            // the report's folds over both sources, the breakdown and the
-            // outliers derived from their outputs
+            // the report's fold over both sources, the breakdown and the
+            // outliers derived from its outputs
             let tag = format!("case {case}, threads {threads}, report");
             let d = TraceReport::from_trace(&t, criteria, threads);
             assert_report_matches(&d, &want, t.len(), &format!("{tag} from_trace"));
@@ -318,13 +318,6 @@ fn fused_five_passes_match_standalone_on_arbitrary_traces() {
                 let r = store_of(&t, chunk);
                 let d = TraceReport::from_store(&r, criteria, threads).unwrap();
                 assert_report_matches(&d, &want, t.len(), &tag);
-                let (ati, _) = run(&AtiFold, &r, threads).unwrap();
-                assert_ati_matches(&ati, &want, &tag);
-                let whole = GanttFold {
-                    t_start: 0,
-                    t_end: u64::MAX,
-                };
-                assert_eq!(run(&whole, &r, threads).unwrap().0, want.gantt, "{tag}");
             }
         }
     }

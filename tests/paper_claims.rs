@@ -1,5 +1,5 @@
 //! Integration tests for the paper's five reproducible claims (C1–C5 in
-//! DESIGN.md), at test scale.
+//! DESIGN.md), at test scale, on the data `pinpoint-figures` prints.
 
 use pinpoint::analysis::{sift, AtiDataset, EmpiricalCdf, OutlierCriteria};
 use pinpoint::core::figures;
@@ -47,15 +47,38 @@ fn c2_concentrated_atis_imply_tiny_swap_budgets() {
     );
 }
 
+/// C2, Fig. 3: the share of ATIs at or below 25 µs, pinned exactly at
+/// `pinpoint-figures fig3`'s quick scale (50 iterations). It is a partial
+/// result, 55.6% against the paper's 90% (EXPERIMENTS.md), so a cost
+/// model or calibration change that moves it shows up here as a reviewed
+/// diff.
+#[test]
+fn c2_fig3_share_at_or_below_25us_is_pinned() {
+    let fig3 = figures::fig3_ati(50).expect("fig3");
+    let at_or_below = fig3
+        .cdf
+        .points()
+        .iter()
+        .filter(|&&(v, _)| v <= 25_000)
+        .count();
+    assert_eq!((at_or_below, fig3.count), (1000, 1800));
+    assert_eq!(
+        fig3.fraction_at_or_below_25us,
+        at_or_below as f64 / fig3.count as f64
+    );
+    assert!(fig3.fraction_at_or_below_25us > 0.4, "concentration");
+}
+
 /// C3: high-ATI × large-size outliers exist and pass Equation 1 — they are
 /// the right swap targets.
 #[test]
 fn c3_outliers_are_the_swap_targets() {
-    let mut cfg = ProfileConfig::mlp_case_study(101);
-    cfg.epoch_eval = Some(EpochEval {
+    let eval = EpochEval {
         iters_per_epoch: 50,
         buffer_bytes: 16_000_000,
-    });
+    };
+    let mut cfg = ProfileConfig::mlp_case_study(101);
+    cfg.epoch_eval = Some(eval);
     let report = profile(&cfg).expect("profile");
     let atis = AtiDataset::from_trace(&report.trace);
     let outliers = sift(
@@ -81,6 +104,13 @@ fn c3_outliers_are_the_swap_targets() {
     for r in typical {
         assert!(!tm.swappable(r.size, r.interval_ns), "{r:?}");
     }
+
+    // Fig. 4 at the same epoch size profiles the same 101 iterations and
+    // sifts with the same criteria, through the report
+    let fig4 = figures::fig4_outliers(eval, 2).expect("fig4");
+    assert_eq!(fig4.outliers, outliers);
+    let (red, bound) = fig4.red_point.expect("red point");
+    assert!((red.size as f64) <= bound, "the red point is Eq1-swappable");
 }
 
 /// C4: parameters are a minor fraction of the footprint for most DNNs;
@@ -102,16 +132,24 @@ fn c4_parameters_minor_intermediates_dominate() {
 
 /// C5: growing batch size grows the intermediate share and shrinks the
 /// parameter share; the input share grows slightly. Holds for linear
-/// (AlexNet) and non-linear (ResNet) topologies.
+/// (AlexNet, over Fig. 6's four batches) and non-linear (ResNet)
+/// topologies.
 #[test]
 fn c5_batch_size_shifts_the_breakdown() {
-    let alex = figures::fig6_alexnet(&[32, 256]).expect("fig6");
-    for pair in alex.chunks(2) {
+    let batches = [32, 64, 128, 256];
+    let alex = figures::fig6_alexnet(&batches).expect("fig6");
+    for rows in alex.chunks(batches.len()) {
+        let pair = [&rows[0], &rows[batches.len() - 1]];
         let (i_s, p_s, m_s) = pair[0].fractions();
         let (i_b, p_b, m_b) = pair[1].fractions();
         assert!(m_b > m_s, "intermediates grow: {pair:?}");
         assert!(p_b < p_s, "parameters shrink: {pair:?}");
         assert!(i_b >= i_s * 0.9, "input share holds or grows: {pair:?}");
+        // and at every step of the sweep
+        for w in rows.windows(2) {
+            assert!(w[1].fractions().2 >= w[0].fractions().2, "{w:?}");
+            assert!(w[1].fractions().1 <= w[0].fractions().1, "{w:?}");
+        }
     }
     let res = figures::fig7_resnet(&[32, 256]).expect("fig7");
     for pair in res.chunks(2) {

@@ -24,7 +24,7 @@ use pinpoint::store::{
     ReadPolicy, RetryPolicy, StoreReader, StoreWriter,
 };
 use pinpoint::tensor::rng::Rng64;
-use pinpoint::trace::{MemEvent, Trace, TraceSink};
+use pinpoint::trace::{BlockId, EventKind, MemEvent, MemoryKind, Trace, TraceSink};
 use pinpoint_analysis::OutlierCriteria;
 use std::io::Cursor;
 use std::sync::OnceLock;
@@ -166,6 +166,50 @@ fn salvaged_analysis_is_bit_identical_to_the_surviving_chunk_store() {
             );
         }
     }
+}
+
+#[test]
+fn a_salvaged_read_trace_equals_the_read_of_its_scrubbed_copy() {
+    // 48 events in 16-event chunks with a marker every 10 events; chunk 1
+    // (events 16..32) is corrupt
+    let mut t = Trace::new();
+    for i in 0..48u64 {
+        if i % 10 == 0 {
+            t.mark(i * 10, format!("iter:{}", i / 10));
+        }
+        let (block, offset) = (BlockId(i), i as usize * 512);
+        t.record(
+            i * 10,
+            EventKind::Malloc,
+            block,
+            512,
+            offset,
+            MemoryKind::Activation,
+            None,
+        );
+    }
+    let mut bytes = Vec::new();
+    write_store_chunked(&t, &mut bytes, 16).unwrap();
+    let meta = StoreReader::from_bytes(bytes.clone())
+        .unwrap()
+        .footer()
+        .chunks[1];
+    bytes[meta.offset as usize + CHUNK_HEADER_LEN] ^= 0x08;
+    let salvaged = StoreReader::from_bytes_with_policy(bytes, ReadPolicy::Salvage).unwrap();
+
+    let mut scrubbed = StoreWriter::with_chunk_events(Vec::new(), 16).unwrap();
+    salvaged.scrub_into(&mut scrubbed).unwrap();
+    scrubbed.finish().unwrap();
+    let clean = StoreReader::from_bytes(scrubbed.into_inner()).unwrap();
+
+    let (read, want) = (salvaged.read_trace().unwrap(), clean.read_trace().unwrap());
+    assert_eq!(read.len(), 32);
+    assert_eq!(read.events(), want.events());
+    assert_eq!(read.markers(), want.markers());
+    // a marker inside the dropped chunk lands at the boundary where it
+    // was, and the later ones move left by its 16 events
+    let at: Vec<usize> = read.markers().iter().map(|m| m.event_index).collect();
+    assert_eq!(at, [0, 10, 16, 16, 24]);
 }
 
 #[test]

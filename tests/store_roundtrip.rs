@@ -4,9 +4,7 @@
 
 mod oracle;
 
-use pinpoint::analysis::{
-    run, sift, AtiFold, BreakdownRow, EventFold, GanttFold, OutlierCriteria, PeakFold,
-};
+use pinpoint::analysis::{run, BreakdownRow, GanttRect, OutlierCriteria, PeakFold, TraceReport};
 use pinpoint::core::{profile, ProfileConfig};
 use pinpoint::store::{write_store_chunked, Predicate, StoreReader};
 use pinpoint::tensor::rng::Rng64;
@@ -110,28 +108,23 @@ fn store_of(t: &Trace, chunk: usize) -> StoreReader {
     StoreReader::from_bytes(bytes).unwrap()
 }
 
-/// Runs one fold over a store through the fold engine.
-fn fold_store<F: EventFold>(r: &StoreReader, fold: F) -> F::Output {
-    run(&fold, r, 4).unwrap().0
-}
-
 #[test]
 fn analyses_from_store_are_bit_identical_to_in_memory() {
     let t = profiled_trace();
     let r = store_of(&t, 512);
-
-    let ati = fold_store(&r, AtiFold);
-    let ati_want = oracle::ati_records(&t);
-    assert_eq!(ati.records(), ati_want);
-
     let criteria = OutlierCriteria {
         min_ati_ns: 1_000,
         min_size_bytes: 1_000,
     };
-    assert_eq!(sift(&ati, criteria), oracle::outliers(&ati_want, criteria));
+    let d = TraceReport::from_store(&r, criteria, 4).unwrap();
 
-    let peak = fold_store(&r, PeakFold);
+    let ati_want = oracle::ati_records(&t);
+    assert_eq!(d.ati.records(), ati_want);
+    assert_eq!(d.outliers, oracle::outliers(&ati_want, criteria));
+
+    let (peak, _) = run(&PeakFold, &r, 4).unwrap();
     assert_eq!(peak, oracle::peak(&t));
+    assert_eq!(d.peak, peak);
     assert_eq!(
         BreakdownRow::from_peak("w", &peak),
         oracle::breakdown("w", &t)
@@ -139,8 +132,14 @@ fn analyses_from_store_are_bit_identical_to_in_memory() {
 
     let end = t.end_time_ns();
     for (t_start, t_end) in [(0, end), (end / 3, end / 2)] {
+        let window: Vec<GanttRect> = d
+            .gantt
+            .iter()
+            .filter(|g| g.intersects(t_start, t_end))
+            .copied()
+            .collect();
         assert_eq!(
-            fold_store(&r, GanttFold { t_start, t_end }),
+            window,
             oracle::gantt(&t, t_start, t_end),
             "window {t_start}..{t_end}"
         );
