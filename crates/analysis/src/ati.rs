@@ -68,15 +68,24 @@ impl AtiDataset {
     /// Builds a dataset around pre-extracted records, selecting the
     /// report's percentiles from one scratch copy of the intervals.
     pub(crate) fn from_records(records: Vec<AtiRecord>) -> Self {
+        let intervals = records.iter().map(|r| r.interval_ns).collect();
+        Self::with_intervals(records, intervals)
+    }
+
+    /// Builds a dataset around pre-extracted records and their interval
+    /// values, in any order, as the report's fold keeps them: the
+    /// percentiles are selected in `intervals` itself, which is then
+    /// dropped.
+    pub(crate) fn with_intervals(records: Vec<AtiRecord>, mut intervals: Vec<u64>) -> Self {
+        debug_assert_eq!(records.len(), intervals.len());
         let mut percentiles = [0; 3];
-        if !records.is_empty() {
-            let mut values: Vec<u64> = records.iter().map(|r| r.interval_ns).collect();
+        if !intervals.is_empty() {
             // a selection leaves every value above its rank to the rank's
             // right, so each higher rank is selected from there alone
             let mut lo = 0;
             for (v, p) in percentiles.iter_mut().zip(REPORT_PERCENTILES) {
-                let rank = nearest_rank_index(values.len(), p);
-                *v = *values[lo..].select_nth_unstable(rank - lo).1;
+                let rank = nearest_rank_index(intervals.len(), p);
+                *v = *intervals[lo..].select_nth_unstable(rank - lo).1;
                 lo = rank;
             }
         }

@@ -16,13 +16,13 @@
 //! block table: a block's lifetime is a Fig. 2 rectangle and the gaps
 //! between its accesses are the Figs. 3–4 ATIs, so the ATI and Gantt
 //! passes ([`AtiDataset::from_trace`], [`crate::gantt_rects`]) are that
-//! fold's results too. Its accumulator keeps per-block state found through
-//! a slot index (no hashing while ids come in sequence, as allocators mint
-//! them), plus each chunk's accesses as one run in event order, beside the
-//! peak's accumulator. Accesses are folded straight from the decoded
-//! columns, and an event is built only for a malloc, a free or a block's
-//! first event. A merge touches only the later worker's blocks, and the
-//! records and rectangles finish in order without a full sort. The
+//! fold's results too. Its accumulator keeps per-block state, found at the
+//! slot equal to the block's id while ids come in sequence (as allocators
+//! mint them) and through a paged index otherwise, and the finished ATI
+//! records in event order, beside the peak's accumulator. Every event is
+//! folded straight from the decoded columns; none is built. A merge
+//! touches only the later worker's blocks and appends its records, and
+//! the records and rectangles finish in order without a full sort. The
 //! breakdown row and the outliers need no fold of their own:
 //! [`BreakdownRow::from_peak`](crate::BreakdownRow::from_peak) and
 //! [`sift`](crate::sift) derive them from the peak and the ATIs.
@@ -34,9 +34,10 @@
 use crate::ati::{AtiDataset, AtiRecord};
 use crate::gantt::GanttRect;
 use pinpoint_store::{
-    meta_kind, scan, ChunkSource, ColumnBatch, EventSource, Predicate, QueryStats, StoreError,
+    meta_kind, meta_mem_kind, scan, ChunkMeta, ChunkSource, ColumnBatch, EventSource, Predicate,
+    QueryStats, StoreError,
 };
-use pinpoint_trace::{BlockId, EventKind, MemEvent, MemoryKind, PeakAcc, PeakUsage, Trace};
+use pinpoint_trace::{BlockId, EventKind, MemoryKind, PeakAcc, PeakUsage, Trace};
 use std::collections::HashMap;
 
 /// One analysis pass expressed as a chunk-parallel fold.
@@ -68,6 +69,11 @@ pub trait EventFold: Send + Sync {
     fn predicate(&self) -> Predicate;
     /// Creates an empty accumulator for one worker.
     fn new_acc(&self) -> Self::Acc;
+    /// Readies a fresh accumulator, before its first chunk, for at most
+    /// `events` events, so that one that keeps per-event output sizes it
+    /// once instead of growing it chunk by chunk. The default ignores the
+    /// bound.
+    fn reserve(&self, _acc: &mut Self::Acc, _events: usize) {}
     /// Folds one decoded chunk, straight off its columns, into the
     /// accumulator that holds the chunks before it in the worker's range.
     fn push_batch(&self, acc: &mut Self::Acc, batch: &ColumnBatch);
@@ -155,8 +161,11 @@ pub fn run<F: EventFold, S: ChunkSource + ?Sized>(
         "engine.prune",
         threads,
         || (fold.new_acc(), 0u64),
-        |(acc, events), _, batch| {
+        |(acc, events), i, batch| {
             let _fold_span = pinpoint_obs::tracer().span_with("engine.fold", batch.len() as u64);
+            if *events == 0 {
+                fold.reserve(acc, range_events(source.chunks(), i, threads));
+            }
             fold.push_batch(acc, batch);
             *events += batch.len() as u64;
         },
@@ -170,6 +179,22 @@ pub fn run<F: EventFold, S: ChunkSource + ?Sized>(
         fold.finish(acc),
         FusedStats::from_scan(stats, events_scanned),
     ))
+}
+
+/// The largest bound [`range_events`] gives. The index's counts are read
+/// from the file, so a crafted count must not drive a large reservation;
+/// a longer range grows its buffers past this.
+const MAX_RESERVED_EVENTS: u64 = 1 << 20;
+
+/// The events the index counts in the range of a scan worker that starts
+/// at chunk `first`, when a scan at `threads` cuts the chunks into even
+/// ranges, each at most `ceil(chunks / workers)` long. Pruned chunks can
+/// stretch a range past that, and its buffers then grow.
+fn range_events(chunks: &[ChunkMeta], first: usize, threads: usize) -> usize {
+    let workers = threads.clamp(1, chunks.len().max(1));
+    let range = chunks[first..].iter().take(chunks.len().div_ceil(workers));
+    let events = range.map(|c| c.count).fold(0, u64::saturating_add);
+    events.min(MAX_RESERVED_EVENTS) as usize
 }
 
 /// [`run`] over an in-memory trace's [`EventSource`], whose fetches never
@@ -210,14 +235,15 @@ const SLACK_WORDS: u64 = 4 * PAGE as u64;
 /// index is a keyed hash map, so crafted ids cannot force a large index.
 const WORDS_PER_BLOCK: u64 = 8;
 
-/// Where a [`BlockAcc`] finds a block's entry.
+/// Where a [`BlockTable`] finds a block that it does not hold at the slot
+/// equal to the block's id.
 #[derive(Debug)]
 enum BlockIndex {
-    /// Allocators mint ids in sequence, so a block's slot is found by two
-    /// array loads, without hashing: `dir[id >> PAGE_BITS]` names a page,
-    /// whose word `id % PAGE` is the slot. Only touched pages exist, so
-    /// persistent low ids plus a window of fresh high ones cost a few
-    /// pages, not one word per id in between.
+    /// A block's slot is found by two array loads, without hashing:
+    /// `dir[id >> PAGE_BITS]` names a page, whose word `id % PAGE` is the
+    /// slot. Only touched pages exist, so persistent low ids plus a window
+    /// of fresh high ones cost a few pages, not one word per id in
+    /// between.
     Slots {
         dir: Vec<u32>,
         pages: Vec<[u32; PAGE]>,
@@ -272,6 +298,22 @@ impl BlockIndex {
     }
 }
 
+/// A block's first access in an accumulator. It closes no interval there:
+/// a merge that finds the block accessed on the earlier side makes the
+/// bridge record this access closes, to go before run record `at`.
+#[derive(Debug, Clone, Copy)]
+struct FirstAccess {
+    /// Run records the accumulator held before the access.
+    at: u32,
+    time_ns: u64,
+    kind: EventKind,
+}
+
+/// A record position, as [`FirstAccess::at`] keeps it.
+fn record_at(pos: usize) -> u32 {
+    u32::try_from(pos).expect("an accumulator holds fewer than 2^32 records")
+}
+
 /// Everything the block table keeps about one block, mirroring one
 /// `Trace::lifetimes()` entry without its access list.
 #[derive(Debug, Clone, Copy)]
@@ -287,185 +329,188 @@ struct BlockState {
     mallocd: bool,
     /// Last free's time.
     free_time_ns: Option<u64>,
-    /// `(run, position)` of the placeholder the block's first access left
-    /// in the runs: a merge fills it with the bridge from the earlier
-    /// side's last access.
-    first_access: Option<(u32, u32)>,
+    first_access: Option<FirstAccess>,
     /// Time of the most recent access (the open end of the next interval).
     last_access_ns: Option<u64>,
 }
 
-/// A placeholder's `(run, position)`, as [`BlockState::first_access`]
-/// keeps it.
-fn placeholder_at(run: usize, pos: usize) -> (u32, u32) {
-    let fits = |i: usize| u32::try_from(i).expect("runs and runs' lengths stay below 2^32");
-    (fits(run), fits(pos))
-}
-
-impl BlockState {
-    fn new(e: &MemEvent) -> Self {
-        BlockState {
-            block: e.block,
-            time_ns: e.time_ns,
-            size: e.size,
-            offset: e.offset,
-            mem_kind: e.mem_kind,
-            mallocd: false,
-            free_time_ns: None,
-            first_access: None,
-            last_access_ns: None,
-        }
-    }
-}
-
-/// One access, at its event position in its run: the interval it closes,
-/// or, for the block's first access in the accumulator, a placeholder that
-/// stays open until a merge bridges it (or for good, at the block's first
-/// access in the trace).
-#[derive(Debug, Clone, Copy)]
-struct Interval {
-    block: BlockId,
-    end_time_ns: u64,
-    interval_ns: u64,
-    closing_kind: EventKind,
-    closed: bool,
-}
-
-/// The block table a report folds: one table of per-block state, in
-/// first-touch order, and the accesses as one run per chunk, in event
-/// order. A scan worker folds its whole range of chunks into one.
-///
-/// * A block's entry is found through a paged slot index (ids are minted
-///   in sequence); an id past the index's bound, which is a small multiple
-///   of the blocks held, moves the accumulator to a keyed hash map, so
-///   neither crafted ids nor a long trace can drive a large allocation.
-///   The bound grows with every block the accumulator holds.
-/// * A block's first access leaves a placeholder. A merge touches only
-///   the later side's blocks: it fills each one's placeholder with the
-///   bridge from the earlier side's last access and appends the later
-///   runs, so the running list is never copied.
-/// * The runs are in event order, which in a time-ordered trace is
-///   `(end_time_ns, block)` order up to accesses of one instant, so
-///   [`BlockAcc::ati`] sorts only within each instant. Blocks first
-///   touched by their malloc, as in a profile, are in start order too, so
-///   [`BlockAcc::gantt`] likewise sorts only blocks malloc'd at one
-///   instant.
+/// The per-block states, in first-touch order, found by id.
 #[derive(Debug)]
-pub(crate) struct BlockAcc {
+struct BlockTable {
     blocks: Vec<BlockState>,
+    /// The slots of the blocks not held at the slot equal to their id.
     index: BlockIndex,
-    /// One run per chunk, each sized for its accesses.
-    runs: Vec<Vec<Interval>>,
-    /// Closed intervals across the runs.
-    intervals: usize,
-    /// Time of the last event seen (lifetime end of never-freed blocks).
-    end_time_ns: Option<u64>,
 }
 
-impl Default for BlockAcc {
+impl Default for BlockTable {
     fn default() -> Self {
-        BlockAcc {
+        BlockTable {
             blocks: Vec::new(),
             index: BlockIndex::Slots {
                 dir: Vec::new(),
                 pages: Vec::new(),
             },
-            runs: vec![Vec::new()],
-            intervals: 0,
-            end_time_ns: None,
         }
     }
 }
 
-impl BlockAcc {
-    /// Appends `st` as a new block, indexes it, and returns its slot.
+impl BlockTable {
+    /// The slot of `block`'s state. Allocators mint ids in sequence and a
+    /// profile first touches its blocks in that order, so a block's slot
+    /// is usually its id: that slot is tried first, the index on a miss.
+    #[inline]
+    fn find(&self, block: BlockId) -> Option<usize> {
+        let at_id = usize::try_from(block.0)
+            .ok()
+            .filter(|&slot| self.blocks.get(slot).is_some_and(|st| st.block == block));
+        at_id.or_else(|| self.index.get(block))
+    }
+
+    /// Appends `st` as a new block and returns its slot, indexing it
+    /// unless the slot is its id.
     fn insert(&mut self, st: BlockState) -> usize {
         let slot = self.blocks.len();
         self.blocks.push(st);
-        if !self.index.insert(st.block, slot, self.blocks.len()) {
-            let slots = self.blocks.iter().enumerate().map(|(i, b)| (b.block, i));
-            self.index = BlockIndex::Hashed(slots.collect());
+        if st.block.0 != slot as u64 && !self.index.insert(st.block, slot, self.blocks.len()) {
+            let off_id = self.blocks.iter().enumerate();
+            let off_id = off_id.filter(|&(slot, b)| b.block.0 != slot as u64);
+            self.index = BlockIndex::Hashed(off_id.map(|(slot, b)| (b.block, slot)).collect());
         }
         slot
     }
+}
 
-    /// The slot of `block`'s entry; a block seen for the first time is
-    /// entered from its first event, which `first` builds.
-    #[inline]
-    fn slot(&mut self, block: BlockId, first: impl FnOnce() -> MemEvent) -> usize {
-        match self.index.get(block) {
-            Some(slot) => slot,
-            None => self.insert(BlockState::new(&first())),
-        }
+/// The block table a report folds, and the ATI records finished from it.
+/// A scan worker folds its whole range of chunks into one.
+///
+/// * A block's state is found at the slot equal to its id, as ids are
+///   minted in sequence, or else through a paged slot index. An id past
+///   the index's bound, a small multiple of the blocks held, moves the
+///   accumulator to a keyed hash map, so neither crafted ids nor a long
+///   trace can drive a large allocation.
+/// * An access that closes an interval pushes its finished record, with
+///   the size and kind of the state its lookup loaded, and the interval's
+///   value. A block's first access pushes nothing; its state keeps it. A
+///   merge appends the later side's run of records, and for each block
+///   the earlier side also accessed keeps the bridge record with the
+///   place it goes; finishing lays the runs and the bridges out in one
+///   pass. One accumulator, as at one thread, finishes its one run as it
+///   is.
+/// * A record must carry its block's final size and kind. A malloc or a
+///   merge that changes them for a block already accessed marks the
+///   accumulator, and only then does finishing look each record's block
+///   up again.
+/// * The records are in event order, which in a time-ordered trace is
+///   `(end_time_ns, block)` order up to accesses of one instant, so
+///   finishing sorts only within each instant. Blocks first touched by
+///   their malloc, as in a profile, are in start order too, so the Gantt
+///   rectangles likewise sort only blocks malloc'd at one instant.
+#[derive(Debug, Default)]
+pub(crate) struct BlockAcc {
+    table: BlockTable,
+    /// The finished ATI records of the last worker's range merged in (of
+    /// this accumulator's own, before any merge), in the event order of
+    /// their closing accesses.
+    run: Vec<AtiRecord>,
+    /// The earlier ranges' runs, in range order.
+    earlier_runs: Vec<Vec<AtiRecord>>,
+    /// Records in the earlier runs.
+    earlier: usize,
+    /// The merges' bridge records, each with the run records before it.
+    bridges: Vec<(usize, AtiRecord)>,
+    /// The interval values of the runs and the bridges, in any order.
+    intervals: Vec<u64>,
+    /// Whether some record may carry a size or kind other than its
+    /// block's final one.
+    stale_geometry: bool,
+    /// Time of the last event seen (lifetime end of never-freed blocks).
+    end_time_ns: Option<u64>,
+}
+
+impl BlockAcc {
+    /// Sizes the run for at most `events` events at once, so that it is
+    /// not copied as it grows.
+    pub(crate) fn reserve(&mut self, events: usize) {
+        self.run.reserve(events);
+        self.intervals.reserve(events);
     }
 
-    /// Folds a malloc or a free.
-    fn alloc(&mut self, e: &MemEvent) {
-        let slot = self.slot(e.block, || e.clone());
-        let st = &mut self.blocks[slot];
-        if e.kind == EventKind::Malloc {
-            (st.time_ns, st.size, st.offset) = (e.time_ns, e.size, e.offset);
-            st.mem_kind = e.mem_kind;
-            st.mallocd = true;
-        } else {
-            st.free_time_ns = Some(e.time_ns);
-        }
-    }
-
-    /// Folds a read or a write of `kind` into the last run.
-    #[inline]
-    fn access(
+    /// Folds a decoded chunk straight from its columns, without building
+    /// an event. Each malloc and free is also handed to `alloc` as its
+    /// kind, size and memory kind.
+    pub(crate) fn push_batch(
         &mut self,
-        block: BlockId,
-        time_ns: u64,
-        kind: EventKind,
-        first: impl FnOnce() -> MemEvent,
+        batch: &ColumnBatch,
+        mut alloc: impl FnMut(EventKind, usize, MemoryKind),
     ) {
-        let slot = self.slot(block, first);
-        let st = &mut self.blocks[slot];
-        let r = self.runs.len() - 1;
-        let run = &mut self.runs[r];
-        let mut iv = Interval {
-            block,
-            end_time_ns: time_ns,
-            interval_ns: 0,
-            closing_kind: kind,
-            closed: false,
-        };
-        match st.last_access_ns {
-            Some(prev) => {
-                iv.interval_ns = time_ns - prev;
-                iv.closed = true;
-                self.intervals += 1;
-            }
-            None => st.first_access = Some(placeholder_at(r, run.len())),
-        }
-        run.push(iv);
-        st.last_access_ns = Some(time_ns);
-    }
-
-    /// Folds a decoded chunk into a run of its own, sized exactly for the
-    /// chunk's accesses: a run left to double can cross the allocator's
-    /// mmap threshold, which costs more than the fold. Accesses are folded
-    /// straight from the time, meta and block columns; a [`MemEvent`] is
-    /// built only for a malloc, a free or a block's first event, and each
-    /// malloc and free is also handed to `alloc`.
-    pub(crate) fn push_batch(&mut self, batch: &ColumnBatch, mut alloc: impl FnMut(&MemEvent)) {
         let (time, meta, block) = (batch.time(), batch.meta(), batch.block());
         let accesses = meta.iter().filter(|&&m| is_access(m)).count();
-        let last = self.runs.last_mut().expect("an accumulator has a run");
-        if last.is_empty() {
-            last.reserve_exact(accesses);
-        } else {
-            self.runs.push(Vec::with_capacity(accesses));
-        }
-        for (i, (&m, (&t, &id))) in meta.iter().zip(time.iter().zip(block)).enumerate() {
-            if is_access(m) {
-                self.access(BlockId(id), t, meta_kind(m), || batch.event(i));
-            } else {
-                let e = batch.event(i);
-                self.alloc(&e);
-                alloc(&e);
+        self.reserve(accesses);
+        let BlockAcc {
+            table,
+            run,
+            earlier,
+            intervals,
+            stale_geometry,
+            ..
+        } = self;
+        let events = time.iter().zip(meta).zip(block);
+        let geometry = batch.size().iter().zip(batch.offset());
+        for (((&t, &m), &id), (&size, &offset)) in events.zip(geometry) {
+            let (block, kind, size) = (BlockId(id), meta_kind(m), size as usize);
+            let slot = match table.find(block) {
+                Some(slot) => slot,
+                None => table.insert(BlockState {
+                    block,
+                    time_ns: t,
+                    size,
+                    offset: offset as usize,
+                    mem_kind: meta_mem_kind(m),
+                    mallocd: false,
+                    free_time_ns: None,
+                    first_access: None,
+                    last_access_ns: None,
+                }),
+            };
+            let st = &mut table.blocks[slot];
+            match kind {
+                EventKind::Read | EventKind::Write => {
+                    match st.last_access_ns {
+                        Some(prev) => {
+                            let interval_ns = t - prev;
+                            run.push(AtiRecord {
+                                block,
+                                size: st.size,
+                                mem_kind: st.mem_kind,
+                                interval_ns,
+                                end_time_ns: t,
+                                closing_kind: kind,
+                            });
+                            intervals.push(interval_ns);
+                        }
+                        None => {
+                            st.first_access = Some(FirstAccess {
+                                at: record_at(*earlier + run.len()),
+                                time_ns: t,
+                                kind,
+                            });
+                        }
+                    }
+                    st.last_access_ns = Some(t);
+                }
+                EventKind::Malloc => {
+                    let mem_kind = meta_mem_kind(m);
+                    *stale_geometry |=
+                        st.last_access_ns.is_some() && (st.size, st.mem_kind) != (size, mem_kind);
+                    (st.time_ns, st.size, st.offset) = (t, size, offset as usize);
+                    st.mem_kind = mem_kind;
+                    st.mallocd = true;
+                    alloc(kind, size, mem_kind);
+                }
+                EventKind::Free => {
+                    st.free_time_ns = Some(t);
+                    alloc(kind, size, meta_mem_kind(m));
+                }
             }
         }
         if let Some(&t) = time.last() {
@@ -473,36 +518,59 @@ impl BlockAcc {
         }
     }
 
-    /// Appends `b`, whose events all follow this accumulator's.
+    /// Appends `b`, whose events all follow this accumulator's: its runs
+    /// follow this one's, and each block that both sides accessed gets
+    /// the bridge record that `b`'s first access closes, kept with the
+    /// place it goes.
     pub(crate) fn merge(mut self, b: BlockAcc) -> BlockAcc {
         let BlockAcc {
-            blocks,
-            mut runs,
-            intervals,
+            table,
+            run,
+            earlier_runs,
+            earlier,
+            bridges,
+            mut intervals,
+            stale_geometry,
             end_time_ns,
-            ..
         } = b;
-        // b's run r becomes run base + r here
-        let base = self.runs.len();
-        let rebase = |at: Option<(u32, u32)>| {
-            at.map(|(r, pos)| placeholder_at(base + r as usize, pos as usize))
+        // b's run record r is run record base + r here
+        let base = self.earlier + self.run.len();
+        let rebase = |f: FirstAccess| FirstAccess {
+            at: record_at(base + f.at as usize),
+            ..f
         };
-        self.intervals += intervals;
-        for sb in blocks {
-            let Some(slot) = self.index.get(sb.block) else {
-                self.insert(BlockState {
-                    first_access: rebase(sb.first_access),
+        self.stale_geometry |= stale_geometry;
+        self.intervals.append(&mut intervals);
+        for sb in table.blocks {
+            let Some(slot) = self.table.find(sb.block) else {
+                self.table.insert(BlockState {
+                    first_access: sb.first_access.map(rebase),
                     ..sb
                 });
                 continue;
             };
-            let sa = &mut self.blocks[slot];
-            // bridge a's last access to b's first, in b's placeholder
-            if let (Some(ta), Some((r, pos))) = (sa.last_access_ns, sb.first_access) {
-                let iv = &mut runs[r as usize][pos as usize];
-                iv.interval_ns = iv.end_time_ns - ta;
-                iv.closed = true;
-                self.intervals += 1;
+            let sa = &mut self.table.blocks[slot];
+            // the block's final geometry so far: b's malloc's, else a's
+            let (size, mem_kind) = if sb.mallocd {
+                (sb.size, sb.mem_kind)
+            } else {
+                (sa.size, sa.mem_kind)
+            };
+            let changes = |st: &BlockState| {
+                st.last_access_ns.is_some() && (st.size, st.mem_kind) != (size, mem_kind)
+            };
+            self.stale_geometry |= changes(sa) || changes(&sb);
+            if let (Some(prev), Some(f)) = (sa.last_access_ns, sb.first_access) {
+                let bridge = AtiRecord {
+                    block: sb.block,
+                    size,
+                    mem_kind,
+                    interval_ns: f.time_ns - prev,
+                    end_time_ns: f.time_ns,
+                    closing_kind: f.kind,
+                };
+                self.bridges.push((base + f.at as usize, bridge));
+                self.intervals.push(bridge.interval_ns);
             }
             if sb.mallocd {
                 (sa.time_ns, sa.size, sa.offset) = (sb.time_ns, sb.size, sb.offset);
@@ -510,47 +578,73 @@ impl BlockAcc {
                 sa.mallocd = true;
             }
             sa.free_time_ns = sb.free_time_ns.or(sa.free_time_ns);
-            if sa.first_access.is_none() {
-                sa.first_access = rebase(sb.first_access);
-            }
-            if sb.last_access_ns.is_some() {
-                sa.last_access_ns = sb.last_access_ns;
-            }
+            sa.first_access = sa.first_access.or(sb.first_access.map(rebase));
+            sa.last_access_ns = sb.last_access_ns.or(sa.last_access_ns);
         }
-        self.runs.append(&mut runs);
+        let rebased = bridges.into_iter().map(|(at, r)| (base + at, r));
+        self.bridges.extend(rebased);
+        self.earlier = base + earlier;
+        let a_run = std::mem::replace(&mut self.run, run);
+        self.earlier_runs.push(a_run);
+        self.earlier_runs.extend(earlier_runs);
         self.end_time_ns = end_time_ns.or(self.end_time_ns);
         self
     }
 
-    /// The ATI records: the closed intervals, completed with each block's
-    /// final size and kind, in `(end_time_ns, block)` order, a block's own
+    /// The ATI records, in `(end_time_ns, block)` order with a block's own
     /// records in event order (what a stable sort of the event-ordered
-    /// runs by that key gives).
-    pub(crate) fn ati(&self) -> AtiDataset {
-        let mut records = Vec::with_capacity(self.intervals);
-        for iv in self.runs.iter().flatten().filter(|iv| iv.closed) {
-            let slot = self
-                .index
-                .get(iv.block)
-                .expect("an accessed block has an entry");
-            let st = &self.blocks[slot];
-            records.push(AtiRecord {
-                block: iv.block,
-                size: st.size,
-                mem_kind: st.mem_kind,
-                interval_ns: iv.interval_ns,
-                end_time_ns: iv.end_time_ns,
-                closing_kind: iv.closing_kind,
-            });
+    /// records by that key gives), and one Gantt rectangle per block, in
+    /// `(t0_ns, offset, block)` order.
+    pub(crate) fn finish(self) -> (AtiDataset, Vec<GanttRect>) {
+        let gantt = self.gantt();
+        let BlockAcc {
+            table,
+            run,
+            earlier_runs,
+            mut bridges,
+            intervals,
+            stale_geometry,
+            ..
+        } = self;
+        let mut records = if earlier_runs.is_empty() && bridges.is_empty() {
+            run
+        } else {
+            let mut runs = earlier_runs;
+            runs.push(run);
+            // the runs in order, each bridge before the run record it
+            // precedes; bridges at one place keep time order
+            bridges.sort_by_key(|&(at, r)| (at, r.end_time_ns));
+            let n = runs.iter().map(Vec::len).sum::<usize>() + bridges.len();
+            let mut records = Vec::with_capacity(n);
+            let (mut bridges, mut done) = (bridges.into_iter().peekable(), 0);
+            for run in &runs {
+                let mut from = 0;
+                while let Some((at, bridge)) = bridges.next_if(|&(at, _)| at <= done + run.len()) {
+                    records.extend_from_slice(&run[from..at - done]);
+                    from = at - done;
+                    records.push(bridge);
+                }
+                records.extend_from_slice(&run[from..]);
+                done += run.len();
+            }
+            records
+        };
+        if stale_geometry {
+            for r in &mut records {
+                let slot = table.find(r.block).expect("an accessed block has a state");
+                let st = &table.blocks[slot];
+                (r.size, r.mem_kind) = (st.size, st.mem_kind);
+            }
         }
         sort_by_time_then(&mut records, |r| r.end_time_ns, |r| r.block);
-        AtiDataset::from_records(records)
+        (AtiDataset::with_intervals(records, intervals), gantt)
     }
 
     /// One rectangle per block, in `(t0_ns, offset, block)` order.
-    pub(crate) fn gantt(&self) -> Vec<GanttRect> {
+    fn gantt(&self) -> Vec<GanttRect> {
         let end = self.end_time_ns.unwrap_or(0);
         let mut rects: Vec<GanttRect> = self
+            .table
             .blocks
             .iter()
             .map(|st| GanttRect {
@@ -570,18 +664,28 @@ impl BlockAcc {
     }
 }
 
-/// Stable-sorts `items` by `(time, tie)`. Items already in time order, as
-/// a time-ordered trace's records and rects come, can be out of order
-/// only within an instant, so only the instants that need it are sorted,
-/// by `tie` alone; anything else is sorted in full.
+/// Stable-sorts `items` by `(time, tie)`, in one pass where it can. Items
+/// already in time order, as a time-ordered trace's records and rects
+/// come, can be out of order only within an instant, so the pass sorts
+/// each instant that needs it by `tie` alone. An instant earlier than the
+/// one before sends everything to the full sort; the instants sorted by
+/// then kept equal keys in their order, so it gives what it would have
+/// given on the input.
 fn sort_by_time_then<T, K: Ord>(items: &mut [T], time: impl Fn(&T) -> u64, tie: impl Fn(&T) -> K) {
-    if items.is_sorted_by_key(&time) {
-        for instant in items.chunk_by_mut(|a, b| time(a) == time(b)) {
-            if !instant.is_sorted_by_key(&tie) {
-                instant.sort_by_key(&tie);
-            }
+    let mut last = 0;
+    let mut in_time_order = true;
+    for instant in items.chunk_by_mut(|a, b| time(a) == time(b)) {
+        let t = time(&instant[0]);
+        if t < last {
+            in_time_order = false;
+            break;
         }
-    } else {
+        last = t;
+        if !instant.is_sorted_by_key(&tie) {
+            instant.sort_by_key(&tie);
+        }
+    }
+    if !in_time_order {
         items.sort_by_key(|x| (time(x), tie(x)));
     }
 }
@@ -607,11 +711,12 @@ impl EventFold for PeakFold {
     }
     /// The meta column's 2-bit kind code rules out accesses with one byte
     /// test, so in access-heavy traces — the paper's regime — the vast
-    /// majority of events are skipped without ever being materialized.
+    /// majority of events are skipped; a malloc or a free is swept from
+    /// its meta byte and size, never materialized.
     fn push_batch(&self, acc: &mut PeakAcc, batch: &ColumnBatch) {
-        for (i, &m) in batch.meta().iter().enumerate() {
+        for (&m, &size) in batch.meta().iter().zip(batch.size()) {
             if !is_access(m) {
-                acc.push(&batch.event(i));
+                acc.push_fields(meta_kind(m), size as usize, meta_mem_kind(m));
             }
         }
     }
@@ -629,7 +734,7 @@ mod tests {
     use crate::gantt_rects;
     use crate::report::ReportFold;
     use pinpoint_store::{Batch, DecodeScratch, ReadPolicy, DEFAULT_CHUNK_EVENTS};
-    use pinpoint_trace::Category;
+    use pinpoint_trace::{Category, MemEvent};
 
     /// Folds `events` into one block table, chunk by chunk, as a scan
     /// worker folds its range.
@@ -638,7 +743,7 @@ mod tests {
         let mut scratch = DecodeScratch::new();
         let mut acc = BlockAcc::default();
         for i in 0..source.chunks().len() {
-            acc.push_batch(&source.fetch(i, &mut scratch).unwrap(), |_| {});
+            acc.push_batch(&source.fetch(i, &mut scratch).unwrap(), |_, _, _| {});
         }
         acc
     }
@@ -826,8 +931,7 @@ mod tests {
     #[test]
     fn block_merge_is_associative_at_every_split() {
         let t = mixed_trace();
-        let whole = fold(t.events());
-        let (ati, gantt) = (whole.ati(), whole.gantt());
+        let (ati, gantt) = fold(t.events()).finish();
         let n = t.len();
         for i in 0..=n {
             for j in i..=n {
@@ -835,8 +939,9 @@ mod tests {
                 let left = fold(a).merge(fold(b)).merge(fold(c));
                 let right = fold(a).merge(fold(b).merge(fold(c)));
                 for (side, acc) in [("left", left), ("right", right)] {
-                    assert_eq!(acc.ati(), ati, "{side}, splits at {i} and {j}");
-                    assert_eq!(acc.gantt(), gantt, "{side}, {i}, {j}");
+                    let (got_ati, got_gantt) = acc.finish();
+                    assert_eq!(got_ati, ati, "{side}, splits at {i} and {j}");
+                    assert_eq!(got_gantt, gantt, "{side}, {i}, {j}");
                 }
             }
         }
@@ -875,7 +980,7 @@ mod tests {
     }
 
     fn on_slots(acc: &BlockAcc) -> bool {
-        matches!(acc.index, BlockIndex::Slots { .. })
+        matches!(acc.table.index, BlockIndex::Slots { .. })
     }
 
     #[test]
@@ -884,12 +989,15 @@ mod tests {
         let (lo, hi) = (events[0].block.0, events.last().unwrap().block.0);
         assert!(hi - lo > 15_000, "the chunk spans ids {lo}..={hi}");
         let acc = fold(&events);
-        assert!(on_slots(&acc), "{} blocks went hashed", acc.blocks.len());
+        assert!(
+            on_slots(&acc),
+            "{} blocks went hashed",
+            acc.table.blocks.len()
+        );
         // merged with the next chunk of the same shape, it stays there too
         let merged = fold(&events[..100]).merge(fold(&events[100..]));
         assert!(on_slots(&merged));
-        assert_eq!(merged.ati(), acc.ati());
-        assert_eq!(merged.gantt(), acc.gantt());
+        assert_eq!(merged.finish(), acc.finish());
 
         // an id past the bound moves the accumulator to the hash map
         // mid-chunk, with the same results
@@ -899,8 +1007,9 @@ mod tests {
         far.iter().for_each(|e| t.push(e.clone()));
         let acc = fold(&far);
         assert!(!on_slots(&acc));
-        assert_eq!(acc.ati(), AtiDataset::from_trace(&t));
-        assert_eq!(acc.gantt(), gantt_rects(&t, 0, u64::MAX));
+        let (ati, gantt) = acc.finish();
+        assert_eq!(ati, AtiDataset::from_trace(&t));
+        assert_eq!(gantt, gantt_rects(&t, 0, u64::MAX));
     }
 
     /// A training profile long enough that its fresh ids drift far past
@@ -966,14 +1075,16 @@ mod tests {
             (BlockAcc::default(), true)
         }
         fn push_batch(&self, (acc, slots): &mut Self::Acc, batch: &ColumnBatch) {
-            acc.push_batch(batch, |_| {});
+            acc.push_batch(batch, |_, _, _| {});
             *slots &= on_slots(acc);
         }
         fn merge(&self, (a, a_slots): Self::Acc, (b, b_slots): Self::Acc) -> Self::Acc {
             (a.merge(b), a_slots && b_slots)
         }
         fn finish(&self, (acc, slots): Self::Acc) -> Self::Output {
-            (slots, on_slots(&acc), acc.ati(), acc.gantt())
+            let merged = on_slots(&acc);
+            let (ati, gantt) = acc.finish();
+            (slots, merged, ati, gantt)
         }
     }
 
@@ -1011,6 +1122,96 @@ mod tests {
             let (got, _) = run(&ReportFold, &reader, threads).unwrap();
             assert_eq!(got, report, "threads {threads}");
         }
+    }
+
+    /// A trace shaped like a training profile: ids minted in sequence
+    /// from 0, every block malloc'd before its accesses, 40 persistent
+    /// blocks read twice per iteration, and per iteration a stack of fresh
+    /// blocks each written, read twice (two by one op, at one instant, in
+    /// descending id order) and freed.
+    fn profile_shaped_trace(iterations: u64) -> Trace {
+        let mut t = Trace::new();
+        let mut next_id = 0;
+        let mut time = 0;
+        let ev = |t: &mut Trace, time: u64, kind, block: u64, mem_kind| {
+            let offset = (block % 1024) as usize * 4096;
+            t.record(time, kind, BlockId(block), 4096, offset, mem_kind, None);
+        };
+        let persistent: Vec<u64> = (0..40).collect();
+        for &id in &persistent {
+            ev(&mut t, time, EventKind::Malloc, id, MemoryKind::Weight);
+            next_id += 1;
+        }
+        for _ in 0..iterations {
+            let fresh: Vec<u64> = (next_id..next_id + 60).collect();
+            next_id += 60;
+            for (&id, &w) in fresh.iter().zip(persistent.iter().cycle()) {
+                time += 10;
+                ev(&mut t, time, EventKind::Malloc, id, MemoryKind::Activation);
+                ev(&mut t, time, EventKind::Read, w, MemoryKind::Weight);
+                ev(&mut t, time, EventKind::Write, id, MemoryKind::Activation);
+            }
+            for pair in fresh.rchunks(2) {
+                time += 10;
+                for &id in pair.iter().rev() {
+                    ev(&mut t, time, EventKind::Read, id, MemoryKind::Activation);
+                }
+                for &id in pair {
+                    ev(
+                        &mut t,
+                        time + 1,
+                        EventKind::Read,
+                        id,
+                        MemoryKind::Activation,
+                    );
+                    ev(
+                        &mut t,
+                        time + 2,
+                        EventKind::Free,
+                        id,
+                        MemoryKind::Activation,
+                    );
+                }
+                ev(
+                    &mut t,
+                    time + 3,
+                    EventKind::Read,
+                    pair[0] % 40,
+                    MemoryKind::Weight,
+                );
+            }
+        }
+        t
+    }
+
+    #[test]
+    fn a_profile_folds_at_each_blocks_slot_with_nothing_left_to_fix() {
+        let t = profile_shaped_trace(40);
+        let chunks = t.len().div_ceil(DEFAULT_CHUNK_EVENTS);
+        assert!(chunks >= 4, "{} events fill {chunks} chunks", t.len());
+        let acc = fold(t.events());
+        // every block at the slot equal to its id, none in the index
+        for (slot, st) in acc.table.blocks.iter().enumerate() {
+            assert_eq!(st.block, BlockId(slot as u64));
+        }
+        let BlockIndex::Slots { dir, pages } = &acc.table.index else {
+            panic!("a profile's table went hashed");
+        };
+        assert!(dir.is_empty() && pages.is_empty(), "a block was indexed");
+        // each access but a block's first pushed its finished record into
+        // the one run, which finishing takes as it is, and no record needs
+        // another size or kind
+        let accesses = t.events().iter().filter(|e| e.kind.is_access());
+        let accessed: std::collections::HashSet<BlockId> =
+            accesses.clone().map(|e| e.block).collect();
+        assert!(acc.earlier_runs.is_empty() && acc.bridges.is_empty());
+        assert_eq!(acc.run.len(), accesses.count() - accessed.len());
+        assert_eq!(acc.intervals.len(), acc.run.len());
+        assert!(!acc.stale_geometry, "a record's geometry needs patching");
+        // and the one worker's table finishes as a report's does
+        let ((ati, _, gantt), stats) = run_trace(&ReportFold, &t, 1);
+        assert_eq!(stats.chunks_decoded, chunks);
+        assert_eq!(acc.finish(), (ati, gantt));
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! A report is one fold, the only fold over the block table: its
 //! accumulator holds one block table for the ATI and Gantt passes and the
 //! peak sweep's accumulator. Each chunk is decoded once, each event's
-//! block is looked up once, an access is folded straight from the decoded
-//! columns and only a malloc, a free or a block's first event is built as
-//! an event, and the other two results are derived from theirs — the
+//! block is looked up once, every event is folded straight from the
+//! decoded columns, an access that closes an interval pushes its finished
+//! ATI record, and the other two results are derived from theirs — the
 //! breakdown row from the peak, the outliers by sifting the ATIs. A scan
 //! worker folds its whole range of chunks into one accumulator, so a
 //! one-thread report merges nothing. [`TraceReport::from_trace`] and
@@ -83,11 +83,16 @@ impl EventFold for ReportFold {
     fn new_acc(&self) -> ReportAcc {
         ReportAcc::default()
     }
-    /// Accesses are folded straight from the columns into the block
-    /// table; each malloc and free is built once and goes to both parts.
+    fn reserve(&self, acc: &mut ReportAcc, events: usize) {
+        acc.blocks.reserve(events);
+    }
+    /// Every event is folded straight from the columns into the block
+    /// table, which hands each malloc and free on to the peak sweep.
     fn push_batch(&self, acc: &mut ReportAcc, batch: &ColumnBatch) {
         let ReportAcc { blocks, peak } = acc;
-        blocks.push_batch(batch, |e| peak.push(e));
+        blocks.push_batch(batch, |kind, size, mem_kind| {
+            peak.push_fields(kind, size, mem_kind)
+        });
     }
     fn merge(&self, a: ReportAcc, b: ReportAcc) -> ReportAcc {
         ReportAcc {
@@ -98,7 +103,8 @@ impl EventFold for ReportFold {
     /// The ATI records and the whole trace's Gantt rectangles both come
     /// from the one block table.
     fn finish(&self, acc: ReportAcc) -> Self::Output {
-        (acc.blocks.ati(), acc.peak.finish(), acc.blocks.gantt())
+        let (ati, gantt) = acc.blocks.finish();
+        (ati, acc.peak.finish(), gantt)
     }
 }
 

@@ -33,6 +33,14 @@
 //! counted by a thread-local counting global allocator. The count repeats
 //! exactly from run to run and needs no recorded baseline, so the guard
 //! fires on a clean checkout and cannot flap; it lands in the JSON.
+//!
+//! Two more rows time the fold alone, over chunks decoded up front: a
+//! one-thread report of a default-chunked 8-iteration store, which is
+//! what the daemon folds from its chunk cache for every `serve-cold`
+//! request, and a trace built to take every exact fallback of the fold
+//! (time running backwards, re-mallocs that change an accessed block's
+//! size and kind, blocks accessed in every worker's range), at 1 and 4
+//! threads. Both are checked against the report of the trace itself.
 
 use pinpoint_analysis::{
     run, AtiDataset, BreakdownRow, GanttRect, OutlierCriteria, OutlierReport, PeakFold, TraceReport,
@@ -44,10 +52,14 @@ use pinpoint_core::{profile, ProfileConfig};
 use pinpoint_data::DatasetSpec;
 use pinpoint_models::{Architecture, ResNetDepth};
 use pinpoint_obs::tracer;
-use pinpoint_store::{write_store_chunked, write_store_chunked_v2, StoreReader};
-use pinpoint_trace::{PeakUsage, Trace};
+use pinpoint_store::{
+    write_store, write_store_chunked, write_store_chunked_v2, Batch, ChunkMeta, ChunkSource,
+    ColumnBatch, DecodeScratch, ReadPolicy, StoreError, StoreReader,
+};
+use pinpoint_trace::{BlockId, EventKind, MemoryKind, PeakUsage, Trace};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Rounds of each interleaved v3-vs-v2 timing. A fused report of this
@@ -57,12 +69,12 @@ const PAIRED_ROUNDS: usize = 101;
 
 /// The most heap allocations (reallocations included) one warm
 /// single-thread report of this bench's store may make: the count when
-/// the bound was set (38, with one accumulator for the whole scan), plus
-/// about 10%. The count is now 30, since the Gantt rectangles are
-/// collected unfiltered into one allocation of their exact length. It is
-/// the same at both scales, whose batch sizes change block sizes but not
-/// the events.
-const MAX_WARM_REPORT_ALLOCS: u64 = 42;
+/// the bound was last set, 18, plus about 10%. The fold pushes the
+/// finished ATI records and their interval values into one buffer each,
+/// sized once from the store index's event counts. The count is the same
+/// at both scales, whose batch sizes change block sizes but not the
+/// events.
+const MAX_WARM_REPORT_ALLOCS: u64 = 20;
 
 thread_local! {
     /// Allocations made by this thread while counting, if counting.
@@ -133,14 +145,94 @@ fn paired_median_ns(runs: usize, mut a: impl FnMut(), mut b: impl FnMut()) -> (u
     (median(ta), median(tb))
 }
 
-fn resnet18_trace() -> Trace {
+/// Training iterations of the stores the daemon workloads fold.
+const SERVE_ITERATIONS: usize = 8;
+
+fn resnet18_trace(iterations: usize) -> Trace {
     let batch = by_scale(32, 64);
-    let cfg = ProfileConfig::breakdown_sweep(
+    let mut cfg = ProfileConfig::breakdown_sweep(
         Architecture::ResNet(ResNetDepth::R18),
         DatasetSpec::cifar100(),
         batch,
     );
+    cfg.iterations = iterations;
     profile(&cfg).expect("resnet-18 profile").trace
+}
+
+/// A store's chunks, decoded up front and shared, as the daemon's chunk
+/// cache serves them.
+struct Decoded {
+    chunks: Vec<ChunkMeta>,
+    batches: Vec<Arc<ColumnBatch>>,
+}
+
+impl Decoded {
+    /// The default-chunked store of `trace`, decoded.
+    fn of(trace: &Trace) -> Self {
+        let mut bytes = Vec::new();
+        write_store(trace, &mut bytes).expect("encode");
+        let r = StoreReader::from_bytes(bytes).expect("open");
+        let batches = (0..r.num_chunks())
+            .map(|i| Arc::new(r.decode_chunk(i).expect("decode")))
+            .collect();
+        Decoded {
+            chunks: r.footer().chunks.clone(),
+            batches,
+        }
+    }
+}
+
+impl ChunkSource for Decoded {
+    fn chunks(&self) -> &[ChunkMeta] {
+        &self.chunks
+    }
+    fn policy(&self) -> ReadPolicy {
+        ReadPolicy::Strict
+    }
+    fn fetch<'s>(&self, i: usize, _: &'s mut DecodeScratch) -> Result<Batch<'s>, StoreError> {
+        Ok(Batch::Shared(Arc::clone(&self.batches[i])))
+    }
+}
+
+/// A trace of `events` events that takes every exact fallback of the
+/// report's fold: two streams interleave, one clock running three times
+/// as fast as the other, so time goes backwards at every other event
+/// (each block belongs to one stream, so its own events stay in order);
+/// 64 blocks are first touched by accesses, accessed throughout, and now
+/// and then malloc'd again with another size and memory kind.
+fn fallback_trace(events: u64) -> Trace {
+    let mut t = Trace::new();
+    for i in 0..events {
+        let stream = i % 2;
+        let time = (i / 2) * if stream == 0 { 3 } else { 1 };
+        let block = BlockId(2 * ((i / 2) % 32) + stream);
+        let kind = if i % 101 < 2 {
+            EventKind::Malloc
+        } else if i % 3 == 0 {
+            EventKind::Write
+        } else {
+            EventKind::Read
+        };
+        let epoch = i / 101;
+        let size = 4096 << (epoch % 3);
+        let mem_kind = if epoch % 2 == 0 {
+            MemoryKind::Activation
+        } else {
+            MemoryKind::Weight
+        };
+        t.record(time, kind, block, size, 0, mem_kind, None);
+    }
+    t
+}
+
+/// Median wall time of a report over `source` at `threads`, checked
+/// against `want`.
+fn report_ns(source: &Decoded, threads: usize, want: &TraceReport) -> u128 {
+    let mut report = || {
+        let d = TraceReport::from_store(source, CRITERIA, threads).expect("run");
+        assert!(d.ati == want.ati && d.gantt == want.gantt && d.peak == want.peak);
+    };
+    median((0..PAIRED_ROUNDS).map(|_| time_ns(&mut report)).collect())
 }
 
 /// The five analysis outputs of one report.
@@ -176,7 +268,7 @@ fn fused_report(bytes: &[u8], threads: usize) -> (Report, usize, usize) {
 }
 
 fn bench(c: &mut Criterion) {
-    let trace = resnet18_trace();
+    let trace = resnet18_trace(2);
     let events = trace.len();
 
     // chunk finer than the 4096-event default so the per-chunk decode
@@ -317,6 +409,41 @@ fn bench(c: &mut Criterion) {
         ));
     }
 
+    // the daemon's cold fold: one thread over a cached store's chunks
+    let serve_trace = resnet18_trace(SERVE_ITERATIONS);
+    let serve_source = Decoded::of(&serve_trace);
+    let want = TraceReport::from_trace(&serve_trace, CRITERIA, 1);
+    let serve_cold_ns = report_ns(&serve_source, 1, &want);
+    println!(
+        "fused_report: serve-cold fold, {} events in {} chunks: {serve_cold_ns} ns",
+        serve_trace.len(),
+        serve_source.chunks.len()
+    );
+    let serve_cold = format!(
+        "{{\"events\":{},\"chunks\":{},\"threads\":1,\"report_ns\":{serve_cold_ns}}}",
+        serve_trace.len(),
+        serve_source.chunks.len()
+    );
+
+    // the exact fallbacks, and at 4 threads the merges' bridge records
+    let fallback = fallback_trace(serve_trace.len() as u64);
+    let fallback_source = Decoded::of(&fallback);
+    let want = TraceReport::from_trace(&fallback, CRITERIA, 1);
+    let fallback_runs: Vec<String> = [1usize, 4]
+        .into_iter()
+        .map(|threads| {
+            let ns = report_ns(&fallback_source, threads, &want);
+            println!("fused_report: fallback trace, threads={threads}: {ns} ns");
+            format!("{{\"threads\":{threads},\"report_ns\":{ns}}}")
+        })
+        .collect();
+    let fallbacks = format!(
+        "{{\"events\":{},\"chunks\":{},\"runs\":[{}]}}",
+        fallback.len(),
+        fallback_source.chunks.len(),
+        fallback_runs.join(",")
+    );
+
     // every measured run above went through the instrumented hot paths;
     // with the tracer disabled none of them may have touched it
     assert_eq!(
@@ -334,7 +461,8 @@ fn bench(c: &mut Criterion) {
         "{{\"bench\":\"fused_report\",\"events\":{events},\"chunks\":{chunks},\
          \"passes\":5,\"v2_store_bytes\":{},\"v3_store_bytes\":{},\
          \"warm_report_allocs\":{warm_report_allocs},\"max_warm_report_allocs\":{MAX_WARM_REPORT_ALLOCS},\
-         \"runs\":[{}],\"bit_identical\":true}}\n",
+         \"runs\":[{}],\"serve_cold\":{serve_cold},\"fallbacks\":{fallbacks},\
+         \"bit_identical\":true}}\n",
         v2_bytes.len(),
         bytes.len(),
         per_thread.join(",")

@@ -31,7 +31,7 @@ use crate::crc32::crc32;
 use crate::error::StoreError;
 use crate::format::{kind_code, kind_from_code, mem_kind_code, mem_kind_from_code, ChunkMeta};
 use crate::varint::{read_u64, unzigzag, varint_len, write_u64, zigzag};
-use pinpoint_trace::{BlockId, EventKind, MemEvent};
+use pinpoint_trace::{BlockId, EventKind, MemEvent, MemoryKind};
 
 /// v3 column encoding tag: the column's v2-native stream (plain varints,
 /// or one raw byte per event for the meta column).
@@ -67,6 +67,13 @@ pub(crate) fn meta_byte(e: &MemEvent) -> u8 {
 #[inline]
 pub fn meta_kind(meta: u8) -> EventKind {
     kind_from_code(meta & 0b11).expect("2-bit kind codes are total")
+}
+
+/// The memory kind a meta byte (see [`ColumnBatch::meta`]) records. The
+/// 3-bit memory-kind code space is total, so every byte has one.
+#[inline]
+pub fn meta_mem_kind(meta: u8) -> MemoryKind {
+    mem_kind_from_code((meta >> 2) & 0b111).expect("3-bit memory-kind codes are total")
 }
 
 fn corrupt(msg: impl Into<String>) -> StoreError {
@@ -156,8 +163,7 @@ impl ColumnBatch {
             block: BlockId(self.block[i]),
             size: self.size[i] as usize,
             offset: self.offset[i] as usize,
-            mem_kind: mem_kind_from_code((m >> 2) & 0b111)
-                .expect("3-bit memory-kind codes are total"),
+            mem_kind: meta_mem_kind(m),
             op_label: (m & HAS_OP_BIT != 0).then(|| self.op[i]),
         }
     }

@@ -90,8 +90,8 @@ pub mod writer;
 
 pub use cancel::CancelToken;
 pub use columns::{
-    chunk_encoding_tags, encode_chunk_v3, meta_kind, ColumnBatch, DecodeScratch, MAX_CHUNK_EVENTS,
-    TAG_DOD, TAG_PACK, TAG_PLAIN, TAG_RLE,
+    chunk_encoding_tags, encode_chunk_v3, meta_kind, meta_mem_kind, ColumnBatch, DecodeScratch,
+    MAX_CHUNK_EVENTS, TAG_DOD, TAG_PACK, TAG_PLAIN, TAG_RLE,
 };
 pub use error::StoreError;
 pub use format::{ChunkMeta, Footer, DEFAULT_CHUNK_EVENTS, MAGIC, VERSION, VERSION_V1, VERSION_V2};

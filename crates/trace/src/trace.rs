@@ -337,19 +337,27 @@ impl PeakAcc {
     /// are ignored.
     #[inline]
     pub fn push(&mut self, e: &MemEvent) {
-        let cat = e.mem_kind.category() as usize;
-        match e.kind {
+        self.push_fields(e.kind, e.size, e.mem_kind);
+    }
+
+    /// [`push`](Self::push) from an event's kind, size and memory kind
+    /// alone, as a fold reads them from a decoded chunk's columns.
+    #[inline]
+    pub fn push_fields(&mut self, kind: EventKind, size: usize, mem_kind: MemoryKind) {
+        let cat = mem_kind.category() as usize;
+        let size = size as i64;
+        match kind {
             EventKind::Malloc => {
-                self.delta[cat] += e.size as i64;
-                self.delta_total += e.size as i64;
+                self.delta[cat] += size;
+                self.delta_total += size;
                 // strict: the earliest of tied maxima wins
                 if self.peak.is_none_or(|(p, _)| self.delta_total > p) {
                     self.peak = Some((self.delta_total, self.delta));
                 }
             }
             EventKind::Free => {
-                self.delta[cat] -= e.size as i64;
-                self.delta_total -= e.size as i64;
+                self.delta[cat] -= size;
+                self.delta_total -= size;
             }
             EventKind::Read | EventKind::Write => {}
         }

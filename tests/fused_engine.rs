@@ -188,6 +188,50 @@ fn backward_steps(t: &Trace) -> usize {
     e.windows(2).filter(|w| w[1].time_ns < w[0].time_ns).count()
 }
 
+/// Mallocs that give a block already accessed another size or memory
+/// kind: every ATI record of the block must carry the new ones, including
+/// those its accesses closed before.
+fn geometry_changes_after_an_access(t: &Trace) -> usize {
+    // per block: the size and kind `Trace::lifetimes` would give it so
+    // far, and whether it has been accessed
+    let mut blocks: HashMap<BlockId, (usize, MemoryKind, bool)> = HashMap::new();
+    let mut changes = 0;
+    for e in t.events() {
+        let b = blocks.entry(e.block).or_insert((e.size, e.mem_kind, false));
+        match e.kind {
+            EventKind::Malloc => {
+                changes += usize::from(b.2 && (b.0, b.1) != (e.size, e.mem_kind));
+                (b.0, b.1) = (e.size, e.mem_kind);
+            }
+            EventKind::Read | EventKind::Write => b.2 = true,
+            EventKind::Free => {}
+        }
+    }
+    changes
+}
+
+/// Blocks whose first event in one of the four workers' ranges of a
+/// four-thread scan at chunk size 1 is a malloc, after an access in an
+/// earlier range: merging the ranges must insert the interval that
+/// bridges the two accesses.
+fn mallocd_after_an_earlier_workers_access(t: &Trace) -> usize {
+    const WORKERS: usize = 4;
+    let n = t.len();
+    let mut accessed = HashSet::new();
+    let mut count = 0;
+    for w in 0..WORKERS {
+        let range = &t.events()[w * n / WORKERS..(w + 1) * n / WORKERS];
+        let mut seen = HashSet::new();
+        for e in range {
+            let first = seen.insert(e.block);
+            count +=
+                usize::from(first && e.kind == EventKind::Malloc && accessed.contains(&e.block));
+        }
+        accessed.extend(range.iter().filter(|e| e.kind.is_access()).map(|e| e.block));
+    }
+    count
+}
+
 fn store_of(t: &Trace, chunk: usize) -> StoreReader {
     let mut bytes = Vec::new();
     write_store_chunked(t, &mut bytes, chunk).unwrap();
@@ -270,6 +314,7 @@ fn fused_five_passes_match_standalone_on_arbitrary_traces() {
     let (mut gantt_ties, mut tied_peaks) = (0, 0);
     let (mut mid_chunk_exits, mut backward) = (0, 0);
     let (mut unsorted_instants, mut full_sorts) = (0, 0);
+    let (mut geometry_changes, mut bridged_mallocs) = (0, 0);
     for case in 0..20 {
         let events = rng.gen_range_usize(0, 500);
         let chunk = rng.gen_range_usize(1, 64);
@@ -283,6 +328,8 @@ fn fused_five_passes_match_standalone_on_arbitrary_traces() {
         tied_peaks += peak_ties(&t, &want.peak);
         mid_chunk_exits += usize::from(leaves_the_index_mid_chunk(&t, 7));
         backward += backward_steps(&t);
+        geometry_changes += geometry_changes_after_an_access(&t);
+        bridged_mallocs += mallocd_after_an_earlier_workers_access(&t);
         match instants_out_of_order(&t, &want.gantt) {
             Some(n) => unsorted_instants += n,
             None => full_sorts += 1,
@@ -328,6 +375,14 @@ fn fused_five_passes_match_standalone_on_arbitrary_traces() {
         "no chunk left the slot index mid-chunk"
     );
     assert!(backward > 0, "no trace went backwards in time");
+    assert!(
+        geometry_changes > 0,
+        "no malloc changed an accessed block's size or kind"
+    );
+    assert!(
+        bridged_mallocs > 0,
+        "no worker's range first met a block accessed in an earlier range by its malloc"
+    );
     assert!(
         unsorted_instants > 0,
         "no trace in start order had an instant's rects out of (offset, block) order"
